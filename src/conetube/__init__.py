@@ -6,15 +6,13 @@ from .boundedness import (ClassificationResult, SchurWitness, classify,
                           random_sufficient_params, schur_numeric_check,
                           schur_witness, theorem1_necessary,
                           theorem2_sufficient)
-from .constants import (AuditReport, ConstantFamily, ConstantRequest,
-                        audit_constant_identities, constant)
+from .constants import AuditReport, audit_constant_identities
 from .errors import (AccuracyError, BranchCutError, ConeDomainError,
                      ConetubeError, ConfigError, ConvergenceDomainError,
                      ConventionError, InfeasibleError, InvalidInputError,
                      OracleRejectedError, WitnessConstructionError)
-from .geometry import (ConePoint, DeltaTransform, TubePoint,
-                       assemble_arrowhead, complex_power_P, delta_power,
-                       delta_transform, is_in_cone, minors)
+from .geometry import (ConePoint, TubePoint, assemble_arrowhead,
+                       complex_power_P, delta_power, is_in_cone, minors)
 from .identities import (IDENTITY_IDS, cone_shift_closed, cor1_kernel_closed,
                          cor1_laplace_closed, horizontal_abs_closed,
                          kernel_closed, laplace_power_closed,

@@ -33,12 +33,10 @@ import numpy as np
 from .errors import InvalidInputError, WitnessConstructionError
 from .geometry import TubePoint
 from .identities import (_abs_complex_power, _log_unchecked_power,
-                         _betaprime_radial, _tube_v_real_laws,
-                         random_tube_point)
+                         random_tube_point, tube_proposal)
 from .indices import bold_values
 from .oracle import IntegralEstimate, mc_integrate_tube
 from .operators import ParameterSet, necessary_exponent_condition
-from .sampling import BorderLaw, SamplerSpec
 
 EQUALITY_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
@@ -193,7 +191,7 @@ def schur_witness(params: ParameterSet) -> SchurWitness:
     if not theorem2_sufficient(params).passed:
         raise InvalidInputError(
             "witness construction requires the sufficient conditions to hold")
-    n, p, q = params.n, params.p, params.q
+    n, q = params.n, params.q
     pp = params.p_conj
     al, be = params.vec("alpha"), params.vec("beta")
     a, b, c = params.vec("a"), params.vec("b"), params.vec("c")
@@ -278,12 +276,7 @@ def _schur_slice_estimate(params: ParameterSet, weight_bold, kernel_bold,
     """MC of integral over the tube of delta^weight(Im w)/|P^kernel(z - conj w)|."""
     n = params.n
     tail = (kernel_bold - weight_bold) - (n + 1.0) / 2.0
-    scales = np.maximum(z.y[:n], 0.4)
-    radial = _betaprime_radial(n, weight_bold, tail, scales)
-    border = [BorderLaw("cauchy", s0=0.3, s1=float(math.sqrt(scales[n - 1]) + 0.3))
-              for _ in range(n - 1)]
-    real = _tube_v_real_laws(n, z.x, scales)
-    spec = SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
+    spec = tube_proposal(n, weight_bold, tail, np.maximum(z.y[:n], 0.4), z.x)
     xz, yz = z.x, z.y
 
     def integrand(x, v):
@@ -327,36 +320,29 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
     r_b = bold_values(np.asarray(witness.r), n)
     l_b = bold_values(np.asarray(witness.l), n)
 
-    ratios1, sig1 = [], []
-    ratios2, sig2 = [], []
+    # per integral: weight, kernel, outer power, predicted power, seed offset
+    integrals = (
+        # first: weight t p'(b - alpha) + p' r + alpha, kernel t p' c
+        (t * pp * (b_b - al_b) + pp * r_b + al_b, t * pp * c_b,
+         t * pp * a_b, pp * l_b, 1),
+        # second: weight q(1-t) a + q l + beta, kernel q(1-t) c
+        (q * (1.0 - t) * a_b + q * l_b + be_b, q * (1.0 - t) * c_b,
+         q * (1.0 - t) * (b_b - al_b), q * r_b, 57))
+    ratios, sigmas = ([], []), ([], [])
     for i in range(sample_count):
         z = random_tube_point(n, rng, x_scale=0.4)
-        # first integral: weight t p'(b - alpha) + p' r + alpha, kernel t p' c
-        w1 = t * pp * (b_b - al_b) + pp * r_b + al_b
-        k1 = t * pp * c_b
-        est = _schur_slice_estimate(params, w1, k1, z, budget,
-                                    seed + 101 * i + 1, h_scale)
-        outer = math.exp(float(_log_unchecked_power(z.y, t * pp * a_b)))
-        phi2 = math.exp(float(_log_unchecked_power(z.y, pp * l_b)))
-        ratios1.append(outer * est.value / phi2)
-        sig1.append(outer * est.std_error / phi2)
+        for k, (weight, kernel, outer_e, phi_e, offset) in enumerate(integrals):
+            est = _schur_slice_estimate(params, weight, kernel, z, budget,
+                                        seed + 101 * i + offset, h_scale)
+            outer = math.exp(float(_log_unchecked_power(z.y, outer_e)))
+            phi = math.exp(float(_log_unchecked_power(z.y, phi_e)))
+            ratios[k].append(outer * est.value / phi)
+            sigmas[k].append(outer * est.std_error / phi)
 
-        # second integral: weight q(1-t) a + q l + beta, kernel q(1-t) c
-        w2 = q * (1.0 - t) * a_b + q * l_b + be_b
-        k2 = q * (1.0 - t) * c_b
-        est2 = _schur_slice_estimate(params, w2, k2, z, budget,
-                                     seed + 101 * i + 57, h_scale)
-        outer2 = math.exp(float(_log_unchecked_power(
-            z.y, q * (1.0 - t) * (b_b - al_b))))
-        phi1 = math.exp(float(_log_unchecked_power(z.y, q * r_b)))
-        ratios2.append(outer2 * est2.value / phi1)
-        sig2.append(outer2 * est2.std_error / phi1)
-
-    m1, z1, ok1 = _ratio_consistency(ratios1, sig1)
-    m2, z2, ok2 = _ratio_consistency(ratios2, sig2)
-    return SchurCheckReport(
-        first=SchurRatioSet("first", tuple(ratios1), tuple(sig1), m1, z1, ok1),
-        second=SchurRatioSet("second", tuple(ratios2), tuple(sig2), m2, z2, ok2))
+    first, second = (
+        SchurRatioSet(which, tuple(r), tuple(s), *_ratio_consistency(r, s))
+        for which, r, s in zip(("first", "second"), ratios, sigmas))
+    return SchurCheckReport(first=first, second=second)
 
 
 # ---------------------------------------------------------------------------

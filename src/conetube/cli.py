@@ -24,7 +24,6 @@ import numpy as np
 from .boundedness import classify, schur_witness, t_interval
 from .errors import (ConetubeError, ConfigError, InvalidInputError,
                      WitnessConstructionError)
-from .geometry import TubePoint
 from .identities import (IDENTITY_IDS, get_identity, random_params,
                          random_point)
 from .operators import (ParameterSet, make_test_function, scaling_experiment)
@@ -88,25 +87,38 @@ def _parameter_set(obj: dict, where: str) -> ParameterSet:
     return ParameterSet(n=n, p=p, q=q, **vecs)
 
 
-def _parse_point(identity_id: str, n: int, obj):
-    ident = get_identity(identity_id)
-    if ident.domain in ("cone", "slice") and identity_id not in ("L23_2", "COR1_2"):
-        key = {"L24": "b", "L25": "v"}.get(identity_id, "t")
-        arr = np.asarray(obj.get(key, obj.get("point")), dtype=float)
-        if arr.shape != (2 * n - 1,):
-            raise ConfigError("cases.point", f"expected a {2 * n - 1}-vector")
-        return arr
-    def tube(o):
-        return TubePoint.make(np.asarray(o["x"], dtype=float),
-                              np.asarray(o["y"], dtype=float))
-    if identity_id == "L26":
-        return (tube(obj["z"]), tube(obj["xi"]))
-    return tube(obj.get("z", obj))
-
-
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
+
+def _parse(where: str, read):
+    """Run ``read``; any malformed-value error becomes a ConfigError at where."""
+    try:
+        return read()
+    except KeyError as exc:
+        raise ConfigError(where, f"missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(where, str(exc)) from None
+
+
+def _audit_case(i: int, case, n: int):
+    where = f"cases[{i}]"
+    if not isinstance(case, dict):
+        raise ConfigError(where, "must be an object")
+    name = case.get("identity")
+    if name not in IDENTITY_IDS:
+        raise ConfigError(f"{where}.identity", f"unknown identity {name!r}")
+    ident = get_identity(name)
+    cn = _parse(f"{where}.n", lambda: int(case.get("n", n)))
+    params = _parse(f"{where}.params", lambda: {
+        k: np.asarray(v, dtype=float) for k, v in case.get("params", {}).items()})
+    if set(params) != set(ident.param_names):
+        raise ConfigError(f"{where}.params",
+                          f"{name} needs exactly {sorted(ident.param_names)}")
+    point = _parse(f"{where}.point",
+                   lambda: ident.point.parse(case.get("point", {}), cn))
+    return name, cn, params, point
+
 
 def _audit_cases(cfg: dict, n: int, seed: int):
     explicit = cfg.get("cases")
@@ -114,19 +126,7 @@ def _audit_cases(cfg: dict, n: int, seed: int):
         if not isinstance(explicit, list):
             raise ConfigError("cases", "must be a list")
         for i, case in enumerate(explicit):
-            ident = case.get("identity")
-            if ident not in IDENTITY_IDS:
-                raise ConfigError(f"cases[{i}].identity",
-                                  f"unknown identity {ident!r}")
-            cn = int(case.get("n", n))
-            params = {k: np.asarray(v, dtype=float)
-                      for k, v in case.get("params", {}).items()}
-            want = set(get_identity(ident).param_names)
-            if set(params) != want:
-                raise ConfigError(f"cases[{i}].params",
-                                  f"{ident} needs exactly {sorted(want)}")
-            point = _parse_point(ident, cn, case.get("point", {}))
-            yield ident, cn, params, point
+            yield _audit_case(i, case, n)
         return
     identities = cfg.get("identities", list(IDENTITY_IDS))
     if not isinstance(identities, list) or \
@@ -164,7 +164,7 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
             findings += 1
         if rec.status == INCONCLUSIVE:
             inconclusive += 1
-        if dual and ident in ("L23_2", "COR1_2") and cn <= 2:
+        if dual and get_identity(ident).dual_region and cn <= 2:
             rec2 = verify_identity(ident, params, point, budget=budget,
                                    seed=seed + 977 * i + 13, method=oracle,
                                    n=cn, region="dual")

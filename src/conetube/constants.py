@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
@@ -132,8 +131,12 @@ def c4_range(n: int, s) -> list:
 
 def c4(n: int, s) -> float:
     """Shifted-index analogue of c2."""
-    v = _vec(s, n)
     _check(c4_range(n, s))
+    return _c4_formula(n, _vec(s, n))
+
+
+def _c4_formula(n: int, v: np.ndarray) -> float:
+    """The C4 Gamma ratio without its range check; defined for every v."""
     logval = (np.sum(v) + n * (n - 1.0) / 2.0) * LOG2 + (1.0 - 2.0 * n) * LOGPI
     poly = _poch_ratio(v[-1] + 1.0, n)
     for j in range(n - 1):
@@ -206,7 +209,8 @@ def c7_range(n: int, l, r, eta) -> list:
 def c7(n: int, l, r, eta) -> float:
     lv, rv, ev = _vec(l, n), _vec(r, n), _vec(eta, n)
     _check(c7_range(n, l, r, eta))
-    return c3(n, lv) * c4(n, rv + lv - ev) / (c4(n, rv) * c4(n, ev))
+    # r + l - eta may leave C4's own range inside C7's; c7_range is the gate
+    return c3(n, lv) * _c4_formula(n, rv + lv - ev) / (c4(n, rv) * c4(n, ev))
 
 
 def c8_range(n: int, l, r) -> list:
@@ -274,59 +278,8 @@ def c4_direct(n: int, s) -> float:
 
 
 # ---------------------------------------------------------------------------
-# request interface and composition audit
+# composition audit
 # ---------------------------------------------------------------------------
-
-class ConstantFamily(Enum):
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
-    C4 = "C4"
-    C5 = "C5"
-    C6 = "C6"
-    C7 = "C7"
-    C8 = "C8"
-
-
-_ARITY = {
-    ConstantFamily.C1: ("s",), ConstantFamily.C2: ("s",),
-    ConstantFamily.C3: ("s",), ConstantFamily.C4: ("s",),
-    ConstantFamily.C5: ("r", "eta"), ConstantFamily.C6: ("r",),
-    ConstantFamily.C7: ("l", "r", "eta"), ConstantFamily.C8: ("l", "r"),
-}
-
-_EVAL = {
-    ConstantFamily.C1: c1, ConstantFamily.C2: c2,
-    ConstantFamily.C3: c3, ConstantFamily.C4: c4,
-    ConstantFamily.C5: c5, ConstantFamily.C6: c6,
-    ConstantFamily.C7: c7, ConstantFamily.C8: c8,
-}
-
-
-@dataclass(frozen=True)
-class ConstantRequest:
-    family: ConstantFamily
-    n: int
-    indices: tuple
-
-    def __post_init__(self):
-        fam = self.family if isinstance(self.family, ConstantFamily) \
-            else ConstantFamily(self.family)
-        object.__setattr__(self, "family", fam)
-        idx = tuple(self.indices if isinstance(self.indices, (tuple, list))
-                    else (self.indices,))
-        want = len(_ARITY[fam])
-        if len(idx) != want:
-            raise InvalidInputError(
-                f"{fam.value} takes {want} index vector(s), got {len(idx)}")
-        object.__setattr__(self, "indices", idx)
-
-
-def constant(req: ConstantRequest) -> float:
-    """Evaluate one of C1..C8 at the requested index tuple."""
-    args = [plain_values(ix, req.n) for ix in req.indices]
-    return _EVAL[req.family](req.n, *args)
-
 
 @dataclass
 class AuditReport:

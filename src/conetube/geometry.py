@@ -154,14 +154,6 @@ def delta_power(y, s) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def delta_power_from_minors(minors: np.ndarray, s) -> np.ndarray:
-    """Same power function evaluated from precomputed minors."""
-    ent = _entries(s)
-    n = minors.shape[-1]
-    e = minor_exponents(ent)
-    return np.exp(np.sum(e * np.log(minors), axis=-1))
-
-
 def minor_exponents(s) -> np.ndarray:
     """Exponent per minor: e_k = s_k - s_{k+1} for k < n, e_n = s_n."""
     ent = _entries(s)
@@ -170,42 +162,15 @@ def minor_exponents(s) -> np.ndarray:
     return e
 
 
-def minor_exponents_inverse(e) -> np.ndarray:
-    """Index vector whose minor exponents are ``e`` (suffix sums)."""
-    arr = np.atleast_1d(np.asarray(e, dtype=float))
-    return np.cumsum(arr[::-1])[::-1].copy()
-
-
-@dataclass(frozen=True)
-class DeltaTransform:
-    """Coordinates (q_1, ..., q_{n-1}; t_n) with q_j = 4 t_j - t_{2n-j}^2 / t_n.
-
-    On the open cone every q_j is positive (4 t_j t_n > t_{2n-j}^2 follows
-    from positive definiteness of the 2x2 principal submatrix on rows j, n).
-    The composite minor convention used by the closed forms is
-    M_k = q_1 ... q_k for k < n and M_n = t_n * q_1 ... q_{n-1}.
-    """
-
-    q: tuple
-    t_n_component: float
-
-    @property
-    def n(self) -> int:
-        return len(self.q) + 1
-
-    def minors(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(n)
-        if n > 1:
-            out[: n - 1] = np.cumprod(np.asarray(self.q))
-            out[n - 1] = out[n - 2] * self.t_n_component
-        else:
-            out[0] = self.t_n_component
-        return out
-
-
 def delta_transform_parts(t) -> tuple[np.ndarray, np.ndarray]:
-    """(q, t_n) arrays of the delta transform, batched; no domain check."""
+    """(q, t_n) of the delta transform, batched; no domain check.
+
+    q_j = 4 t_j - t_{2n-j}^2 / t_n.  On the open cone every q_j is positive
+    (4 t_j t_n > t_{2n-j}^2 follows from positive definiteness of the 2x2
+    principal submatrix on rows j, n).  The composite minor convention used
+    by the closed forms is M_k = q_1 ... q_k for k < n and
+    M_n = t_n * q_1 ... q_{n-1}.
+    """
     arr = _as_coords(t)
     n = order_from_dim(arr.shape[-1])
     tn = arr[..., n - 1]
@@ -217,26 +182,9 @@ def delta_transform_parts(t) -> tuple[np.ndarray, np.ndarray]:
     return q, tn
 
 
-def delta_transform(t) -> DeltaTransform:
-    arr = require_cone(t)
-    if arr.ndim != 1:
-        raise InvalidInputError("delta_transform takes a single point")
-    q, tn = delta_transform_parts(arr)
-    return DeltaTransform(tuple(float(v) for v in q), float(tn))
-
-
 # ---------------------------------------------------------------------------
 # complex side
 # ---------------------------------------------------------------------------
-
-def tube_zeta(x, y) -> np.ndarray:
-    """Coordinates of z/i = y - i x for z = x + i y."""
-    xr = _as_coords(x)
-    yr = _as_coords(y)
-    if xr.shape[-1] != yr.shape[-1]:
-        raise InvalidInputError("real and imaginary parts must share dimension")
-    return yr - 1j * xr
-
 
 def complex_minors(zeta: np.ndarray) -> np.ndarray:
     """Leading minors of the complex arrowhead built on ``zeta``."""

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as C
-from .errors import ConvergenceDomainError, InvalidInputError
-from .geometry import (ConePoint, TubePoint, complex_minors,
-                       complex_power_from_minors, delta_transform_parts,
-                       minor_exponents, order_from_dim, require_cone,
-                       schur_complement)
+from .errors import InvalidInputError
+from .geometry import (TubePoint, canonical_to_coords,
+                       complex_minors, complex_power_from_minors,
+                       delta_transform_parts, minor_exponents, order_from_dim,
+                       require_cone, schur_complement)
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       require_convention)
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
@@ -44,10 +44,6 @@ IDENTITY_IDS = ("L23_1", "L23_2", "COR1_1", "COR1_2", "L24", "L25", "L26", "L27"
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
-
-
-def _cone_vec(point) -> np.ndarray:
-    return require_cone(point)
 
 
 def _tube(point) -> TubePoint:
@@ -84,10 +80,6 @@ def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
     mins = complex_minors(zeta)
     e = minor_exponents(entries)
     return np.exp(np.sum(e * np.log(np.abs(mins)), axis=-1))
-
-
-def _complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    return complex_power_from_minors(complex_minors(zeta), minor_exponents(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -200,28 +192,10 @@ def _betaprime_radial(n, zero_exp, tail_exp, scales):
     return laws
 
 
-@dataclass(frozen=True)
-class IdentityDef:
-    """One registered identity: parameter contract, closed form, LHS, law."""
-
-    id: str
-    label: str
-    domain: str                  # "cone" | "slice" | "tube"
-    param_names: tuple
-    complex_valued: bool
-    range_check: callable        # (n, params) -> list of (ok, message)
-    structure: callable          # (n, params, point) -> value
-    stated_constant: callable     # (n, params) -> float
-    integrand: callable          # (n, params, point) -> batch callable
-    sampler: callable            # (n, params, point) -> SamplerSpec
-    scale_point: callable        # (point, lam) -> point
-    reference_point: callable    # (n) -> point
-    min_n: int = 1
-
-
-def _params_arrays(n, params):
-    return {k: plain_values(v, n) for k, v in params.items()}
-
+# ---------------------------------------------------------------------------
+# point kinds: how an identity's evaluation point is read from a config,
+# written to a report, dilated, drawn at random and anchored
+# ---------------------------------------------------------------------------
 
 def unit_cone_vector(n: int) -> np.ndarray:
     e = np.zeros(2 * n - 1)
@@ -233,12 +207,112 @@ def unit_tube_point(n: int) -> TubePoint:
     return TubePoint.make(np.zeros(2 * n - 1), unit_cone_vector(n))
 
 
-def _scale_cone(point, lam):
-    return np.asarray(point, dtype=float) * lam
+def random_cone_vector(n: int, rng: np.random.Generator,
+                       lo: float = 0.6, hi: float = 1.8) -> np.ndarray:
+    y = rng.uniform(lo, hi, size=n - 1)
+    d = rng.uniform(lo, hi)
+    u = rng.uniform(-0.4, 0.4, size=n - 1) * np.sqrt(y * d)
+    return canonical_to_coords(y, u, np.asarray(d))
 
 
-def _scale_tube(point: TubePoint, lam) -> TubePoint:
-    return TubePoint.make(point.x * lam, point.y * lam)
+def random_tube_point(n: int, rng: np.random.Generator,
+                      x_scale: float = 0.25) -> TubePoint:
+    x = rng.uniform(-x_scale, x_scale, size=2 * n - 1)
+    return TubePoint.make(x, random_cone_vector(n, rng))
+
+
+def _read_vector(value, n: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (2 * n - 1,):
+        raise InvalidInputError(f"expected a {2 * n - 1}-vector, got {value!r}")
+    return arr
+
+
+def _read_tube(obj, n: int) -> TubePoint:
+    return TubePoint.make(_read_vector(obj["x"], n), _read_vector(obj["y"], n))
+
+
+def _tube_payload(z: TubePoint) -> dict:
+    return {"x": z.x.tolist(), "y": z.y.tolist()}
+
+
+def _scale_tube(z: TubePoint, lam) -> TubePoint:
+    return TubePoint.make(z.x * lam, z.y * lam)
+
+
+@dataclass(frozen=True)
+class PointKind:
+    """How an identity's evaluation point is read, written, dilated and drawn."""
+
+    parse: callable              # (config object, n) -> point
+    payload: callable            # point -> JSON-ready dict (inverse of parse)
+    scale: callable              # (point, lam) -> dilated point
+    random: callable             # (n, rng) -> random point
+    reference: callable          # n -> unit reference point
+    order: callable              # point -> n
+
+
+def cone_vector(key: str) -> PointKind:
+    """A cone coordinate vector, given in a config under ``key`` or "point"."""
+    return PointKind(
+        parse=lambda obj, n: require_cone(
+            _read_vector(obj.get(key, obj.get("point")), n)),
+        payload=lambda pt: {"point": np.asarray(pt, dtype=float).tolist()},
+        scale=lambda pt, lam: np.asarray(pt, dtype=float) * lam,
+        random=random_cone_vector,
+        reference=unit_cone_vector,
+        order=lambda pt: order_from_dim(np.shape(pt)[-1]))
+
+
+def tube_point(x_scale: float = 0.25) -> PointKind:
+    """One tube point {"x", "y"}, optionally nested under "z"; random real
+    parts are uniform on [-x_scale, x_scale]."""
+    return PointKind(
+        parse=lambda obj, n: _read_tube(obj.get("z", obj), n),
+        payload=_tube_payload,
+        scale=_scale_tube,
+        random=lambda n, rng: random_tube_point(n, rng, x_scale),
+        reference=unit_tube_point,
+        order=lambda z: z.n)
+
+
+TUBE_PAIR = PointKind(
+    parse=lambda obj, n: (_read_tube(obj["z"], n), _read_tube(obj["xi"], n)),
+    payload=lambda pt: {"z": _tube_payload(pt[0]), "xi": _tube_payload(pt[1])},
+    scale=lambda pt, lam: (_scale_tube(pt[0], lam), _scale_tube(pt[1], lam)),
+    random=lambda n, rng: (random_tube_point(n, rng), random_tube_point(n, rng)),
+    reference=lambda n: (unit_tube_point(n), unit_tube_point(n)),
+    order=lambda pt: pt[0].n)
+
+
+@dataclass(frozen=True)
+class IdentityDef:
+    """One registered identity: everything identity-specific lives here."""
+
+    id: str
+    label: str
+    domain: str                  # integration domain: "cone" | "slice" | "tube"
+    param_names: tuple
+    complex_valued: bool
+    range_check: callable        # (n, params) -> list of (ok, message)
+    structure: callable          # (n, params, point) -> value
+    stated_constant: callable    # (n, params) -> float
+    integrand: callable          # (n, params, point) -> batch callable
+    sampler: callable            # (n, params, point) -> SamplerSpec
+    point: PointKind
+    random_params: callable      # (n, rng) -> in-range params
+    dual_region: callable | None = None  # integrand over the dual cone, if any
+
+
+def _params_arrays(n, params):
+    return {k: plain_values(v, n) for k, v in params.items()}
+
+
+def _low_index(n, rng, hi, border_lo=None) -> np.ndarray:
+    """Random index just inside its lower range bounds, entries below hi."""
+    lo = -(n + 1) / 2.0 + 0.4 if border_lo is None else border_lo
+    return np.concatenate([rng.uniform(lo, hi, size=n - 1),
+                           rng.uniform(-0.6, hi, size=1)])
 
 
 # -- L23_1 / COR1_1 ---------------------------------------------------------
@@ -263,8 +337,8 @@ def _mk_L23_1():
         integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, False),
         sampler=lambda n, p, pt: _cone_laplace_preset(
             n, pt, np.concatenate([p["s"][:-1] + 1.5, p["s"][-1:] + 1.0]), FOUR_PI),
-        scale_point=_scale_cone,
-        reference_point=unit_cone_vector,
+        point=cone_vector("t"),
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, -1.1)},
     )
 
 
@@ -280,18 +354,18 @@ def _mk_COR1_1():
             n, pt,
             np.concatenate([p["s"][:-1] + (n + 1.0) / 2.0, p["s"][-1:] + 1.0]),
             FOUR_PI),
-        scale_point=_scale_cone,
-        reference_point=unit_cone_vector,
+        point=cone_vector("t"),
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5)},
     )
 
 
 # -- L23_2 / COR1_2 ---------------------------------------------------------
 
-def _kernel_integrand(n, s, z: TubePoint, shifted, region: str = "cone"):
+def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     """Inverse-transform integrand over t, as a cone-domain batch callable.
 
-    region = "cone" integrates over the cone itself (the literal claim);
-    region = "dual" integrates over the dual cone under the coordinate
+    By default it integrates over the cone itself (the literal claim);
+    dual=True integrates over the dual cone under the coordinate
     pairing, which is where the forward transform is actually finite.  The
     dual cone is the image of the cone under doubling the border
     coordinates, so it is reached from cone samples by that substitution
@@ -300,9 +374,6 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, region: str = "cone"):
     border_exp = (s[: n - 1] + ((n + 1.0) / 2.0 if shifted else 1.5))
     top_exp = s[-1] + (n + 1.0) / 2.0
     inv_const = 1.0 / (C.c3(n, s) if shifted else C.c1(n, s))
-    if region not in ("cone", "dual"):
-        raise InvalidInputError(f"unknown kernel region {region!r}")
-    dual = region == "dual"
     jac = 2.0 ** (n - 1) if dual else 1.0
     x, y = z.x, z.y
 
@@ -335,8 +406,10 @@ def _mk_L23_2():
         stated_constant=lambda n, p: C.c2(n, p["s"]),
         integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, False),
         sampler=lambda n, p, pt: _kernel_sampler(n, p["s"], pt, False),
-        scale_point=_scale_tube,
-        reference_point=unit_tube_point,
+        point=tube_point(x_scale=0.15),
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, -1.1)},
+        dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, False,
+                                                       dual=True),
     )
 
 
@@ -350,8 +423,10 @@ def _mk_COR1_2():
         stated_constant=lambda n, p: C.c4(n, p["s"]),
         integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, True),
         sampler=lambda n, p, pt: _kernel_sampler(n, p["s"], pt, True),
-        scale_point=_scale_tube,
-        reference_point=unit_tube_point,
+        point=tube_point(x_scale=0.15),
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2)},
+        dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, True,
+                                                       dual=True),
     )
 
 
@@ -371,16 +446,22 @@ def _L24_sampler(n, r, eta, b):
     b = np.asarray(b, dtype=float)
     eb = bold_values(eta, n)
     d_b = float(schur_complement(b))
-    zero_exp = np.concatenate([eb[:-1], eb[-1:]])
-    tail_exp = np.concatenate([(r - eta)[:-1], (r - eta)[-1:]])
     scales = np.concatenate([b[: n - 1], [d_b]])
-    radial = _betaprime_radial(n, zero_exp, tail_exp, scales)
+    radial = _betaprime_radial(n, eb, r - eta, scales)
     u_b = b[n:][::-1] if n > 1 else np.empty(0)
     border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
                         s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
               for j in range(n - 1)]
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border),
                        weight_point=tuple(float(v) for v in b))
+
+
+def _random_L24(n, rng):
+    eta = _low_index(n, rng, 1.0)
+    r = eta.copy()
+    r[:-1] += n + rng.uniform(0.4, 1.6, size=n - 1)
+    r[-1] = max(eta[-1] + (n + 1) / 2.0, 0.0, 0.75) + rng.uniform(0.4, 1.6)
+    return {"r": r, "eta": eta}
 
 
 def _mk_L24():
@@ -392,8 +473,8 @@ def _mk_L24():
         stated_constant=lambda n, p: C.c5(n, p["r"], p["eta"]),
         integrand=lambda n, p, pt: _L24_integrand(n, p["r"], p["eta"], pt),
         sampler=lambda n, p, pt: _L24_sampler(n, p["r"], p["eta"], pt),
-        scale_point=_scale_cone,
-        reference_point=unit_cone_vector,
+        point=cone_vector("b"),
+        random_params=_random_L24,
     )
 
 
@@ -419,6 +500,12 @@ def _L25_sampler(n, r, v):
                        weight_point=tuple(float(x) for x in v))
 
 
+def _random_L25(n, rng):
+    return {"r": np.concatenate([rng.uniform(1.9, 3.5, size=n - 1),
+                                 rng.uniform((n + 1) / 2.0 + 0.5,
+                                             (n + 1) / 2.0 + 2.5, size=1)])}
+
+
 def _mk_L25():
     return IdentityDef(
         id="L25", label="horizontal slice of kernel modulus", domain="slice",
@@ -428,8 +515,8 @@ def _mk_L25():
         stated_constant=lambda n, p: C.c6(n, p["r"]),
         integrand=lambda n, p, pt: _L25_integrand(n, p["r"], pt),
         sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
-        scale_point=_scale_cone,
-        reference_point=unit_cone_vector,
+        point=cone_vector("v"),
+        random_params=_random_L25,
     )
 
 
@@ -451,43 +538,59 @@ def _L26_integrand(n, l, r, eta, point):
 
 
 def _tube_v_real_laws(n, centers, offsets, pad=0.3):
-    """Real-part laws whose scales track the sampled imaginary part."""
-    laws = []
-    for j in range(n):
-        laws.append(VCauchyLaw(ref1=j, ref2=None,
-                               offset=float(offsets[j] + pad)))
+    """Real-part laws whose scales track the sampled imaginary part.
+
+    The laws are centred at 0; each center is folded into its offset so
+    the scale still covers it.
+    """
+    shift = [abs(float(c)) for c in centers]
+    laws = [VCauchyLaw(ref1=j, ref2=None,
+                       offset=float(offsets[j] + pad) + shift[j])
+            for j in range(n)]
     for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
         j = 2 * n - k
         off = math.sqrt(offsets[j - 1] * offsets[n - 1]) + pad
-        laws.append(VCauchyLaw(ref1=j - 1, ref2=n - 1, offset=float(off)))
-    centers = np.asarray(centers, dtype=float)
-    if np.any(centers != 0.0):
-        # recenter by shifting after sampling is not supported; fold the
-        # center into the offset so the scale still covers it
-        laws = [VCauchyLaw(law.ref1, law.ref2,
-                           law.offset + abs(float(centers[i])), law.coef)
-                for i, law in enumerate(laws)]
+        laws.append(VCauchyLaw(ref1=j - 1, ref2=n - 1,
+                               offset=float(off) + shift[k - 1]))
     return tuple(laws)
 
 
-def _tube_weight_sampler(n, l_like, tail, centers, diag_scales):
-    """Beta-prime cone part + v-scaled Cauchy real part for tube integrands."""
-    radial = _betaprime_radial(n, l_like, tail, diag_scales)
+def tube_proposal(n, zero_exp, tail_exp, scales, centers) -> SamplerSpec:
+    """Proposal for a power weight against kernel moduli on the tube.
+
+    Beta-prime radials matched to the weight near 0 and the tail exponents
+    at infinity, on the diagonal length ``scales``; Cauchy borders; real
+    parts whose Cauchy scales track the sampled imaginary part.
+    """
+    radial = _betaprime_radial(n, zero_exp, tail_exp, scales)
     border = [BorderLaw("cauchy", s0=0.3,
-                        s1=float(math.sqrt(max(diag_scales[n - 1], 0.3))))
+                        s1=float(math.sqrt(max(scales[n - 1], 0.3))))
               for _ in range(n - 1)]
-    real = _tube_v_real_laws(n, centers, diag_scales)
+    real = _tube_v_real_laws(n, centers, scales)
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
 
 
 def _L26_sampler(n, l, r, eta, point):
     z, xi = point
     lb = bold_values(l, n)
-    tail = np.concatenate([(r + eta - l)[:-1] - (n + 1.0) / 2.0,
-                           (r + eta - l)[-1:] - (n + 1.0) / 2.0])
+    tail = (r + eta - l) - (n + 1.0) / 2.0
     diag = 0.5 * (z.y[:n] + xi.y[:n])
     centers_diag = 0.5 * (z.x + xi.x)
-    return _tube_weight_sampler(n, lb, tail, centers_diag, diag)
+    return tube_proposal(n, lb, tail, diag, centers_diag)
+
+
+def _random_L26(n, rng):
+    l = _low_index(n, rng, 0.8)
+    eta = np.concatenate([rng.uniform(n + 0.4, n + 2.0, size=n - 1),
+                          rng.uniform((n + 1) / 2.0 + 0.4, (n + 1) / 2.0 + 2.0,
+                                      size=1)])
+    r = np.concatenate([rng.uniform((n - 1) / 2.0 + 0.4, n + 2.0, size=n - 1),
+                        rng.uniform(0.4, n + 2.0, size=1)])
+    gap_j = (3 * n + 1) / 2.0 - (r[:-1] + eta[:-1] - l[:-1])
+    r[:-1] += np.maximum(gap_j + 0.4, 0.0)
+    gap_n = (n + 1.0) - (r[-1] + eta[-1] - l[-1])
+    r[-1] += max(gap_n + 0.4, 0.0)
+    return {"l": l, "r": r, "eta": eta}
 
 
 def _mk_L26():
@@ -499,8 +602,8 @@ def _mk_L26():
         stated_constant=lambda n, p: C.c7(n, p["l"], p["r"], p["eta"]),
         integrand=lambda n, p, pt: _L26_integrand(n, p["l"], p["r"], p["eta"], pt),
         sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
-        scale_point=lambda pt, lam: (_scale_tube(pt[0], lam), _scale_tube(pt[1], lam)),
-        reference_point=lambda n: (unit_tube_point(n), unit_tube_point(n)),
+        point=TUBE_PAIR,
+        random_params=_random_L26,
     )
 
 
@@ -519,7 +622,15 @@ def _L27_integrand(n, l, r, z: TubePoint):
 def _L27_sampler(n, l, r, z: TubePoint):
     lb = bold_values(l, n)
     tail = (r - l) - (n + 1.0) / 2.0
-    return _tube_weight_sampler(n, lb, tail, z.x, z.y[:n])
+    return tube_proposal(n, lb, tail, z.y[:n], z.x)
+
+
+def _random_L27(n, rng):
+    l = _low_index(n, rng, 0.8)
+    r = l.copy()
+    r[:-1] += (3 * n + 1) / 2.0 + rng.uniform(0.4, 1.5, size=n - 1)
+    r[-1] += n + 1 + rng.uniform(0.4, 1.5)
+    return {"l": l, "r": r}
 
 
 def _mk_L27():
@@ -531,8 +642,8 @@ def _mk_L27():
         stated_constant=lambda n, p: C.c8(n, p["l"], p["r"]),
         integrand=lambda n, p, pt: _L27_integrand(n, p["l"], p["r"], pt),
         sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
-        scale_point=_scale_tube,
-        reference_point=unit_tube_point,
+        point=tube_point(),
+        random_params=_random_L27,
     )
 
 
@@ -550,31 +661,24 @@ def get_identity(identity_id: str) -> IdentityDef:
 
 
 def check_params(identity_id: str, n: int, params: dict) -> None:
-    ident = get_identity(identity_id)
-    p = _params_arrays(n, params)
-    bad = [msg for ok, msg in ident.range_check(n, p) if not ok]
-    if bad:
-        raise ConvergenceDomainError(bad)
+    C._check(get_identity(identity_id).range_check(n, _params_arrays(n, params)))
 
 
 def kernel_region_integrand(identity_id: str, n: int, params: dict, point,
                             region: str):
-    """Region-selectable LHS integrand for the two kernel identities."""
-    if identity_id not in ("L23_2", "COR1_2"):
-        raise InvalidInputError("region selection only applies to the kernel "
-                                "identities")
-    p = _params_arrays(n, params)
-    return _kernel_integrand(n, p["s"], point, identity_id == "COR1_2", region)
+    """LHS integrand over the dual cone, for the identities that have one."""
+    dual = get_identity(identity_id).dual_region
+    if region != "dual" or dual is None:
+        raise InvalidInputError(f"{identity_id} has no {region!r} region")
+    return dual(n, _params_arrays(n, params), point)
 
 
 def closed_value(identity_id: str, n: int, params: dict, point,
                  constant: float | None = None):
     """constant x structure for one identity; stated constant by default."""
+    check_params(identity_id, n, params)
     ident = get_identity(identity_id)
     p = _params_arrays(n, params)
-    bad = [msg for ok, msg in ident.range_check(n, p) if not ok]
-    if bad:
-        raise ConvergenceDomainError(bad)
     cst = ident.stated_constant(n, p) if constant is None else constant
     return cst * ident.structure(n, p, point)
 
@@ -587,12 +691,6 @@ def structure_value(identity_id: str, n: int, params: dict, point):
 # ---------------------------------------------------------------------------
 # public closed-form operations
 # ---------------------------------------------------------------------------
-
-def _point_vec(x) -> np.ndarray:
-    if isinstance(x, ConePoint):
-        return x.values
-    return np.asarray(x, dtype=float)
-
 
 def _plain_index(s, name: str) -> np.ndarray:
     if isinstance(s, MultiIndex):
@@ -613,7 +711,7 @@ def _shifted_index(s, n: int, name: str) -> np.ndarray:
 
 def laplace_power_closed(t, s, constant: float | None = None) -> float:
     """Closed form of the cone Laplace transform of a plain minor power."""
-    tv = _cone_vec(_point_vec(t))
+    tv = require_cone(t)
     n = order_from_dim(tv.shape[-1])
     return float(closed_value("L23_1", n, {"s": _plain_index(s, "s")}, tv,
                               constant))
@@ -628,7 +726,7 @@ def kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
 
 def cor1_laplace_closed(t, s, constant: float | None = None) -> float:
     """Shifted-power Laplace closed form; takes the plain s and shifts inside."""
-    tv = _cone_vec(_point_vec(t))
+    tv = require_cone(t)
     n = order_from_dim(tv.shape[-1])
     return float(closed_value("COR1_1", n, {"s": _plain_index(s, "s")}, tv,
                               constant))
@@ -642,7 +740,7 @@ def cor1_kernel_closed(z: TubePoint, s, constant: float | None = None) -> comple
 
 def cone_shift_closed(b, r, eta, constant: float | None = None) -> float:
     """Closed form of the cone integral of a power against a translate."""
-    bv = _cone_vec(_point_vec(b))
+    bv = require_cone(b)
     n = order_from_dim(bv.shape[-1])
     params = {"r": _shifted_index(r, n, "r"), "eta": _shifted_index(eta, n, "eta")}
     return float(closed_value("L24", n, params, bv, constant))
@@ -650,7 +748,7 @@ def cone_shift_closed(b, r, eta, constant: float | None = None) -> float:
 
 def horizontal_abs_closed(v, r, constant: float | None = None) -> float:
     """Closed form of the horizontal-slice integral of a kernel modulus."""
-    vv = _cone_vec(_point_vec(v))
+    vv = require_cone(v)
     n = order_from_dim(vv.shape[-1])
     return float(closed_value("L25", n, {"r": _shifted_index(r, n, "r")}, vv,
                               constant))
@@ -680,21 +778,6 @@ def tube_abs_closed(z: TubePoint, l, r, constant: float | None = None) -> float:
 # randomized in-range configurations (drives audits and oracle suites)
 # ---------------------------------------------------------------------------
 
-def random_cone_vector(n: int, rng: np.random.Generator,
-                       lo: float = 0.6, hi: float = 1.8) -> np.ndarray:
-    y = rng.uniform(lo, hi, size=n - 1)
-    d = rng.uniform(lo, hi)
-    u = rng.uniform(-0.4, 0.4, size=n - 1) * np.sqrt(y * d)
-    from .geometry import canonical_to_coords
-    return canonical_to_coords(y, u, np.asarray(d))
-
-
-def random_tube_point(n: int, rng: np.random.Generator,
-                      x_scale: float = 0.25) -> TubePoint:
-    x = rng.uniform(-x_scale, x_scale, size=2 * n - 1)
-    return TubePoint.make(x, random_cone_vector(n, rng))
-
-
 def random_params(identity_id: str, n: int, rng: np.random.Generator) -> dict:
     """In-range parameters with safety margins from every range boundary.
 
@@ -702,63 +785,8 @@ def random_params(identity_id: str, n: int, rng: np.random.Generator) -> dict:
     exponent of L24's r stays above 1.05 so the Cauchy border proposal has
     finite variance), which the dominance notes in the samplers assume.
     """
-    if identity_id == "L23_1":
-        s = np.concatenate([rng.uniform(-1.1, 1.5, size=n - 1),
-                            rng.uniform(-0.6, 1.5, size=1)])
-        return {"s": s}
-    if identity_id == "COR1_1":
-        s = np.concatenate([rng.uniform(-(n + 1) / 2.0 + 0.4, 1.5, size=n - 1),
-                            rng.uniform(-0.6, 1.5, size=1)])
-        return {"s": s}
-    if identity_id == "L23_2":
-        s = np.concatenate([rng.uniform(-1.1, 1.2, size=n - 1),
-                            rng.uniform(-0.6, 1.2, size=1)])
-        return {"s": s}
-    if identity_id == "COR1_2":
-        s = np.concatenate([rng.uniform(-(n + 1) / 2.0 + 0.4, 1.2, size=n - 1),
-                            rng.uniform(-0.6, 1.2, size=1)])
-        return {"s": s}
-    if identity_id == "L24":
-        eta = np.concatenate([rng.uniform(-(n + 1) / 2.0 + 0.4, 1.0, size=n - 1),
-                              rng.uniform(-0.6, 1.0, size=1)])
-        r = eta.copy()
-        r[:-1] += n + rng.uniform(0.4, 1.6, size=n - 1)
-        r[-1] = max(eta[-1] + (n + 1) / 2.0, 0.0, 0.75) + rng.uniform(0.4, 1.6)
-        return {"r": r, "eta": eta}
-    if identity_id == "L25":
-        r = np.concatenate([rng.uniform(1.9, 3.5, size=n - 1),
-                            rng.uniform((n + 1) / 2.0 + 0.5, (n + 1) / 2.0 + 2.5,
-                                        size=1)])
-        return {"r": r}
-    if identity_id == "L26":
-        l = np.concatenate([rng.uniform(-(n + 1) / 2.0 + 0.4, 0.8, size=n - 1),
-                            rng.uniform(-0.6, 0.8, size=1)])
-        eta = np.concatenate([rng.uniform(n + 0.4, n + 2.0, size=n - 1),
-                              rng.uniform((n + 1) / 2.0 + 0.4, (n + 1) / 2.0 + 2.0,
-                                          size=1)])
-        r = np.concatenate([rng.uniform((n - 1) / 2.0 + 0.4, n + 2.0, size=n - 1),
-                            rng.uniform(0.4, n + 2.0, size=1)])
-        gap_j = (3 * n + 1) / 2.0 - (r[:-1] + eta[:-1] - l[:-1])
-        r[:-1] += np.maximum(gap_j + 0.4, 0.0)
-        gap_n = (n + 1.0) - (r[-1] + eta[-1] - l[-1])
-        r[-1] += max(gap_n + 0.4, 0.0)
-        return {"l": l, "r": r, "eta": eta}
-    if identity_id == "L27":
-        l = np.concatenate([rng.uniform(-(n + 1) / 2.0 + 0.4, 0.8, size=n - 1),
-                            rng.uniform(-0.6, 0.8, size=1)])
-        r = l.copy()
-        r[:-1] += (3 * n + 1) / 2.0 + rng.uniform(0.4, 1.5, size=n - 1)
-        r[-1] += n + 1 + rng.uniform(0.4, 1.5)
-        return {"l": l, "r": r}
-    raise InvalidInputError(f"unknown identity {identity_id!r}")
+    return get_identity(identity_id).random_params(n, rng)
 
 
 def random_point(identity_id: str, n: int, rng: np.random.Generator):
-    ident = get_identity(identity_id)
-    if identity_id in ("L23_2", "COR1_2"):
-        return random_tube_point(n, rng, x_scale=0.15)
-    if ident.domain == "cone" or ident.domain == "slice":
-        return random_cone_vector(n, rng)
-    if identity_id == "L26":
-        return (random_tube_point(n, rng), random_tube_point(n, rng))
-    return random_tube_point(n, rng)
+    return get_identity(identity_id).point.random(n, rng)

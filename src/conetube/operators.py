@@ -24,22 +24,21 @@ emerges.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import constants as C
-from .errors import (ConvergenceDomainError, InfeasibleError,
-                     InvalidInputError)
+from .errors import InfeasibleError, InvalidInputError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
                        minor_exponents)
-from .identities import (_log_unchecked_power, _tube_v_real_laws,
-                         _betaprime_radial)
+from .identities import _log_unchecked_power, tube_proposal
 from .indices import Convention, MultiIndex, bold_values, plain_values
 from .oracle import (IntegralEstimate, mc_integrate_cone,
                      mc_integrate_tube)
-from .sampling import BorderLaw, SamplerSpec
+from .sampling import SamplerSpec
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,6 @@ class ParameterSet:
     @property
     def p_conj(self) -> float:
         return self.p / (self.p - 1.0)
-
-    @property
-    def q_conj(self) -> float:
-        return self.q / (self.q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -245,12 +240,7 @@ def Tf_R_norm_exponents(params: ParameterSet, tf: TestFunctionFR) -> np.ndarray:
 
 def f_R_eval(w: TubePoint, tf: TestFunctionFR) -> complex:
     """f_R(w) = delta^l(Im w) / P^r(w + iR), shifted exponents."""
-    n = tf.n
-    num = math.exp(float(_log_unchecked_power(w.y, tf.l.values)))
-    zeta = (w.y + embed_R(tf.R, n)) - 1j * w.x
-    den = complex_power_from_minors(complex_minors(zeta),
-                                    minor_exponents(tf.r.values))
-    return complex(num / den)
+    return complex(_f_R_batch(tf)(w.x, w.y))
 
 
 def _f_R_batch(tf: TestFunctionFR):
@@ -267,11 +257,8 @@ def _f_R_batch(tf: TestFunctionFR):
 
 
 def _check_image_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
-    bl = params.vec("b") + tf.l_plain()
-    bad = [msg for ok, msg in C.c7_range(params.n, bl, params.vec("c"),
-                                         tf.r_plain()) if not ok]
-    if bad:
-        raise ConvergenceDomainError(bad)
+    C._check(C.c7_range(params.n, params.vec("b") + tf.l_plain(),
+                        params.vec("c"), tf.r_plain()))
 
 
 def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
@@ -318,9 +305,7 @@ def f_R_norm_closed(params: ParameterSet, tf: TestFunctionFR,
     n, p = params.n, params.p
     l_eff = p * tf.l_plain() + params.vec("alpha")
     r_eff = p * tf.r_plain()
-    bad = [msg for ok, msg in C.c8_range(n, l_eff, r_eff) if not ok]
-    if bad:
-        raise ConvergenceDomainError(bad)
+    C._check(C.c8_range(n, l_eff, r_eff))
     cst = C.c8(n, l_eff, r_eff) if constant is None else constant
     e = f_R_norm_exponents(params, tf)
     return FRNormClosed(exponents=tuple(e), log_constant_p=math.log(cst) / p,
@@ -402,49 +387,52 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
                             seed)
 
 
-def _generic_tube_sampler(z: TubePoint, params: ParameterSet,
-                          tf: TestFunctionFR) -> SamplerSpec:
+def _image_proposal(z: TubePoint, params: ParameterSet,
+                    tf: TestFunctionFR) -> SamplerSpec:
+    """Tube proposal matched to delta^b(Im w) f_R(w) / P^c(z - conj w)."""
     n = params.n
     W = bold_values(params.vec("b"), n) + tf.l.values
     tail = (bold_values(params.vec("c"), n) + tf.r.values - W) - (n + 1.0) / 2.0
     scales = np.maximum(0.5 * (z.y[:n] + np.asarray(tf.R)), 0.3)
-    radial = _betaprime_radial(n, W, tail, scales)
-    border = [BorderLaw("cauchy", s0=0.3, s1=float(math.sqrt(scales[n - 1]) + 0.3))
-              for _ in range(n - 1)]
-    real = _tube_v_real_laws(n, np.concatenate([z.x[:n] * 0.5,
-                                                z.x[n:] * 0.5]), scales)
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
+    return tube_proposal(n, W, tail, scales, 0.5 * z.x)
 
 
-def apply_T_numeric(z: TubePoint, params: ParameterSet, f, budget: int,
-                    seed: int, spec: SamplerSpec | None = None,
-                    tf: TestFunctionFR | None = None) -> IntegralEstimate:
-    """MC image: delta^a(Im z) * integral of delta^b(Im w) f(w) / P^c(z - conj w).
+def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
+                         inner_bold, budget: int, seed: int,
+                         spec: SamplerSpec | None,
+                         tf: TestFunctionFR | None) -> IntegralEstimate:
+    """MC of delta^outer(Im z) * integral of delta^inner(Im w) f(w) / P^c(z - conj w).
 
     ``f`` is a batch callable f(x, v); pass either an explicit sampler spec
-    or the test function the defaults should be tuned to.
+    or the test function the default proposal should be tuned to.
     """
     n = params.n
     if spec is None:
         if tf is None:
             raise InvalidInputError("provide a sampler spec or a test function")
-        spec = _generic_tube_sampler(z, params, tf)
-    a_part = math.exp(float(_log_unchecked_power(
-        z.y, bold_values(params.vec("a"), n))))
-    b_bold = bold_values(params.vec("b"), n)
+        spec = _image_proposal(z, params, tf)
+    outer = math.exp(float(_log_unchecked_power(z.y, outer_bold)))
     ec = minor_exponents(bold_values(params.vec("c"), n))
     xz, yz = z.x, z.y
 
     def integrand(x, v):
         zeta = (yz + v) - 1j * (xz - x)
         kern = complex_power_from_minors(complex_minors(zeta), ec)
-        return np.exp(_log_unchecked_power(v, b_bold)) * f(x, v) / kern
+        return np.exp(_log_unchecked_power(v, inner_bold)) * f(x, v) / kern
 
     est = mc_integrate_tube(integrand, spec, budget, seed)
-    return IntegralEstimate(value=a_part * est.value,
-                            std_error=a_part * est.std_error,
-                            samples=est.samples, method=est.method,
-                            nonfinite=est.nonfinite)
+    return dataclasses.replace(est, value=outer * est.value,
+                               std_error=outer * est.std_error)
+
+
+def apply_T_numeric(z: TubePoint, params: ParameterSet, f, budget: int,
+                    seed: int, spec: SamplerSpec | None = None,
+                    tf: TestFunctionFR | None = None) -> IntegralEstimate:
+    """MC image: delta^a(Im z) * integral of delta^b(Im w) f(w) / P^c(z - conj w)."""
+    n = params.n
+    return _kernel_transform_mc(z, params, f, bold_values(params.vec("a"), n),
+                                bold_values(params.vec("b"), n), budget, seed,
+                                spec, tf)
 
 
 def dual_operator_eval(z: TubePoint, params: ParameterSet, f, budget: int,
@@ -453,27 +441,10 @@ def dual_operator_eval(z: TubePoint, params: ParameterSet, f, budget: int,
     """MC value of the dual image: delta^(b-alpha) weight outside,
     delta^(a+beta) inside, same kernel."""
     n = params.n
-    if spec is None:
-        if tf is None:
-            raise InvalidInputError("provide a sampler spec or a test function")
-        spec = _generic_tube_sampler(z, params, tf)
-    out_w = math.exp(float(_log_unchecked_power(
-        z.y, bold_values(params.vec("b"), n) - bold_values(params.vec("alpha"), n))))
-    in_bold = (bold_values(params.vec("a"), n)
-               + bold_values(params.vec("beta"), n))
-    ec = minor_exponents(bold_values(params.vec("c"), n))
-    xz, yz = z.x, z.y
-
-    def integrand(x, v):
-        zeta = (yz + v) - 1j * (xz - x)
-        kern = complex_power_from_minors(complex_minors(zeta), ec)
-        return np.exp(_log_unchecked_power(v, in_bold)) * f(x, v) / kern
-
-    est = mc_integrate_tube(integrand, spec, budget, seed)
-    return IntegralEstimate(value=out_w * est.value,
-                            std_error=out_w * est.std_error,
-                            samples=est.samples, method=est.method,
-                            nonfinite=est.nonfinite)
+    outer = bold_values(params.vec("b"), n) - bold_values(params.vec("alpha"), n)
+    inner = bold_values(params.vec("a"), n) + bold_values(params.vec("beta"), n)
+    return _kernel_transform_mc(z, params, f, outer, inner, budget, seed,
+                                spec, tf)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy import integrate
 
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
 from .geometry import canonical_to_coords
-from .identities import (get_identity, IdentityDef, check_params,
+from .identities import (get_identity, check_params,
                          kernel_region_integrand, _params_arrays)
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
 
@@ -145,7 +145,7 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
         x, logpdf = sample_slice(spec, size, rng)
         return integrand(x) * np.exp(-logpdf)
 
-    return _mc_run(draw_and_eval, count, seed, "MC_TUBE")
+    return _mc_run(draw_and_eval, count, seed, "MC_SLICE")
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +227,6 @@ def _tensor_pass(f_axes, axes, h):
     return total
 
 
-def _axis_width(axis) -> float:
-    if axis[0] == "pos" or axis[0] == "lin":
-        return axis[2] - axis[1]
-    return axis[3] - axis[2]
-
-
 def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625),
                 max_evals=1.5e8):
     """Iterated trapezoid on transformed axes with step-halving control.
@@ -248,7 +242,7 @@ def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625),
     for h in steps:
         cost = 1.0
         for axis in axes:
-            cost *= _axis_width(axis) / h
+            cost *= (axis[-1] - axis[-2]) / h  # every axis kind ends (lo, hi)
         if cost > max_evals and prev is not None:
             break
         value = _tensor_pass(f_axes, axes, h)
@@ -277,13 +271,10 @@ def quad_supported(identity_id: str, n: int) -> bool:
     return n == 1
 
 
-def _lhs_integrand(ident: IdentityDef, n: int, p: dict, point, region: str):
-    if region != "cone" and ident.id in ("L23_2", "COR1_2"):
-        return kernel_region_integrand(ident.id, n, p, point, region)
-    if region != "cone":
-        raise InvalidInputError("region selection only applies to the kernel "
-                                "identities")
-    return ident.integrand(n, p, point)
+def _lhs_integrand(identity_id: str, n: int, p: dict, point, region: str):
+    if region == "cone":
+        return get_identity(identity_id).integrand(n, p, point)
+    return kernel_region_integrand(identity_id, n, p, point, region)
 
 
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
@@ -291,14 +282,13 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
     """Nested adaptive quadrature of one identity LHS in canonical coordinates."""
     ident = get_identity(identity_id)
     if n is None:
-        n = _infer_n(ident, point)
+        n = ident.point.order(point)
     if not quad_supported(identity_id, n):
         raise InvalidInputError(
             f"quadrature supports cone/slice domains at n <= 2 and tube at n = 1; "
             f"{identity_id} at n = {n} is out of reach")
     p = _params_arrays(n, params)
-    f = _lhs_integrand(ident, n, p, point, region)
-    inner_eps = max(rel_tol * 1e-2, 1e-13)
+    f = _lhs_integrand(identity_id, n, p, point, region)
     cplx = ident.complex_valued
     q1 = _quad_complex if cplx else _quad
 
@@ -342,18 +332,14 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         axes = [("real",) + _real_window(s, 1.0e10 * s) for s in scales]
         val, err = tensor_quad(f_axes, axes, rel_tol)
     else:  # tube, n = 1: 2-D tensor over (u, v)
-        spec = ident.sampler(n, p, point)
+        spec = ident.sampler(n, p, point)  # a tube_proposal: centred at 0
         wv = _pos_window(spec.radial[0])
-        rlaw = spec.real[0]
-        core = getattr(rlaw, "scale", None)
-        if core is None:
-            core = rlaw.offset  # imaginary-part-scaled law
-        center = getattr(rlaw, "center", 0.0)
+        core = spec.real[0].offset
         su, ulo, uhi = _real_window(core, 1.0e10 * core)
 
         def f_axes(u, v):
             ub, vb = np.broadcast_arrays(u, v)
-            return f(ub[..., None] + center, vb[..., None])
+            return f(ub[..., None], vb[..., None])
 
         val, err = tensor_quad(f_axes, [("real", su, ulo, uhi), ("pos",) + wv],
                                rel_tol, steps=(0.25, 0.125, 0.0625, 0.03125))
@@ -372,17 +358,6 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
 # oracle dispatch, calibration, verification
 # ---------------------------------------------------------------------------
 
-def _infer_n(ident: IdentityDef, point) -> int:
-    if ident.domain == "tube":
-        if ident.id == "L26":
-            return point[0].n
-        return point.n
-    if ident.id in ("L23_2", "COR1_2"):
-        return point.n
-    arr = np.asarray(point, dtype=float)
-    return (arr.shape[-1] + 1) // 2
-
-
 def oracle_estimate(identity_id: str, params: dict, point, budget: int,
                     seed: int, method: str = "auto",
                     n: int | None = None, region: str = "cone",
@@ -390,7 +365,7 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
     """One LHS estimate by the requested oracle ("mc", "quad" or "auto")."""
     ident = get_identity(identity_id)
     if n is None:
-        n = _infer_n(ident, point)
+        n = ident.point.order(point)
     if method == "auto":
         method = "quad" if (n == 1 and quad_supported(identity_id, n)) else "mc"
     if method == "quad":
@@ -399,7 +374,7 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
     if method != "mc":
         raise InvalidInputError(f"unknown oracle method {method!r}")
     p = _params_arrays(n, params)
-    f = _lhs_integrand(ident, n, p, point, region)
+    f = _lhs_integrand(identity_id, n, p, point, region)
     spec = ident.sampler(n, p, point)
     if ident.domain == "cone":
         return mc_integrate_cone(f, spec, budget, seed)
@@ -425,7 +400,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
                                         for k, v in p.items())))
     if key in _CALIBRATION_CACHE:
         return _CALIBRATION_CACHE[key]
-    ref = ident.reference_point(n)
+    ref = ident.point.reference(n)
     method = "quad" if quad_supported(identity_id, n) else "mc"
     est = oracle_estimate(identity_id, p, ref, budget, seed, method=method,
                           n=n, quad_tol=1e-9 if n == 1 else 1e-6)
@@ -462,7 +437,6 @@ class AuditRecord:
     status: str
     scaling: list = field(default_factory=list)
     scaling_pass: bool | None = None
-    rhs_calibrated: complex | float | None = None
     region: str = "cone"
 
 
@@ -474,7 +448,6 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
                     seed: int = 0, method: str = "auto",
                     always_scaling: bool = False,
                     scaling_lams=(0.5, 2.0, 4.0),
-                    calibrate: bool = False,
                     n: int | None = None, region: str = "cone") -> AuditRecord:
     """Estimate one identity LHS and classify it against the closed form.
 
@@ -485,7 +458,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     """
     ident = get_identity(identity_id)
     if n is None:
-        n = _infer_n(ident, point)
+        n = ident.point.order(point)
     check_params(identity_id, n, params)
     p = _params_arrays(n, params)
 
@@ -509,9 +482,6 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
                          lhs=lhs, rhs_stated=rhs, structure=struct,
                          fitted_constant=fitted, z_score=float(z), status="",
                          region=region)
-    if calibrate:
-        record.rhs_calibrated = calibrated_constant(identity_id, n, p) * struct
-
     if sigma > 0.25 * scale and scale > 0:
         record.status = INCONCLUSIVE
         return record
@@ -525,7 +495,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
 
     checks = []
     for lam in scaling_lams:
-        scaled = ident.scale_point(point, lam)
+        scaled = ident.point.scale(point, lam)
         est = oracle_estimate(identity_id, p, scaled, budget,
                               _scaling_seed(seed, lam), method=method, n=n,
                               region=region)

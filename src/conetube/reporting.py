@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .identities import get_identity
+
 SCHEMA_VERSION = 1
 
 AUDIT_COLUMNS = ("identity", "n", "params_json", "point_json", "lhs",
@@ -50,16 +52,8 @@ def params_json(params: dict) -> str:
     return json.dumps(_jsonable(params), sort_keys=True, separators=(",", ":"))
 
 
-def point_json(point) -> str:
-    from .geometry import TubePoint
-    if isinstance(point, TubePoint):
-        payload = {"x": list(point.x), "y": list(point.y)}
-    elif isinstance(point, tuple) and len(point) == 2 \
-            and isinstance(point[0], TubePoint):
-        payload = {"z": {"x": list(point[0].x), "y": list(point[0].y)},
-                   "xi": {"x": list(point[1].x), "y": list(point[1].y)}}
-    else:
-        payload = {"point": list(np.asarray(point, dtype=float))}
+def point_json(identity_id: str, point) -> str:
+    payload = get_identity(identity_id).point.payload(point)
     return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
 
 
@@ -91,19 +85,19 @@ def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
 
 def audit_row(record) -> tuple:
     return (record.identity, record.n, params_json(record.params),
-            point_json(record.point), record.lhs.value, record.lhs.std_error,
-            record.rhs_stated, record.z_score,
+            point_json(record.identity, record.point), record.lhs.value,
+            record.lhs.std_error, record.rhs_stated, record.z_score,
             "" if record.scaling_pass is None else record.scaling_pass,
             record.status)
 
 
 def audit_detail(record) -> dict:
-    detail = {
+    return {
         "identity": record.identity,
-        "label": record.identity,
+        "label": get_identity(record.identity).label,
         "n": record.n,
         "params": record.params,
-        "point": json.loads(point_json(record.point)),
+        "point": json.loads(point_json(record.identity, record.point)),
         "region": record.region,
         "lhs": record.lhs.value,
         "lhs_stderr": record.lhs.std_error,
@@ -120,6 +114,3 @@ def audit_detail(record) -> dict:
                      "sigma": c.sigma, "passed": c.passed}
                     for c in record.scaling],
     }
-    if record.rhs_calibrated is not None:
-        detail["rhs_calibrated"] = record.rhs_calibrated
-    return detail

@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from conetube.cli import main
-from conetube.reporting import AUDIT_COLUMNS, SCALING_COLUMNS
+from conetube.cli import _audit_case, main
+from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
+                                 random_point)
+from conetube.reporting import AUDIT_COLUMNS, SCALING_COLUMNS, point_json
 
 
 def write_cfg(tmp_path, name, payload):
@@ -106,6 +109,57 @@ class TestAudit:
                                     "point": {"b": [1.0]}}]})
         assert run(["audit", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("case, field", [
+        ({"identity": "L27", "n": 1, "params": {"l": [0.0], "r": [4.0]},
+          "point": {"z": {"x": [0.0]}}}, "cases[0].point"),
+        ("L24", "cases[0]"),
+        ({"identity": "L24", "n": 1, "params": {"r": [3.0], "eta": [1.0]},
+          "point": {"b": ["one"]}}, "cases[0].point"),
+        ({"identity": "L24", "n": 2,
+          "params": {"r": [3.0, 3.0], "eta": [0.0, 0.0]},
+          "point": {"b": [1.0, 1.0, 2.0]}}, "cases[0].point"),
+    ], ids=["point-without-y", "case-as-string", "non-numeric-entry",
+            "point-outside-cone"])
+    def test_malformed_case_names_field(self, tmp_path, capsys, case, field):
+        cfg = write_cfg(tmp_path, "f.json", {"cases": [case]})
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_c4_range_inside_c7_range_does_not_abort(self, tmp_path, capsys):
+        # the second L26 draw of the n = 1 audit at seed 1: r + l - eta lies
+        # outside C4's range but inside C7's
+        cfg = write_cfg(tmp_path, "g.json", {"n": 1, "seed": 1, "cases": [
+            {"identity": "L26", "n": 1,
+             "params": {"l": [-0.33173723737181066], "r": [0.8974422077487207],
+                        "eta": [2.683782657815248]},
+             "point": {"z": {"x": [-0.20922369131824364],
+                             "y": [1.6262723691444845]},
+                       "xi": {"x": [0.1806417480888342],
+                              "y": [1.6518445156998967]}}}]})
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) in (0, 1)
+        assert "error:" not in capsys.readouterr().err
+
+
+class TestPointRoundTrip:
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_random_point_survives_report_and_parse(self, rng, ident):
+        ddef = get_identity(ident)
+        for n in (1, 2):
+            params = random_params(ident, n, rng)
+            point = random_point(ident, n, rng)
+            case = {"identity": ident, "n": n,
+                    "params": {k: v.tolist() for k, v in params.items()},
+                    "point": json.loads(point_json(ident, point))}
+            _, cn, _, parsed = _audit_case(0, case, 1)
+            assert cn == n and ddef.point.order(parsed) == n
+            assert point_json(ident, parsed) == point_json(ident, point)
+            if isinstance(point, np.ndarray):
+                assert np.array_equal(parsed, point)
+            else:  # a TubePoint or a pair of them, compared by value
+                assert parsed == point
 
 
 class TestClassifyWitness:

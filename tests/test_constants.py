@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conetube import constants as C
-from conetube.constants import (ConstantFamily, ConstantRequest,
-                                audit_constant_identities, constant)
-from conetube.errors import ConvergenceDomainError, InvalidInputError
+from conetube.constants import audit_constant_identities
+from conetube.errors import ConvergenceDomainError
 
 
 class TestValues:
@@ -96,18 +95,6 @@ class TestShiftDegeneracy:
         for _ in range(300):
             s = np.array([rng.uniform(-1.2, 3), rng.uniform(-0.9, 3)])
             assert C.c1(2, s) == C.c3(2, s)
-
-
-class TestRequestInterface:
-    def test_dispatch(self):
-        req = ConstantRequest(ConstantFamily.C1, 2, ([0.0, 0.0],))
-        assert constant(req) == pytest.approx(1.0 / (16 * math.pi ** 2))
-        req5 = ConstantRequest("C5", 1, ([2.0], [0.0]))
-        assert constant(req5) == pytest.approx(1.0 / math.pi)
-
-    def test_arity_check(self):
-        with pytest.raises(InvalidInputError):
-            ConstantRequest(ConstantFamily.C5, 1, ([2.0],))
 
 
 class TestCompositionAudit:

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conetube
 from conetube import constants as C
 from conetube.errors import (ConeDomainError, ConvergenceDomainError,
                              ConventionError)
@@ -257,6 +260,17 @@ class TestRegistry:
                 for _ in range(30):
                     p = random_params(ident, n, rng)
                     assert all(ok for ok, _ in ddef.range_check(n, p))
+
+    def test_no_identity_ids_outside_registry(self):
+        # the oracle, the CLI and the report writers read the registry
+        # instead of branching on identity ids
+        root = Path(conetube.__file__).parent
+        for name in ("oracle.py", "cli.py", "reporting.py"):
+            tree = ast.parse((root / name).read_text())
+            found = [node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and node.value in IDENTITY_IDS]
+            assert found == [], name
 
     def test_structure_positive_for_modulus_identities(self, rng):
         for ident in ("L23_1", "COR1_1", "L24", "L25", "L27"):

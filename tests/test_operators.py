@@ -241,8 +241,11 @@ class TestDual:
                                        minor_exponents)
         from conetube.identities import _log_unchecked_power
         from conetube.oracle import mc_integrate_tube
-        from conetube.operators import _generic_tube_sampler
-        spec = _generic_tube_sampler(TubePoint.make([0.0], [1.0]), params, tff)
+        from conetube.identities import tube_proposal
+        w_b = b_b + tff.l.values
+        spec = tube_proposal(n, w_b, c_b + tff.r.values - w_b - (n + 1.0) / 2.0,
+                             np.maximum(0.5 * (1.0 + np.asarray(tff.R)), 0.3),
+                             np.zeros(1))
         ec = minor_exponents(c_b)
 
         def make_form(swap):

@@ -8,7 +8,7 @@ from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
                                  _params_arrays)
 from conetube.oracle import (CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
-                             calibrated_constant, mc_integrate_cone,
+                             MISMATCH, calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, quad_iterated, quad_supported,
                              verify_identity)
@@ -256,6 +256,17 @@ class TestVerifyIdentity:
         with pytest.raises(InvalidInputError):
             verify_identity("L24", {"r": [3.0], "eta": [1.0]},
                             np.array([1.0]), method="quad", region="dual")
+
+    def test_stated_constant_outside_c4_range_still_judged(self):
+        # second L26 draw of the n = 1 audit at seed 1: c7_range holds while
+        # r + l - eta = -2.118 lies outside C4's own range
+        params = {"l": [-0.33173723737181066], "r": [0.8974422077487207],
+                  "eta": [2.683782657815248]}
+        point = (TubePoint.make([-0.20922369131824364], [1.6262723691444845]),
+                 TubePoint.make([0.1806417480888342], [1.6518445156998967]))
+        rec = verify_identity("L26", params, point, seed=1)
+        assert rec.status in (CONFIRMED, CONSTANT_MISMATCH, MISMATCH,
+                              INCONCLUSIVE)
 
 
 class TestCalibration:
