@@ -202,6 +202,26 @@ def complex_minors(zeta: np.ndarray) -> np.ndarray:
     return out
 
 
+def schur_real_part(v, u) -> np.ndarray:
+    """Re S of the complex Schur complement S at zeta = v - i u.
+
+    M_n = M_{n-1} S, and Re S does not depend on u_n.  Written as
+    D(v) + sum_j (v_{2n-j} u_j - v_j u_{2n-j})^2 / (v_j (v_j^2 + u_j^2)),
+    it is at least D(v) > 0 for v in the open cone, and free of the
+    cancellation that Re(zeta_n - sum zeta_{2n-j}^2 / zeta_j) suffers at
+    large |u|.  ``u`` broadcasts against ``v``.
+    """
+    v = _as_coords(v)
+    u = np.asarray(u, dtype=float)
+    n = order_from_dim(v.shape[-1])
+    out = schur_complement(v)
+    if n == 1:
+        return out + np.zeros(u.shape[:-1])
+    vd, ud = v[..., : n - 1], u[..., : n - 1]
+    cross = border_reversed(v) * ud - vd * u[..., n:][..., ::-1]
+    return out + np.sum(cross * cross / (vd * (vd * vd + ud * ud)), axis=-1)
+
+
 def assert_off_branch_cut(minors: np.ndarray) -> None:
     """Reject minors on the closed negative real axis (index is 1-based)."""
     on_cut = (minors.real <= 0.0) & (minors.imag == 0.0)

@@ -34,7 +34,7 @@ from .errors import InvalidInputError
 from .geometry import (TubePoint, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
                        delta_transform_parts, minor_exponents, order_from_dim,
-                       require_cone, schur_complement)
+                       require_cone, schur_complement, schur_real_part)
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       require_convention)
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
@@ -302,6 +302,7 @@ class IdentityDef:
     point: PointKind
     random_params: callable      # (n, rng) -> in-range params
     dual_region: callable | None = None  # integrand over the dual cone, if any
+    reduction: callable | None = None  # (n, params, point) -> SliceReduction
 
 
 def _params_arrays(n, params):
@@ -489,6 +490,53 @@ def _L25_integrand(n, r, v):
     return f
 
 
+@dataclass(frozen=True)
+class SliceReduction:
+    """A slice integrand with the last diagonal real coordinate integrated out."""
+
+    integrand: callable   # batch callable over the 2n - 2 other real coordinates
+    tail_index: float | None  # mass beyond R axis scales falls like R^-tail_index
+
+
+def _L25_reduction(n, r, v) -> SliceReduction:
+    """L25 with u_n integrated in closed form.
+
+    M_n = M_{n-1} S, and the complex Schur complement S is affine in u_n
+    with slope -i while A = Re S > 0 does not depend on it.  With
+    e = minor_exponents(-bold r) and rho = -e_n, the n = 1 slice fact
+    int |A - it|^-rho dt = sqrt(pi) Gamma((rho-1)/2) / Gamma(rho/2) A^(1-rho)
+    leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times that, at u_n = 0.
+
+    At n = 2 the reduced integrand falls like |u|^-(bold r_1) along every
+    ray of the (u_1, u_3) plane, and like |u_3|^(2 - 2 rho) along the u_3
+    axis, so the mass outside a window reaching R axis scales falls like
+    R^-tail_index with tail_index = min(bold r_1 - 2, 2 rho - 3); the
+    integral diverges when it is not positive.  Not derived for n >= 3.
+    """
+    v = np.asarray(v, dtype=float)
+    rb = bold_values(r, n)
+    e = minor_exponents(-rb)
+    rho = -e[-1]
+    lead = e[: n - 1].copy()
+    if n > 1:
+        lead[-1] += e[-1]
+    log_c = (0.5 * math.log(math.pi) + math.lgamma((rho - 1.0) / 2.0)
+             - math.lgamma(rho / 2.0))
+
+    def f(w):
+        u = np.insert(w, n - 1, 0.0, axis=-1)
+        out = log_c + (1.0 - rho) * np.log(schur_real_part(v, u))
+        if n > 1:
+            log_mod = np.log(np.hypot(v[: n - 1], u[..., : n - 1]))
+            out = out + np.sum(lead * np.cumsum(log_mod, axis=-1), axis=-1)
+        return np.exp(out)
+
+    tail = math.inf if n == 1 else None  # at n = 1 no coordinate is left
+    if n == 2:
+        tail = min(rb[0] - 2.0, 2.0 * rho - 3.0)
+    return SliceReduction(f, tail)
+
+
 def _L25_sampler(n, r, v):
     v = np.asarray(v, dtype=float)
     diag = v[:n].copy()
@@ -517,6 +565,7 @@ def _mk_L25():
         sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
         point=cone_vector("v"),
         random_params=_random_L25,
+        reduction=lambda n, p, pt: _L25_reduction(n, p["r"], pt),
     )
 
 

@@ -9,11 +9,15 @@ Two oracle families:
   the result is bit-identical for any worker count.
 
 * Quadrature in the same canonical coordinates: scalar adaptive integration
-  for the one-dimensional reductions at n = 1, and a vectorized trapezoid
-  tensor on exponentially transformed axes for everything else in reach
-  (cone and slice domains at n <= 2, tube domains at n = 1).  This is the
-  high-precision path behind the analytic acceptance suite and constant
-  calibration.
+  for the one-dimensional integrals at n = 1 (cone and slice), and a
+  vectorized trapezoid tensor on exponentially transformed axes for the
+  rest in reach: the cone at n = 2 (3-D), the tube at n = 1 (2-D over
+  (u, v)) and the slice at n = 2, which is 2-D over (u_1, u_3) because the
+  identity's ``reduction`` integrates u_2 in closed form; its windows reach
+  as far as the reduced integrand's tail index asks, and the mass left
+  outside is added to the error.  Everything at n >= 3 is Monte Carlo
+  only.  This is the high-precision path behind the analytic acceptance
+  suite and constant calibration.
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
@@ -40,6 +44,7 @@ from .identities import (get_identity, check_params,
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
 
 CHUNK = 1 << 16
+SLICE_MAX_HALF = 80.0  # slice windows reach at most ~e^80 axis scales
 NONFINITE_LIMIT = 1e-3
 
 CONFIRMED = "CONFIRMED"
@@ -58,10 +63,12 @@ class IntegralEstimate:
 
 
 def _thread_count() -> int:
+    """CONETUBE_THREADS, capped at the CPU count."""
     try:
-        return max(1, int(os.environ.get("CONETUBE_THREADS", "1")))
+        requested = max(1, int(os.environ.get("CONETUBE_THREADS", "1")))
     except ValueError:
         return 1
+    return min(requested, os.cpu_count() or 1)
 
 
 def _chunk_rng(seed: int, k: int) -> np.random.Generator:
@@ -97,7 +104,9 @@ def _mc_run(draw_and_eval, count: int, seed: int, method: str) -> IntegralEstima
 
     def work(k):
         rng = _chunk_rng(seed, k)
-        vals = draw_and_eval(sizes[k], rng)
+        # non-finite values are counted and zeroed below, not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = draw_and_eval(sizes[k], rng)
         finite = np.isfinite(vals.real) if np.iscomplexobj(vals) else np.isfinite(vals)
         if np.iscomplexobj(vals):
             finite &= np.isfinite(vals.imag)
@@ -189,6 +198,25 @@ def _real_window(core_scale: float, tail_extent: float) -> tuple:
     return scale, -half, half
 
 
+def _slice_half_width(tail_index: float, rel_tol: float) -> tuple:
+    """Half-width of a sinh-mapped slice window, and the relative mass left
+    outside it.
+
+    The mass beyond R axis scales falls like R^-tail_index, and a window of
+    half-width H reaches R = sinh(H) > e^(H - 1) scales.  The window reaches
+    until that mass is below rel_tol / 100: at least to 1e10 scales, at
+    most to half-width SLICE_MAX_HALF, where what is left over is reported.
+    """
+    if not tail_index > 0.0:
+        raise AccuracyError(
+            f"the slice integral diverges (tail index {tail_index:.3g} <= 0)",
+            achieved=math.inf)
+    half = min(max(math.asinh(1.0e10) + 1.0,
+                   1.0 + math.log(100.0 / rel_tol) / tail_index),
+               SLICE_MAX_HALF)
+    return half, math.exp(-tail_index * (half - 1.0))
+
+
 def _axis_nodes(axis, h):
     kind = axis[0]
     if kind == "pos":
@@ -211,10 +239,18 @@ def _axis_nodes(axis, h):
 def _tensor_pass(f_axes, axes, h):
     grids = [_axis_nodes(axis, h) for axis in axes]
     if len(axes) == 2:
+        # row blocks of about CHUNK nodes bound the integrand's temporaries;
+        # one sum over the whole buffer keeps the unblocked summation order
         x0, w0 = grids[0]
         x1, w1 = grids[1]
-        vals = f_axes(x0[:, None], x1[None, :])
-        return complex(np.sum(vals * (w0[:, None] * w1[None, :])))
+        rows = max(1, CHUNK // x1.shape[0])
+        buf = None
+        for i in range(0, x0.shape[0], rows):
+            vals = f_axes(x0[i:i + rows, None], x1[None, :])
+            if buf is None:
+                buf = np.empty((x0.shape[0], x1.shape[0]), dtype=vals.dtype)
+            buf[i:i + rows] = vals * (w0[i:i + rows, None] * w1[None, :])
+        return complex(np.sum(buf))
     x0, w0 = grids[0]
     x1, w1 = grids[1]
     x2, w2 = grids[2]
@@ -265,8 +301,8 @@ def _quad_complex(f, a, b, epsabs, epsrel):
 
 
 def quad_supported(identity_id: str, n: int) -> bool:
-    domain = get_identity(identity_id).domain
-    if domain in ("cone", "slice"):
+    ident = get_identity(identity_id)
+    if ident.domain == "cone" or ident.reduction is not None:
         return n <= 2
     return n == 1
 
@@ -321,16 +357,19 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         g = lambda u: f(np.array([[u]]))[0]
         val, err = q1(g, -np.inf, np.inf, 1e-300, rel_tol)
     elif ident.domain == "slice" and n == 2:
+        # u_2 integrated in closed form: 2-D tensor over (u_1, u_3)
+        red = ident.reduction(n, p, point)
         v = np.asarray(point, dtype=float)
         d = max(float(v[1] - v[2] ** 2 / v[0]), 0.25 * v[1])
-        scales = (float(v[0]), float(v[1]), math.sqrt(float(v[0]) * d))
+        scales = (float(v[0]), math.sqrt(float(v[0]) * d))
+        half, tail = _slice_half_width(red.tail_index, rel_tol)
 
-        def f_axes(u1, u2, u3):
-            u1b, u2b, u3b = np.broadcast_arrays(u1, u2, u3)
-            return f(np.stack([u1b, u2b, u3b], axis=-1))
+        def f_axes(u1, u3):
+            return red.integrand(np.stack(np.broadcast_arrays(u1, u3), axis=-1))
 
-        axes = [("real",) + _real_window(s, 1.0e10 * s) for s in scales]
-        val, err = tensor_quad(f_axes, axes, rel_tol)
+        val, err = tensor_quad(f_axes, [("real", s, -half, half) for s in scales],
+                               rel_tol)
+        err += tail * abs(val)
     else:  # tube, n = 1: 2-D tensor over (u, v)
         spec = ident.sampler(n, p, point)  # a tube_proposal: centred at 0
         wv = _pos_window(spec.radial[0])

@@ -4,12 +4,12 @@ import pytest
 from conetube.errors import (BranchCutError, ConeDomainError,
                              InvalidInputError)
 from conetube.geometry import (ConePoint, TubePoint, assemble_arrowhead,
-                               canonical_to_coords,
+                               canonical_to_coords, complex_minors,
                                complex_power_from_minors, complex_power_P,
                                coords_to_canonical, delta_power,
                                delta_transform_parts, is_in_cone,
                                leading_minors, leading_minors_dense, minors,
-                               schur_complement)
+                               schur_complement, schur_real_part)
 from conetube.identities import random_cone_vector
 from conetube.indices import MultiIndex, bold_values
 
@@ -165,6 +165,20 @@ class TestComplexPower:
             z = TubePoint.make(x, y)
             assert complex_power_P(z, s) == pytest.approx(
                 delta_power(y, s), rel=1e-6)
+
+    def test_schur_real_part_matches_minor_ratio(self, rng):
+        # Re(M_n / M_{n-1}) ignores u_n and is at least D(v) > 0
+        for n in (1, 2, 3):
+            v = random_cone_vector(n, rng)
+            u = rng.uniform(-10.0, 10.0, size=(500, 2 * n - 1))
+            mins = complex_minors(v - 1j * u)
+            ratio = mins[:, -1] / mins[:, -2] if n > 1 else mins[:, 0]
+            re_s = schur_real_part(v, u)
+            assert np.allclose(re_s, ratio.real, rtol=1e-9, atol=0.0)
+            assert np.all(re_s >= schur_complement(v))
+            shifted = u.copy()
+            shifted[:, n - 1] += 7.0
+            assert np.array_equal(schur_real_part(v, shifted), re_s)
 
     def test_branch_cut_error_carries_index(self):
         mins = np.array([1.0 + 1j, -2.0 + 0.0j, 3.0 + 0j])

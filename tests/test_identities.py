@@ -9,7 +9,7 @@ import conetube
 from conetube import constants as C
 from conetube.errors import (ConeDomainError, ConvergenceDomainError,
                              ConventionError)
-from conetube.geometry import TubePoint, delta_power
+from conetube.geometry import TubePoint, complex_minors, delta_power
 from conetube.identities import (IDENTITY_IDS, closed_value, cone_shift_closed,
                                  cor1_kernel_closed, cor1_laplace_closed,
                                  get_identity, horizontal_abs_closed,
@@ -28,6 +28,17 @@ def beta_translate_constant(r, eta):
 def slice_modulus_constant(r):
     """True n = 1 slice constant: sqrt(pi) Gamma((r-1)/2) / Gamma(r/2)."""
     return math.sqrt(math.pi) * math.gamma((r - 1) / 2) / math.gamma(r / 2)
+
+
+def slice_modulus_constant_n2(r):
+    """True n = 2 slice constant, finite for r_1 > 2 and r_2 > 3/2.
+
+    Integrating u_2, then u_3 (A = Re S is a quadratic in u_3 whose
+    completed square leaves D), then u_1, each by the n = 1 fact, gives
+    K(r_2) K(2 r_2 - 2) K(r_1 - 1) with K = slice_modulus_constant.
+    """
+    return (slice_modulus_constant(r[1]) * slice_modulus_constant(2 * r[1] - 2)
+            * slice_modulus_constant(r[0] - 1))
 
 
 def tube_product_constant(l, r, eta):
@@ -185,6 +196,64 @@ class TestHorizontalAbsClosed:
             for lam in (0.5, 2.0, 4.0):
                 assert horizontal_abs_closed(lam * v, params["r"]) == \
                     pytest.approx(lam ** expo * base, rel=1e-12)
+
+
+class TestSliceReduction:
+    """L25 with u_n integrated in closed form (the quadrature oracle's 2-D
+    slice integrand at n = 2)."""
+
+    def test_inner_closed_form_matches_quad(self):
+        from scipy import integrate
+        ident = get_identity("L25")
+        params = {"r": np.array([2.6, 2.9])}
+        v = np.array([1.3, 0.9, 0.4])
+        full = ident.integrand(2, params, v)
+        reduced = ident.reduction(2, params, v).integrand
+        for u1, u3 in ((0.0, 0.0), (0.7, -1.2), (-2.5, 3.1), (1e3, 0.0),
+                       (0.0, -1e3), (-700.0, 700.0)):
+            # |S| = |A + i (Im S0 - u_2)| with S0 = S(u_2 = 0): integrate
+            # in units of the width A on each side of the peak
+            mins = complex_minors(v - 1j * np.array([u1, 0.0, u3]))
+            s0 = mins[1] / mins[0]
+
+            def g(t):
+                u2 = s0.imag + s0.real * t
+                return s0.real * full(np.array([[u1, u2, u3]]))[0]
+
+            total = sum(integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-13,
+                                       limit=400)[0]
+                        for a, b in ((-np.inf, 0.0), (0.0, np.inf)))
+            got = reduced(np.array([[u1, u3]]))[0]
+            assert got == pytest.approx(total, rel=1e-12), (u1, u3)
+
+    def test_schur_real_part_positive_at_random_points(self, rng):
+        for _ in range(20):
+            v = random_point("L25", 2, rng)
+            u = 10.0 * rng.standard_cauchy(size=(1000, 3))
+            mins = complex_minors(v - 1j * u)
+            assert np.all((mins[:, 1] / mins[:, 0]).real > 0.0)
+
+    def test_n1_reduction_is_the_slice_fact(self):
+        from scipy import integrate
+        ident = get_identity("L25")
+        for r, v in ((2.0, 1.0), (3.3, 0.6), (5.5, 1.9)):
+            params = {"r": np.array([r])}
+            red = ident.reduction(1, params, np.array([v]))
+            full = ident.integrand(1, params, np.array([v]))
+            total = integrate.quad(lambda t: full(np.array([[t]]))[0],
+                                   -np.inf, np.inf, epsabs=0.0,
+                                   epsrel=1e-13, limit=400)[0]
+            assert red.integrand(np.empty((1, 0)))[0] == pytest.approx(
+                total, rel=1e-10)
+            assert red.tail_index == math.inf
+
+    def test_n2_tail_index(self):
+        red = get_identity("L25").reduction(2, {"r": np.array([2.6, 2.9])},
+                                            np.array([1.0, 1, 0]))
+        assert red.tail_index == pytest.approx(0.6)
+        red = get_identity("L25").reduction(2, {"r": np.array([4.0, 1.8])},
+                                            np.array([1.0, 1, 0]))
+        assert red.tail_index == pytest.approx(0.6)
 
 
 class TestTubeProductClosed:

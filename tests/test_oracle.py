@@ -1,19 +1,25 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-from conetube.errors import InvalidInputError, OracleRejectedError
+from conetube.errors import (AccuracyError, InvalidInputError,
+                             OracleRejectedError)
 from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
-                                 _params_arrays)
-from conetube.oracle import (CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
-                             MISMATCH, calibrated_constant, mc_integrate_cone,
+                                 structure_value, _params_arrays)
+from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
+                             MISMATCH, _axis_nodes, _tensor_pass, _thread_count,
+                             calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, quad_iterated, quad_supported,
                              verify_identity)
 from conetube.sampling import (CauchyLaw, RadialLaw, SamplerSpec,
                                sample_cone, sample_tube)
+
+from test_identities import slice_modulus_constant_n2
 
 GAMMA_SPEC_1D = SamplerSpec(n=1, radial=(RadialLaw("gamma", 1.0, 4 * math.pi),),
                             border=())
@@ -129,6 +135,25 @@ class TestMonteCarlo:
         est = mc_integrate_cone(bad(0.0004), GAMMA_SPEC_1D, 100_000, seed=3)
         assert est.nonfinite > 0
 
+    def test_nonfinite_counted_without_warning(self):
+        # inf * 0 raises "invalid value" inside the integrand; the driver
+        # counts and zeroes the NaNs instead of leaking the warning
+        def integrand(coords, d=None):
+            vals = np.ones(coords.shape[0])
+            vals[:10] = np.inf
+            zero = np.ones(coords.shape[0])
+            zero[:10] = 0.0
+            return vals * zero
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_integrate_cone(integrand, GAMMA_SPEC_1D, 100_000, seed=3)
+        assert est.nonfinite == 20  # 10 in each of the two chunks
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("CONETUBE_THREADS", "1000")
+        assert _thread_count() == (os.cpu_count() or 1)
+
     def test_slice_and_tube_paths(self, rng):
         # slice: int over x of cauchy pdf = 1; tube mass of product density
         spec = tube_spec_1d()
@@ -189,14 +214,69 @@ class TestQuadrature:
             assert abs(q.value - m.value) <= 3 * m.std_error \
                 + 1e-9 * abs(q.value), ident
 
-    def test_l25_n2_cross_agreement_coarse(self):
-        # the 3-d slice tensor converges slowly (anisotropic modulus); the
-        # cross-check runs at the accuracy it can certify
+    def test_l25_n2_cross_agreement(self):
         params = {"r": [2.5, 2.2]}
         v = np.array([1.0, 1, 0.2])
-        q = quad_iterated("L25", params, v, rel_tol=1e-2)
+        q = quad_iterated("L25", params, v)
         m = oracle_estimate("L25", params, v, 1_000_000, seed=11, method="mc")
         assert abs(q.value - m.value) <= 3 * m.std_error + q.std_error
+
+    def test_l25_n2_reduced_value(self):
+        # the exact constant K(4) K(6) K(3) = 3 pi^2 / 8
+        v = np.array([1.0, 1, 0])
+        est = quad_iterated("L25", {"r": [4, 4]}, v)
+        value = est.value / structure_value("L25", 2, {"r": [4, 4]}, v)
+        assert value == pytest.approx(3.70110165041, rel=1e-9)
+        assert value == pytest.approx(3 * math.pi ** 2 / 8, rel=1e-12)
+
+    def test_l25_n2_random_draws_meet_rel_tol(self):
+        # the reduced 2-D tensor certifies the requested tolerance itself,
+        # not only the 100x gate, and the exact value lies inside its error;
+        # draws whose tail index leaves too much mass outside the widest
+        # window (or whose integral diverges) raise instead
+        rng = np.random.default_rng(3)
+        met = refused = 0
+        while met < 5:
+            params = random_params("L25", 2, rng)
+            v = random_point("L25", 2, rng)
+            r = params["r"]
+            tail_index = min(r[0] - 2.0, 2.0 * r[1] - 3.0)
+            if tail_index < 0.1:
+                with pytest.raises(AccuracyError):
+                    quad_iterated("L25", params, v)
+                refused += 1
+                continue
+            est = quad_iterated("L25", params, v, rel_tol=1e-8)
+            exact = slice_modulus_constant_n2(r) \
+                * structure_value("L25", 2, params, v)
+            assert est.std_error <= 1e-8 * abs(est.value), (r, v)
+            assert abs(est.value - exact) <= est.std_error, (r, v)
+            met += 1
+        assert refused == 2
+
+    def test_l25_n2_divergent_range_refused(self):
+        # r_1 = 1.9 passes c6_range (r_1 > 3/2), but the slice integral
+        # diverges for r_1 <= 2: the mass of a finite window is no estimate
+        with pytest.raises(AccuracyError, match="diverges"):
+            quad_iterated("L25", {"r": [1.9, 3.0]}, np.array([1.0, 1, 0]))
+
+
+class TestTensorPass:
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_blocked_pass_is_bit_identical(self, complex_valued):
+        axes = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
+        h = 1.0 / 64
+        x0, w0 = _axis_nodes(axes[0], h)
+        x1, w1 = _axis_nodes(axes[1], h)
+        assert x0.size * x1.size > 4 * CHUNK  # several row blocks
+
+        def f(u, y):
+            vals = np.exp(-y) * y / (1.0 + u * u)
+            return vals * np.exp(1j * u * y) if complex_valued else vals
+
+        unblocked = complex(np.sum(f(x0[:, None], x1[None, :])
+                                   * (w0[:, None] * w1[None, :])))
+        assert _tensor_pass(f, axes, h) == unblocked
 
 
 class TestVerifyIdentity:
