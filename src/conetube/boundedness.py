@@ -21,6 +21,11 @@ j < n the same construction is applied with the offsets (1, n+1) replaced
 by ((n+1)/2, (3n+1)/2), the j < n convergence margins of the kernel-modulus
 identity; this generalization is validated numerically by
 ``schur_numeric_check`` rather than trusted.
+
+Each of the two Schur integrals is the left-hand side of the
+kernel-modulus identity (L27) at the witness exponents, so
+``schur_numeric_check`` estimates it through the identity registry with
+the same integrand and matched proposal the identity audit uses.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, WitnessConstructionError
-from .geometry import TubePoint
-from .identities import (_abs_complex_power, _log_unchecked_power,
-                         random_tube_point, tube_proposal)
+from .identities import _log_unchecked_power, _shifted_index, random_tube_point
 from .indices import bold_values
-from .oracle import IntegralEstimate, mc_integrate_tube
+from .oracle import oracle_estimate
 from .operators import ParameterSet, necessary_exponent_condition
 
 EQUALITY_TOL = 1e-9
@@ -270,23 +273,6 @@ class SchurCheckReport:
         return self.first.consistent and self.second.consistent
 
 
-def _schur_slice_estimate(params: ParameterSet, weight_bold, kernel_bold,
-                          z: TubePoint, budget: int, seed: int,
-                          h_scale: float = 1.0) -> IntegralEstimate:
-    """MC of integral over the tube of delta^weight(Im w)/|P^kernel(z - conj w)|."""
-    n = params.n
-    tail = (kernel_bold - weight_bold) - (n + 1.0) / 2.0
-    spec = tube_proposal(n, weight_bold, tail, np.maximum(z.y[:n], 0.4), z.x)
-    xz, yz = z.x, z.y
-
-    def integrand(x, v):
-        zeta = (yz + v) - 1j * (xz - x)
-        return (h_scale * np.exp(_log_unchecked_power(v, weight_bold))
-                * _abs_complex_power(zeta, -kernel_bold))
-
-    return mc_integrate_tube(integrand, spec, budget, seed)
-
-
 def _ratio_consistency(ratios, sigmas) -> tuple[float, float, bool]:
     ratios = np.asarray(ratios, dtype=float)
     if np.all(ratios == 0.0):
@@ -300,13 +286,15 @@ def _ratio_consistency(ratios, sigmas) -> tuple[float, float, bool]:
 
 def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
                         sample_count: int = 5, budget: int = 200_000,
-                        seed: int = 0, h_scale: float = 1.0) -> SchurCheckReport:
+                        seed: int = 0) -> SchurCheckReport:
     """Check point-independence of the two Schur integral ratios by MC.
 
-    At ``sample_count`` random points the two integrals are estimated and
-    divided by the predicted witness powers; each family of ratios must be
-    constant within 3 combined standard errors.  The constant ratios are the
-    two Schur comparison constants and come back in the report.
+    At ``sample_count`` random points the two integrals, each the
+    left-hand side of the kernel-modulus identity (L27), are estimated
+    through the identity registry and divided by the predicted witness
+    powers; each family of ratios must be constant within 3 combined
+    standard errors.  The constant ratios are the two Schur comparison
+    constants and come back in the report.
     """
     n, q = params.n, params.q
     pp = params.p_conj
@@ -332,8 +320,10 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
     for i in range(sample_count):
         z = random_tube_point(n, rng, x_scale=0.4)
         for k, (weight, kernel, outer_e, phi_e, offset) in enumerate(integrals):
-            est = _schur_slice_estimate(params, weight, kernel, z, budget,
-                                        seed + 101 * i + offset, h_scale)
+            est = oracle_estimate(
+                "L27", {"l": _shifted_index(weight, n, "l"),
+                        "r": _shifted_index(kernel, n, "r")},
+                z, budget, seed + 101 * i + offset, method="mc", n=n)
             outer = math.exp(float(_log_unchecked_power(z.y, outer_e)))
             phi = math.exp(float(_log_unchecked_power(z.y, phi_e)))
             ratios[k].append(outer * est.value / phi)

@@ -24,8 +24,8 @@ import numpy as np
 from .boundedness import classify, schur_witness, t_interval
 from .errors import (ConetubeError, ConfigError, InvalidInputError,
                      WitnessConstructionError)
-from .identities import (IDENTITY_IDS, get_identity, random_params,
-                         random_point)
+from .identities import (IDENTITY_IDS, check_params, get_identity,
+                         random_params, random_point)
 from .operators import (ParameterSet, make_test_function, scaling_experiment)
 from .oracle import INCONCLUSIVE, MISMATCH, verify_identity
 from .reporting import (AUDIT_COLUMNS, SCALING_COLUMNS, audit_detail,
@@ -60,11 +60,20 @@ def _get(cfg: dict, field: str, default, kind, positive: bool = False):
     return value
 
 
-def _vector(cfg: dict, field: str, n: int):
-    value = cfg.get(field)
+def _parse(where: str, read):
+    """Run ``read``; any malformed-value error becomes a ConfigError at where."""
+    try:
+        return read()
+    except KeyError as exc:
+        raise ConfigError(where, f"missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(where, str(exc)) from None
+
+
+def _vector(value, field: str, n: int):
     if value is None:
         raise ConfigError(field, "missing")
-    arr = np.asarray(value, dtype=float)
+    arr = _parse(field, lambda: np.asarray(value, dtype=float))
     if arr.shape != (n,):
         raise ConfigError(field, f"expected {n} numbers, got {value!r}")
     return arr
@@ -82,7 +91,7 @@ def _parameter_set(obj: dict, where: str) -> ParameterSet:
         raise ConfigError(f"{where}.p/q", "missing")
     if not (1.0 < p <= q):
         raise ConfigError(f"{where}.p/q", f"need 1 < p <= q, got p={p}, q={q}")
-    vecs = {name: tuple(_vector(obj, name, n))
+    vecs = {name: tuple(_vector(obj.get(name), f"{where}.{name}", n))
             for name in ("alpha", "beta", "a", "b", "c")}
     return ParameterSet(n=n, p=p, q=q, **vecs)
 
@@ -90,16 +99,6 @@ def _parameter_set(obj: dict, where: str) -> ParameterSet:
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
-
-def _parse(where: str, read):
-    """Run ``read``; any malformed-value error becomes a ConfigError at where."""
-    try:
-        return read()
-    except KeyError as exc:
-        raise ConfigError(where, f"missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(where, str(exc)) from None
-
 
 def _audit_case(i: int, case, n: int):
     where = f"cases[{i}]"
@@ -115,6 +114,7 @@ def _audit_case(i: int, case, n: int):
     if set(params) != set(ident.param_names):
         raise ConfigError(f"{where}.params",
                           f"{name} needs exactly {sorted(ident.param_names)}")
+    _parse(f"{where}.params", lambda: check_params(name, cn, params))
     point = _parse(f"{where}.point",
                    lambda: ident.point.parse(case.get("point", {}), cn))
     return name, cn, params, point
@@ -259,17 +259,25 @@ def cmd_witness(cfg: dict, out_dir: Path) -> int:
 def cmd_scaling(cfg: dict, out_dir: Path) -> int:
     params = _parameter_set(cfg.get("params", {}), "params")
     n = params.n
-    l = _vector(cfg, "l", n)
-    r = _vector(cfg, "r", n)
-    base = np.asarray(cfg.get("R_base", [1.0] * n), dtype=float)
-    if base.shape != (n,) or np.any(base <= 0):
+    l = _vector(cfg.get("l"), "l", n)
+    r = _vector(cfg.get("r"), "r", n)
+    base = _vector(cfg.get("R_base", [1.0] * n), "R_base", n)
+    if not np.all(base > 0):
         raise ConfigError("R_base", "must be a positive n-vector")
     grid = cfg.get("R_grid", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(grid, list) or len(grid) < 2:
         raise ConfigError("R_grid", "need at least two grid points")
+    grid = _parse("R_grid", lambda: [float(x) for x in grid])
+    if not all(x > 0 for x in grid):
+        raise ConfigError("R_grid", f"grid points must be positive, got {grid}")
     budget = _get(cfg, "budget", 200_000, int, positive=True)
     seed = _get(cfg, "seed", 0, int)
     coords = cfg.get("coordinates")
+    if coords is not None and not (
+            isinstance(coords, list)
+            and all(type(j) is int and 0 <= j < n for j in coords)):
+        raise ConfigError("coordinates",
+                          f"must be a list of indices in 0..{n - 1}, got {coords!r}")
     tf = make_test_function(n, l, r, base)
     report = scaling_experiment(params, tf, grid, budget, seed,
                                 coordinates=coords)

@@ -44,6 +44,7 @@ IDENTITY_IDS = ("L23_1", "L23_2", "COR1_1", "COR1_2", "L24", "L25", "L26", "L27"
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
+REAL_PAD = 0.3  # floor added to every real-part Cauchy scale
 
 
 def _tube(point) -> TubePoint:
@@ -154,11 +155,10 @@ def _cone_laplace_preset(n, t, shapes, c):
     border = [BorderLaw("gaussian", mu1=float(-u[j] / (2.0 * tn)),
                         s1=float(math.sqrt(1.0 / (2.0 * c * tn))))
               for j in range(n - 1)]
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border),
-                       weight_point=tuple(float(v) for v in t))
+    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
 
 
-def _tube_real_laws(n, centers, diag_scales, pad=0.3):
+def _tube_real_laws(n, centers, diag_scales):
     """Real-part laws from n diagonal length scales.
 
     Diagonals get static Cauchy laws; each border coordinate gets a law
@@ -167,13 +167,13 @@ def _tube_real_laws(n, centers, diag_scales, pad=0.3):
     """
     laws = []
     for j in range(n):
-        laws.append(CauchyLaw(float(centers[j]), float(diag_scales[j] + pad)))
+        laws.append(CauchyLaw(float(centers[j]), float(diag_scales[j] + REAL_PAD)))
     for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
         j = 2 * n - k
-        s1 = math.sqrt(diag_scales[n - 1]) + pad
+        s1 = math.sqrt(diag_scales[n - 1]) + REAL_PAD
         laws.append(ConditionalCauchyLaw(ref=j - 1,
                                          c=float(diag_scales[j - 1]),
-                                         s0=pad, s1=float(s1)))
+                                         s0=REAL_PAD, s1=float(s1)))
     return tuple(laws)
 
 
@@ -453,8 +453,7 @@ def _L24_sampler(n, r, eta, b):
     border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
                         s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
               for j in range(n - 1)]
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border),
-                       weight_point=tuple(float(v) for v in b))
+    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
 
 
 def _random_L24(n, rng):
@@ -544,8 +543,7 @@ def _L25_sampler(n, r, v):
     radial = [RadialLaw("gamma", 1.0, 1.0)] * n          # unused placeholders
     border = [BorderLaw("gaussian")] * (n - 1)
     real = _tube_real_laws(n, np.zeros(2 * n - 1), diag)
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real,
-                       weight_point=tuple(float(x) for x in v))
+    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
 
 
 def _random_L25(n, rng):
@@ -586,7 +584,7 @@ def _L26_integrand(n, l, r, eta, point):
     return f
 
 
-def _tube_v_real_laws(n, centers, offsets, pad=0.3):
+def _tube_v_real_laws(n, centers, offsets):
     """Real-part laws whose scales track the sampled imaginary part.
 
     The laws are centred at 0; each center is folded into its offset so
@@ -594,11 +592,11 @@ def _tube_v_real_laws(n, centers, offsets, pad=0.3):
     """
     shift = [abs(float(c)) for c in centers]
     laws = [VCauchyLaw(ref1=j, ref2=None,
-                       offset=float(offsets[j] + pad) + shift[j])
+                       offset=float(offsets[j] + REAL_PAD) + shift[j])
             for j in range(n)]
     for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
         j = 2 * n - k
-        off = math.sqrt(offsets[j - 1] * offsets[n - 1]) + pad
+        off = math.sqrt(offsets[j - 1] * offsets[n - 1]) + REAL_PAD
         laws.append(VCauchyLaw(ref1=j - 1, ref2=n - 1,
                                offset=float(off) + shift[k - 1]))
     return tuple(laws)

@@ -20,6 +20,12 @@ experiment measures how far off it is otherwise.
 R is embedded into the cone on the diagonal coordinates with zero borders,
 the only embedding under which the per-R_j power structure of the norms
 emerges.
+
+Every integral lemma is taken from its entry in the identity registry:
+the image T f_R is the two-kernel identity (L26) at xi = iR, the norm
+range and constant are the kernel-modulus identity's (L27), and the norm
+estimates are the translate identity's (L24) left-hand side after the
+slice identity (L25) has integrated out the real part.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants as C
 from .errors import InfeasibleError, InvalidInputError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
                        minor_exponents)
-from .identities import _log_unchecked_power, tube_proposal
+from .identities import (_log_unchecked_power, _shifted_index, check_params,
+                         closed_value, get_identity, tube_proposal)
 from .indices import Convention, MultiIndex, bold_values, plain_values
 from .oracle import (IntegralEstimate, mc_integrate_cone,
                      mc_integrate_tube)
@@ -256,28 +262,22 @@ def _f_R_batch(tf: TestFunctionFR):
     return f
 
 
-def _check_image_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
-    C._check(C.c7_range(params.n, params.vec("b") + tf.l_plain(),
-                        params.vec("c"), tf.r_plain()))
+def _image_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
+    """Plain two-kernel (L26) parameters of T f_R: (l, r, eta) = (b + l, c, r)."""
+    return {"l": params.vec("b") + tf.l_plain(), "r": params.vec("c"),
+            "eta": tf.r_plain()}
 
 
 def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
                    constant: float | None = None) -> complex:
-    """Closed-form image of f_R under T (two-kernel tube identity)."""
+    """Closed-form image of f_R under T: delta^a(Im z) times the two-kernel
+    tube identity at xi = iR."""
     n = params.n
-    _check_image_ranges(params, tf)
-    if constant is None:
-        constant = C.c7(n, params.vec("b") + tf.l_plain(), params.vec("c"),
-                        tf.r_plain())
-    expo = (bold_values(params.vec("b") + tf.l_plain(), n)
-            - bold_values(params.vec("c"), n) - bold_values(tf.r_plain(), n))
-    e = minor_exponents(expo)
-    e[-1] += n + 1.0
-    zeta = (z.y + embed_R(tf.R, n)) - 1j * z.x
-    kernel_part = complex_power_from_minors(complex_minors(zeta), e)
+    xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
     a_part = math.exp(float(_log_unchecked_power(
         z.y, bold_values(params.vec("a"), n))))
-    return complex(constant * a_part * kernel_part)
+    return complex(a_part * closed_value("L26", n, _image_params(params, tf),
+                                         (z, xi), constant))
 
 
 @dataclass(frozen=True)
@@ -303,10 +303,11 @@ def f_R_norm_closed(params: ParameterSet, tf: TestFunctionFR,
     weighted pair (p*l + alpha, p*r).
     """
     n, p = params.n, params.p
-    l_eff = p * tf.l_plain() + params.vec("alpha")
-    r_eff = p * tf.r_plain()
-    C._check(C.c8_range(n, l_eff, r_eff))
-    cst = C.c8(n, l_eff, r_eff) if constant is None else constant
+    weighted = {"l": p * tf.l_plain() + params.vec("alpha"),
+                "r": p * tf.r_plain()}
+    check_params("L27", n, weighted)
+    cst = get_identity("L27").stated_constant(n, weighted) \
+        if constant is None else constant
     e = f_R_norm_exponents(params, tf)
     return FRNormClosed(exponents=tuple(e), log_constant_p=math.log(cst) / p,
                         constant_stated=cst ** (1.0 / p))
@@ -325,9 +326,8 @@ def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
     an R-grid and cancels from every slope fit.
     """
     from .oracle import calibrated_constant
-    plain = bold_kernel.copy()
-    plain[: n - 1] -= (n - 2) / 2.0
-    return float(np.real(calibrated_constant("L25", n, {"r": plain})))
+    return float(np.real(calibrated_constant(
+        "L25", n, {"r": _shifted_index(bold_kernel, n, "r")})))
 
 
 def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
@@ -335,26 +335,17 @@ def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
 
     The x-integral of |P^{-kernel}| at fixed v is the verified slice
     closed form C * delta^{-kernel}(v+R) * det(v+R)^{(n+1)/2}; what is left
-    is a cone integral of translate type, estimated with the matched
-    translate sampler.  Returns (norm, sigma).
+    is the translate identity's (L24) left-hand side at b = R, estimated
+    with its matched sampler.  Returns (norm, sigma).
     """
-    from .identities import _L24_sampler
     Remb = embed_R(R, n)
     cst = _slice_constant(n, kernel_bold)
-    r_eff_bold = kernel_bold - (n + 1.0) / 2.0
-    # plain vectors for the translate sampler's shape bookkeeping
-    off = (n - 2) / 2.0
-    r_eff = r_eff_bold.copy()
-    r_eff[: n - 1] -= off
-    eta_eff = weight_bold.copy()
-    eta_eff[: n - 1] -= off
-
-    def integrand(ycoords, d=None):
-        return cst * np.exp(_log_unchecked_power(ycoords + Remb, -r_eff_bold)
-                            + _log_unchecked_power(ycoords, weight_bold, d))
-
-    spec = _L24_sampler(n, r_eff, eta_eff, Remb)
-    est = mc_integrate_cone(integrand, spec, budget, seed)
+    ident = get_identity("L24")
+    p = {"r": _shifted_index(kernel_bold - (n + 1.0) / 2.0, n, "r"),
+         "eta": _shifted_index(weight_bold, n, "eta")}
+    f = ident.integrand(n, p, Remb)
+    est = mc_integrate_cone(lambda y, d=None: cst * f(y, d),
+                            ident.sampler(n, p, Remb), budget, seed)
     norm = est.value ** (1.0 / power)
     return float(norm), float(norm * est.std_error / (power * est.value))
 
@@ -377,7 +368,7 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
     the constant itself is audited elsewhere.
     """
     n, q = params.n, params.q
-    _check_image_ranges(params, tf)
+    check_params("L26", n, _image_params(params, tf))
     weight = (q * bold_values(params.vec("a"), n)
               + bold_values(params.vec("beta"), n))
     M = (bold_values(params.vec("c"), n) + bold_values(tf.r_plain(), n)
@@ -399,18 +390,14 @@ def _image_proposal(z: TubePoint, params: ParameterSet,
 
 def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
                          inner_bold, budget: int, seed: int,
-                         spec: SamplerSpec | None,
-                         tf: TestFunctionFR | None) -> IntegralEstimate:
+                         tf: TestFunctionFR) -> IntegralEstimate:
     """MC of delta^outer(Im z) * integral of delta^inner(Im w) f(w) / P^c(z - conj w).
 
-    ``f`` is a batch callable f(x, v); pass either an explicit sampler spec
-    or the test function the default proposal should be tuned to.
+    ``f`` is a batch callable f(x, v); the proposal is tuned to the test
+    function ``tf``.
     """
     n = params.n
-    if spec is None:
-        if tf is None:
-            raise InvalidInputError("provide a sampler spec or a test function")
-        spec = _image_proposal(z, params, tf)
+    spec = _image_proposal(z, params, tf)
     outer = math.exp(float(_log_unchecked_power(z.y, outer_bold)))
     ec = minor_exponents(bold_values(params.vec("c"), n))
     xz, yz = z.x, z.y
@@ -426,25 +413,22 @@ def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
 
 
 def apply_T_numeric(z: TubePoint, params: ParameterSet, f, budget: int,
-                    seed: int, spec: SamplerSpec | None = None,
-                    tf: TestFunctionFR | None = None) -> IntegralEstimate:
+                    seed: int, tf: TestFunctionFR) -> IntegralEstimate:
     """MC image: delta^a(Im z) * integral of delta^b(Im w) f(w) / P^c(z - conj w)."""
     n = params.n
     return _kernel_transform_mc(z, params, f, bold_values(params.vec("a"), n),
                                 bold_values(params.vec("b"), n), budget, seed,
-                                spec, tf)
+                                tf)
 
 
 def dual_operator_eval(z: TubePoint, params: ParameterSet, f, budget: int,
-                       seed: int, spec: SamplerSpec | None = None,
-                       tf: TestFunctionFR | None = None) -> IntegralEstimate:
+                       seed: int, tf: TestFunctionFR) -> IntegralEstimate:
     """MC value of the dual image: delta^(b-alpha) weight outside,
     delta^(a+beta) inside, same kernel."""
     n = params.n
     outer = bold_values(params.vec("b"), n) - bold_values(params.vec("alpha"), n)
     inner = bold_values(params.vec("a"), n) + bold_values(params.vec("beta"), n)
-    return _kernel_transform_mc(z, params, f, outer, inner, budget, seed,
-                                spec, tf)
+    return _kernel_transform_mc(z, params, f, outer, inner, budget, seed, tf)
 
 
 # ---------------------------------------------------------------------------

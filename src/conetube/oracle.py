@@ -44,6 +44,8 @@ from .identities import (get_identity, check_params,
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
 
 CHUNK = 1 << 16
+TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
+SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
 SLICE_MAX_HALF = 80.0  # slice windows reach at most ~e^80 axis scales
 NONFINITE_LIMIT = 1e-3
 
@@ -263,14 +265,13 @@ def _tensor_pass(f_axes, axes, h):
     return total
 
 
-def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625),
-                max_evals=1.5e8):
+def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625)):
     """Iterated trapezoid on transformed axes with step-halving control.
 
     ``axes`` entries are ("pos", log_lo, log_hi), ("lin", lo, hi) or
     ("real", scale, lo, hi); ``f_axes`` takes one broadcastable array per
     axis.  Returns (value, error_estimate); steps whose tensor would exceed
-    the evaluation cap are skipped.
+    TENSOR_MAX_EVALS nodes are skipped.
     """
     prev = None
     value = None
@@ -279,7 +280,7 @@ def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625),
         cost = 1.0
         for axis in axes:
             cost *= (axis[-1] - axis[-2]) / h  # every axis kind ends (lo, hi)
-        if cost > max_evals and prev is not None:
+        if cost > TENSOR_MAX_EVALS and prev is not None:
             break
         value = _tensor_pass(f_axes, axes, h)
         if not np.isfinite(value):
@@ -486,7 +487,6 @@ def _scaling_seed(seed: int, lam: float) -> int:
 def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000,
                     seed: int = 0, method: str = "auto",
                     always_scaling: bool = False,
-                    scaling_lams=(0.5, 2.0, 4.0),
                     n: int | None = None, region: str = "cone") -> AuditRecord:
     """Estimate one identity LHS and classify it against the closed form.
 
@@ -533,7 +533,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
             return record
 
     checks = []
-    for lam in scaling_lams:
+    for lam in SCALING_LAMS:
         scaled = ident.point.scale(point, lam)
         est = oracle_estimate(identity_id, p, scaled, budget,
                               _scaling_seed(seed, lam), method=method, n=n,

@@ -149,22 +149,20 @@ class VCauchyLaw:
 
     The kernels' widths in x track the imaginary coordinates, so the
     proposal scale must follow the sampled cone part or the importance
-    ratios acquire catastrophic tails: scale = offset + coef * v[ref1]
-    (diagonal form) or offset + coef * sqrt(v[ref1] * v[ref2]) (border
-    form, ref2 set).
+    ratios acquire catastrophic tails: scale = offset + v[ref1] (diagonal
+    form) or offset + sqrt(v[ref1] * v[ref2]) (border form, ref2 set).
     """
 
     ref1: int
     ref2: int | None
     offset: float
-    coef: float = 1.0
 
     def _scale(self, vcoords: np.ndarray) -> np.ndarray:
         if self.ref2 is None:
             base = vcoords[:, self.ref1]
         else:
             base = np.sqrt(vcoords[:, self.ref1] * vcoords[:, self.ref2])
-        return self.offset + self.coef * base
+        return self.offset + base
 
     def sample(self, rng: np.random.Generator, vcoords: np.ndarray) -> np.ndarray:
         return self._scale(vcoords) * rng.standard_cauchy(size=vcoords.shape[0])
@@ -180,16 +178,13 @@ class SamplerSpec:
     """Complete importance law: cone part plus optional tube real part.
 
     radial has length n (the y_j laws followed by the D law); border has
-    length n-1; real, when present, has length m = 2n-1.  weight_point
-    records the point whose exponential weight the Gamma rates were matched
-    to, when applicable.
+    length n-1; real, when present, has length m = 2n-1.
     """
 
     n: int
     radial: tuple
     border: tuple
     real: tuple | None = None
-    weight_point: tuple | None = None
 
     def __post_init__(self):
         if len(self.radial) != self.n or len(self.border) != self.n - 1:

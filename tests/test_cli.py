@@ -225,3 +225,35 @@ class TestScaling:
             "budget": 1000, "seed": 5})
         assert run(["scaling", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("command, patch, field", [
+        ("classify", {"alpha": ["x", 0]}, "parameter_sets[0].alpha"),
+        ("witness", {"alpha": ["x", 0]}, "parameter_sets[0].alpha"),
+        ("scaling", {"R_grid": [1, "x"]}, "R_grid"),
+        ("scaling", {"R_base": [1, "x"]}, "R_base"),
+        ("scaling", {"coordinates": [5]}, "coordinates"),
+        ("scaling", {"coordinates": 3}, "coordinates"),
+        ("scaling", {"R_grid": [1, -2]}, "R_grid"),
+        ("audit", {"identity": "L27", "n": 1,
+                   "params": {"l": [0.2], "r": [0.5]},
+                   "point": {"x": [0.0], "y": [1.0]}}, "cases[0].params"),
+    ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
+            "coordinate-out-of-range", "coordinates-not-a-list",
+            "R_grid-negative", "case-outside-range"])
+    def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
+                                    field):
+        sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
+                "a": [0, 0], "b": [0, 0], "c": [3, 3]}
+        if command == "audit":
+            payload = {"cases": [patch]}
+        elif command == "scaling":
+            payload = {"params": sets, "l": [2, 2], "r": [4, 4],
+                       "budget": 1000, **patch}
+        else:
+            payload = {"parameter_sets": [{**sets, **patch}]}
+        cfg = write_cfg(tmp_path, "bad.json", payload)
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err

@@ -341,6 +341,27 @@ class TestRegistry:
                      and node.value in IDENTITY_IDS]
             assert found == [], name
 
+    def test_operator_modules_import_no_identity_builders(self):
+        # the operator lab and the Schur check compute every lemma through
+        # its registry entry; of the private helpers they may use only the
+        # two that belong to no single identity
+        allowed = {"_log_unchecked_power", "_shifted_index"}
+        root = Path(conetube.__file__).parent
+        for name in ("operators.py", "boundedness.py"):
+            tree = ast.parse((root / name).read_text())
+            imported = []
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                names = [a.name for a in node.names]
+                if node.module in ("identities", "conetube.identities"):
+                    imported += names
+                elif node.module in (None, "conetube"):
+                    assert "identities" not in names, name
+            bad = [x for x in imported
+                   if x.startswith("_") and x not in allowed]
+            assert imported and bad == [], (name, bad)
+
     def test_structure_positive_for_modulus_identities(self, rng):
         for ident in ("L23_1", "COR1_1", "L24", "L25", "L27"):
             for n in (1, 2):
