@@ -323,7 +323,7 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
             est = oracle_estimate(
                 "L27", {"l": _shifted_index(weight, n, "l"),
                         "r": _shifted_index(kernel, n, "r")},
-                z, budget, seed + 101 * i + offset, method="mc", n=n)
+                z, budget, seed + 101 * i + offset, method="mc")
             outer = math.exp(float(_log_unchecked_power(z.y, outer_e)))
             phi = math.exp(float(_log_unchecked_power(z.y, phi_e)))
             ratios[k].append(outer * est.value / phi)
@@ -339,8 +339,7 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
 # random admissible parameter sets
 # ---------------------------------------------------------------------------
 
-def random_sufficient_params(n: int, rng: np.random.Generator,
-                             max_tries: int = 1000) -> ParameterSet:
+def random_sufficient_params(n: int, rng: np.random.Generator) -> ParameterSet:
     """Random parameter set passing the sufficient conditions.
 
     Weights are drawn nonnegative and p in (1.2, 2], q in [p, 3.2]; over
@@ -348,7 +347,7 @@ def random_sufficient_params(n: int, rng: np.random.Generator,
     the construction suite deterministic.  c is set by the forced relation,
     and draws failing c_j > n are rejected.
     """
-    for _ in range(max_tries):
+    for _ in range(1000):
         p = float(rng.uniform(1.2, 2.0))
         q = float(rng.uniform(p, 3.2))
         alpha = rng.uniform(0.0, 2.0, size=n)

@@ -150,24 +150,23 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
     oracle = cfg.get("oracle", "auto")
     if oracle not in ("auto", "mc", "quad"):
         raise ConfigError("oracle", f"must be auto/mc/quad, got {oracle!r}")
-    dual = bool(cfg.get("include_dual_region", True))
 
     rows, details = [], []
     inconclusive = 0
     findings = 0
     for i, (ident, cn, params, point) in enumerate(_audit_cases(cfg, n, seed)):
         rec = verify_identity(ident, params, point, budget=budget,
-                              seed=seed + 977 * i, method=oracle, n=cn)
+                              seed=seed + 977 * i, method=oracle)
         rows.append(audit_row(rec))
         details.append(audit_detail(rec))
         if rec.status == MISMATCH:
             findings += 1
         if rec.status == INCONCLUSIVE:
             inconclusive += 1
-        if dual and get_identity(ident).dual_region and cn <= 2:
+        if get_identity(ident).dual_region and cn <= 2:
             rec2 = verify_identity(ident, params, point, budget=budget,
                                    seed=seed + 977 * i + 13, method=oracle,
-                                   n=cn, region="dual")
+                                   region="dual")
             details.append(audit_detail(rec2))
 
     write_csv(out_dir / "audit.csv", AUDIT_COLUMNS, rows)
@@ -316,35 +315,41 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# per subcommand: its function and the config fields it takes as flags
+COMMANDS = {"audit": (cmd_audit, ("seed", "budget", "n")),
+            "classify": (cmd_classify, ()),
+            "witness": (cmd_witness, ()),
+            "scaling": (cmd_scaling, ("seed", "budget"))}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conetube",
         description="audit cone-tube integral identities, classify operator "
                     "parameters, construct Schur witnesses, fit norm slopes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("audit", cmd_audit), ("classify", cmd_classify),
-                     ("witness", cmd_witness), ("scaling", cmd_scaling)):
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None, choices=(1, 2, 3))
+        for flag in flags:
+            sp.add_argument(f"--{flag}", type=int, default=None,
+                            choices=(1, 2, 3) if flag == "n" else None)
         sp.add_argument("--out", default="reports")
-        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    fn, flags = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
-        for field in ("seed", "budget", "n"):
+        for field in flags:
             value = getattr(args, field)
             if value is not None:
                 cfg[field] = value
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.fn(cfg, out_dir)
+        return fn(cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,10 +128,10 @@ def is_in_cone(x) -> np.ndarray | bool:
     return ok
 
 
-def require_cone(x, what: str = "point") -> np.ndarray:
+def require_cone(x) -> np.ndarray:
     arr = _as_coords(x)
     if not np.all(is_in_cone(arr)):
-        raise ConeDomainError(f"{what} is not inside the open cone")
+        raise ConeDomainError("point is not inside the open cone")
     return arr
 
 
@@ -288,7 +288,7 @@ def coords_to_canonical(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ConePoint:
-    """Validated point of the open cone with cached minors and D.
+    """Validated point of the open cone.
 
     Construction rejects points outside the cone as well as numerically
     boundary cases (D within BOUNDARY_RTOL of zero relative to the
@@ -296,8 +296,6 @@ class ConePoint:
     """
 
     coords: tuple
-    minors: tuple
-    schur: float
 
     @classmethod
     def from_coords(cls, coords) -> "ConePoint":
@@ -313,8 +311,7 @@ class ConePoint:
             raise ConeDomainError(
                 f"boundary point: Schur complement {d} below tolerance "
                 f"{BOUNDARY_RTOL * scale}")
-        mins = leading_minors(arr)
-        return cls(tuple(float(v) for v in arr), tuple(float(v) for v in mins), d)
+        return cls(tuple(float(v) for v in arr))
 
     @property
     def n(self) -> int:

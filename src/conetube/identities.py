@@ -711,27 +711,30 @@ def check_params(identity_id: str, n: int, params: dict) -> None:
     C._check(get_identity(identity_id).range_check(n, _params_arrays(n, params)))
 
 
-def kernel_region_integrand(identity_id: str, n: int, params: dict, point,
+def kernel_region_integrand(identity_id: str, params: dict, point,
                             region: str):
     """LHS integrand over the dual cone, for the identities that have one."""
-    dual = get_identity(identity_id).dual_region
-    if region != "dual" or dual is None:
+    ident = get_identity(identity_id)
+    if region != "dual" or ident.dual_region is None:
         raise InvalidInputError(f"{identity_id} has no {region!r} region")
-    return dual(n, _params_arrays(n, params), point)
+    n = ident.point.order(point)
+    return ident.dual_region(n, _params_arrays(n, params), point)
 
 
-def closed_value(identity_id: str, n: int, params: dict, point,
+def closed_value(identity_id: str, params: dict, point,
                  constant: float | None = None):
     """constant x structure for one identity; stated constant by default."""
-    check_params(identity_id, n, params)
     ident = get_identity(identity_id)
+    n = ident.point.order(point)
+    check_params(identity_id, n, params)
     p = _params_arrays(n, params)
     cst = ident.stated_constant(n, p) if constant is None else constant
     return cst * ident.structure(n, p, point)
 
 
-def structure_value(identity_id: str, n: int, params: dict, point):
+def structure_value(identity_id: str, params: dict, point):
     ident = get_identity(identity_id)
+    n = ident.point.order(point)
     return ident.structure(n, _params_arrays(n, params), point)
 
 
@@ -758,30 +761,24 @@ def _shifted_index(s, n: int, name: str) -> np.ndarray:
 
 def laplace_power_closed(t, s, constant: float | None = None) -> float:
     """Closed form of the cone Laplace transform of a plain minor power."""
-    tv = require_cone(t)
-    n = order_from_dim(tv.shape[-1])
-    return float(closed_value("L23_1", n, {"s": _plain_index(s, "s")}, tv,
-                              constant))
+    return float(closed_value("L23_1", {"s": _plain_index(s, "s")},
+                              require_cone(t), constant))
 
 
 def kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
     """Closed form of the inverse-transform kernel for a plain index."""
-    z = _tube(z)
-    return complex(closed_value("L23_2", z.n, {"s": _plain_index(s, "s")}, z,
+    return complex(closed_value("L23_2", {"s": _plain_index(s, "s")}, _tube(z),
                                 constant))
 
 
 def cor1_laplace_closed(t, s, constant: float | None = None) -> float:
     """Shifted-power Laplace closed form; takes the plain s and shifts inside."""
-    tv = require_cone(t)
-    n = order_from_dim(tv.shape[-1])
-    return float(closed_value("COR1_1", n, {"s": _plain_index(s, "s")}, tv,
-                              constant))
+    return float(closed_value("COR1_1", {"s": _plain_index(s, "s")},
+                              require_cone(t), constant))
 
 
 def cor1_kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
-    z = _tube(z)
-    return complex(closed_value("COR1_2", z.n, {"s": _plain_index(s, "s")}, z,
+    return complex(closed_value("COR1_2", {"s": _plain_index(s, "s")}, _tube(z),
                                 constant))
 
 
@@ -790,14 +787,14 @@ def cone_shift_closed(b, r, eta, constant: float | None = None) -> float:
     bv = require_cone(b)
     n = order_from_dim(bv.shape[-1])
     params = {"r": _shifted_index(r, n, "r"), "eta": _shifted_index(eta, n, "eta")}
-    return float(closed_value("L24", n, params, bv, constant))
+    return float(closed_value("L24", params, bv, constant))
 
 
 def horizontal_abs_closed(v, r, constant: float | None = None) -> float:
     """Closed form of the horizontal-slice integral of a kernel modulus."""
     vv = require_cone(v)
     n = order_from_dim(vv.shape[-1])
-    return float(closed_value("L25", n, {"r": _shifted_index(r, n, "r")}, vv,
+    return float(closed_value("L25", {"r": _shifted_index(r, n, "r")}, vv,
                               constant))
 
 
@@ -810,7 +807,7 @@ def tube_product_closed(z: TubePoint, xi: TubePoint, l, r, eta,
     n = z.n
     params = {"l": _shifted_index(l, n, "l"), "r": _shifted_index(r, n, "r"),
               "eta": _shifted_index(eta, n, "eta")}
-    return complex(closed_value("L26", n, params, (z, xi), constant))
+    return complex(closed_value("L26", params, (z, xi), constant))
 
 
 def tube_abs_closed(z: TubePoint, l, r, constant: float | None = None) -> float:
@@ -818,7 +815,7 @@ def tube_abs_closed(z: TubePoint, l, r, constant: float | None = None) -> float:
     z = _tube(z)
     n = z.n
     params = {"l": _shifted_index(l, n, "l"), "r": _shifted_index(r, n, "r")}
-    return float(closed_value("L27", n, params, z, constant))
+    return float(closed_value("L27", params, z, constant))
 
 
 # ---------------------------------------------------------------------------

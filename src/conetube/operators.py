@@ -276,7 +276,7 @@ def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
     xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
     a_part = math.exp(float(_log_unchecked_power(
         z.y, bold_values(params.vec("a"), n))))
-    return complex(a_part * closed_value("L26", n, _image_params(params, tf),
+    return complex(a_part * closed_value("L26", _image_params(params, tf),
                                          (z, xi), constant))
 
 
@@ -474,10 +474,6 @@ class CoordinateScaling:
 
 @dataclass
 class ScalingReport:
-    params: ParameterSet
-    tf: TestFunctionFR
-    budget: int
-    seed: int
     coordinates: list = field(default_factory=list)
 
 
@@ -497,7 +493,7 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
     coords = list(range(n)) if coordinates is None else list(coordinates)
     e_f = f_R_norm_exponents(params, tf)
     e_Tf = Tf_R_norm_exponents(params, tf)
-    report = ScalingReport(params=params, tf=tf, budget=budget, seed=seed)
+    report = ScalingReport()
     base_R = np.asarray(tf.R, dtype=float)
     for ci, j in enumerate(coords):
         fn, fs, tn_, ts = [], [], [], []

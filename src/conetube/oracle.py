@@ -88,10 +88,8 @@ def _mc_reduce(partials, count, method):
     if n_eff < 2:
         raise OracleRejectedError(1.0, "no finite samples")
     mean = total / n_eff
-    var = (total_sq - n_eff * abs(mean) ** 2) / (n_eff - 1)
-    var = max(float(var.real if np.iscomplexobj(np.asarray(var)) else var), 0.0)
-    value = complex(mean) if isinstance(mean, complex) or np.iscomplexobj(np.asarray(mean)) \
-        else float(mean)
+    var = max(float((total_sq - n_eff * abs(mean) ** 2) / (n_eff - 1)), 0.0)
+    value = complex(mean) if isinstance(mean, complex) else float(mean)
     if isinstance(value, complex) and value.imag == 0.0:
         value = value.real
     return IntegralEstimate(value=value, std_error=math.sqrt(var / n_eff),
@@ -109,9 +107,7 @@ def _mc_run(draw_and_eval, count: int, seed: int, method: str) -> IntegralEstima
         # non-finite values are counted and zeroed below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
             vals = draw_and_eval(sizes[k], rng)
-        finite = np.isfinite(vals.real) if np.iscomplexobj(vals) else np.isfinite(vals)
-        if np.iscomplexobj(vals):
-            finite &= np.isfinite(vals.imag)
+        finite = np.isfinite(vals)
         bad = int(vals.shape[0] - np.count_nonzero(finite))
         if bad:
             vals = np.where(finite, vals, 0.0)
@@ -311,15 +307,14 @@ def quad_supported(identity_id: str, n: int) -> bool:
 def _lhs_integrand(identity_id: str, n: int, p: dict, point, region: str):
     if region == "cone":
         return get_identity(identity_id).integrand(n, p, point)
-    return kernel_region_integrand(identity_id, n, p, point, region)
+    return kernel_region_integrand(identity_id, p, point, region)
 
 
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
-                  n: int | None = None, region: str = "cone") -> IntegralEstimate:
+                  region: str = "cone") -> IntegralEstimate:
     """Nested adaptive quadrature of one identity LHS in canonical coordinates."""
     ident = get_identity(identity_id)
-    if n is None:
-        n = ident.point.order(point)
+    n = ident.point.order(point)
     if not quad_supported(identity_id, n):
         raise InvalidInputError(
             f"quadrature supports cone/slice domains at n <= 2 and tube at n = 1; "
@@ -399,18 +394,20 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def oracle_estimate(identity_id: str, params: dict, point, budget: int,
-                    seed: int, method: str = "auto",
-                    n: int | None = None, region: str = "cone",
+                    seed: int, method: str = "auto", region: str = "cone",
                     quad_tol: float = 1e-8) -> IntegralEstimate:
-    """One LHS estimate by the requested oracle ("mc", "quad" or "auto")."""
+    """One LHS estimate by the requested oracle ("mc", "quad" or "auto").
+
+    "auto" is quadrature at n = 1, which it reaches on every domain, and
+    Monte Carlo above.
+    """
     ident = get_identity(identity_id)
-    if n is None:
-        n = ident.point.order(point)
+    n = ident.point.order(point)
     if method == "auto":
-        method = "quad" if (n == 1 and quad_supported(identity_id, n)) else "mc"
+        method = "quad" if n == 1 else "mc"
     if method == "quad":
         return quad_iterated(identity_id, params, point, rel_tol=quad_tol,
-                             n=n, region=region)
+                             region=region)
     if method != "mc":
         raise InvalidInputError(f"unknown oracle method {method!r}")
     p = _params_arrays(n, params)
@@ -443,7 +440,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
     ref = ident.point.reference(n)
     method = "quad" if quad_supported(identity_id, n) else "mc"
     est = oracle_estimate(identity_id, p, ref, budget, seed, method=method,
-                          n=n, quad_tol=1e-9 if n == 1 else 1e-6)
+                          quad_tol=1e-9 if n == 1 else 1e-6)
     struct = ident.structure(n, p, ref)
     value = est.value / struct
     if isinstance(value, complex) and abs(value.imag) < 1e-9 * abs(value):
@@ -487,7 +484,7 @@ def _scaling_seed(seed: int, lam: float) -> int:
 def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000,
                     seed: int = 0, method: str = "auto",
                     always_scaling: bool = False,
-                    n: int | None = None, region: str = "cone") -> AuditRecord:
+                    region: str = "cone") -> AuditRecord:
     """Estimate one identity LHS and classify it against the closed form.
 
     Statuses: CONFIRMED (value agrees within 3 standard errors),
@@ -496,13 +493,12 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     quarter of the value scale, nothing can be concluded).
     """
     ident = get_identity(identity_id)
-    if n is None:
-        n = ident.point.order(point)
+    n = ident.point.order(point)
     check_params(identity_id, n, params)
     p = _params_arrays(n, params)
 
     lhs = oracle_estimate(identity_id, p, point, budget, seed, method=method,
-                          n=n, region=region)
+                          region=region)
     struct = ident.structure(n, p, point)
     cstated = ident.stated_constant(n, p)
     rhs = cstated * struct
@@ -536,7 +532,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     for lam in SCALING_LAMS:
         scaled = ident.point.scale(point, lam)
         est = oracle_estimate(identity_id, p, scaled, budget,
-                              _scaling_seed(seed, lam), method=method, n=n,
+                              _scaling_seed(seed, lam), method=method,
                               region=region)
         predicted = ident.structure(n, p, scaled) / struct
         ratio = est.value / lhs.value

@@ -52,7 +52,7 @@ def test_criterion_1_analytic_suite_n1():
                                ([0.8], 1.7, math.gamma(1.8)
                                 / (4 * math.pi * 1.7) ** 1.8)):
             q = quad_iterated("L23_1", {"s": s}, np.array([t]), rel_tol=1e-10)
-            closed = closed_value("L23_1", 1, {"s": s}, np.array([t]))
+            closed = closed_value("L23_1", {"s": s}, np.array([t]))
             checks.append((q.value, analytic))
             checks.append((closed, q.value))
 
@@ -68,7 +68,7 @@ def test_criterion_1_analytic_suite_n1():
             for b in (0.7, 2.3):
                 q = quad_iterated("L24", {"r": [r], "eta": [eta]},
                                   np.array([b]), rel_tol=1e-10)
-                closed = closed_value("L24", 1, {"r": [r], "eta": [eta]},
+                closed = closed_value("L24", {"r": [r], "eta": [eta]},
                                       np.array([b]), constant=cal)
                 checks.append((closed, q.value))
 
@@ -82,7 +82,7 @@ def test_criterion_1_analytic_suite_n1():
             for v in (0.6, 1.9):
                 q = quad_iterated("L25", {"r": [r]}, np.array([v]),
                                   rel_tol=1e-10)
-                closed = closed_value("L25", 1, {"r": [r]}, np.array([v]),
+                closed = closed_value("L25", {"r": [r]}, np.array([v]),
                                       constant=cal)
                 checks.append((closed, q.value))
 
@@ -97,7 +97,7 @@ def test_criterion_1_analytic_suite_n1():
             z = TubePoint.make([0.3], [y])
             q = quad_iterated("L27", {"l": [0.0], "r": [4.0]}, z,
                               rel_tol=1e-10)
-            closed = closed_value("L27", 1, {"l": [0.0], "r": [4.0]}, z,
+            closed = closed_value("L27", {"l": [0.0], "r": [4.0]}, z,
                                   constant=cal)
             checks.append((closed, q.value))
 

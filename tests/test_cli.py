@@ -257,3 +257,13 @@ class TestBadConfigs:
         assert run([command, "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("classify", "--seed"), ("classify", "--budget"), ("classify", "--n"),
+        ("witness", "--seed"), ("scaling", "--n")])
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path,
+                                                        command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", str(tmp_path / "c.json"), flag, "2",
+                 "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2

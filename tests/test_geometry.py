@@ -188,11 +188,6 @@ class TestComplexPower:
 
 
 class TestValueTypes:
-    def test_cone_point_caches(self):
-        p = ConePoint.from_coords([2.0, 3.0, 1.0])
-        assert p.minors == (2.0, 5.0)
-        assert p.schur == pytest.approx(2.5)
-
     def test_cone_point_rejects_outside(self):
         with pytest.raises(ConeDomainError):
             ConePoint.from_coords([1.0, 1.0, 1.5])

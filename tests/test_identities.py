@@ -156,11 +156,11 @@ class TestConeShiftClosed:
         for n in (1, 2, 3):
             params = random_params("L24", n, rng)
             b = random_cone_vector(n, rng)
-            base = closed_value("L24", n, params, b)
+            base = closed_value("L24", params, b)
             # mixed plain/shifted display: global degree sum(eta - r) + m
             expo = float(np.sum(params["eta"] - params["r"])) + (2 * n - 1)
             for lam in (0.5, 2.0, 4.0):
-                assert closed_value("L24", n, params, lam * b) == \
+                assert closed_value("L24", params, lam * b) == \
                     pytest.approx(lam ** expo * base, rel=1e-12)
 
     def test_convention_enforcement(self):
@@ -261,7 +261,7 @@ class TestTubeProductClosed:
         params = random_params("L26", 1, rng)
         y = random_cone_vector(1, rng)
         z = TubePoint.make(np.zeros(1), y)
-        val = structure_value("L26", 1, params, (z, z))
+        val = structure_value("L26", params, (z, z))
         assert abs(val.imag) < 1e-14 * abs(val)
         assert val.real > 0
 
@@ -272,8 +272,8 @@ class TestTubeProductClosed:
             shift = rng.uniform(-1.0, 1.0, size=2 * n - 1)
             z2 = (TubePoint.make(z[0].x + shift, z[0].y),
                   TubePoint.make(z[1].x + shift, z[1].y))
-            a = closed_value("L26", n, params, z)
-            b = closed_value("L26", n, params, z2)
+            a = closed_value("L26", params, z)
+            b = closed_value("L26", params, z2)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_n1_stated_constant_vs_true(self):
@@ -309,11 +309,11 @@ class TestTubeAbsClosed:
     def test_scaling(self, rng):
         params = random_params("L27", 2, rng)
         z = random_point("L27", 2, rng)
-        base = closed_value("L27", 2, params, z)
+        base = closed_value("L27", params, z)
         expo = float(np.sum(params["l"] - params["r"])) + 2 * 3
         for lam in (0.5, 2.0, 4.0):
             z2 = TubePoint.make(lam * z.x, lam * z.y)
-            assert closed_value("L27", 2, params, z2) == pytest.approx(
+            assert closed_value("L27", params, z2) == pytest.approx(
                 lam ** expo * base, rel=1e-12)
 
 
@@ -367,4 +367,4 @@ class TestRegistry:
             for n in (1, 2):
                 p = random_params(ident, n, rng)
                 pt = random_point(ident, n, rng)
-                assert structure_value(ident, n, p, pt) > 0
+                assert structure_value(ident, p, pt) > 0

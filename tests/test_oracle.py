@@ -87,7 +87,7 @@ class TestMonteCarlo:
         f = ddef.integrand(2, params, t)
         est = mc_integrate_cone(f, spec, 400_000, seed=9)
         from conetube.identities import closed_value
-        target = closed_value("L23_1", 2, params, t)
+        target = closed_value("L23_1", params, t)
         z = abs(est.value - target) / max(est.std_error, 1e-18 * abs(target))
         assert z <= 3.0 or abs(est.value - target) <= 1e-9 * abs(target)
 
@@ -225,7 +225,7 @@ class TestQuadrature:
         # the exact constant K(4) K(6) K(3) = 3 pi^2 / 8
         v = np.array([1.0, 1, 0])
         est = quad_iterated("L25", {"r": [4, 4]}, v)
-        value = est.value / structure_value("L25", 2, {"r": [4, 4]}, v)
+        value = est.value / structure_value("L25", {"r": [4, 4]}, v)
         assert value == pytest.approx(3.70110165041, rel=1e-9)
         assert value == pytest.approx(3 * math.pi ** 2 / 8, rel=1e-12)
 
@@ -248,7 +248,7 @@ class TestQuadrature:
                 continue
             est = quad_iterated("L25", params, v, rel_tol=1e-8)
             exact = slice_modulus_constant_n2(r) \
-                * structure_value("L25", 2, params, v)
+                * structure_value("L25", params, v)
             assert est.std_error <= 1e-8 * abs(est.value), (r, v)
             assert abs(est.value - exact) <= est.std_error, (r, v)
             met += 1
