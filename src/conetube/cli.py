@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .boundedness import classify, schur_witness, t_interval
-from .errors import (ConetubeError, ConfigError, InvalidInputError,
-                     WitnessConstructionError)
+from .errors import (ConetubeError, ConfigError, ConvergenceDomainError,
+                     InvalidInputError, WitnessConstructionError)
 from .identities import (IDENTITY_IDS, check_params, get_identity,
                          random_params, random_point)
-from .operators import (ParameterSet, make_test_function, scaling_experiment)
-from .oracle import INCONCLUSIVE, MISMATCH, verify_identity
+from .operators import (ParameterSet, check_norm_ranges, make_test_function,
+                        scaling_experiment)
+from .oracle import INCONCLUSIVE, MISMATCH, quad_supported, verify_identity
 from .reporting import (AUDIT_COLUMNS, SCALING_COLUMNS, audit_detail,
                         audit_row, write_csv, write_json, write_metadata)
 
@@ -47,17 +48,30 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _get(cfg: dict, field: str, default, kind, positive: bool = False):
-    value = cfg.get(field, default)
-    if value is None:
-        return None
+def _get(cfg: dict, field: str, default, kind, positive: bool = False,
+         where: str = ""):
+    """cfg[field] as ``kind``; ``default`` if absent, required if that is None."""
+    if field not in cfg:
+        if default is None:
+            raise ConfigError(where + field, "missing")
+        return default
+    value = cfg[field]
     try:
         value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected {kind.__name__}, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(where + field,
+                          f"expected {kind.__name__}, got {value!r}") from None
     if positive and value <= 0:
-        raise ConfigError(field, f"must be positive, got {value}")
+        raise ConfigError(where + field, f"must be positive, got {value}")
     return value
+
+
+def _known(obj: dict, where: str, keys) -> None:
+    """Reject the keys of ``obj`` that its reader does not use."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(where + unknown[0],
+                          f"unknown key; expected one of {sorted(keys)}")
 
 
 def _parse(where: str, read):
@@ -66,7 +80,7 @@ def _parse(where: str, read):
         return read()
     except KeyError as exc:
         raise ConfigError(where, f"missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(where, str(exc)) from None
 
 
@@ -82,13 +96,10 @@ def _vector(value, field: str, n: int):
 def _parameter_set(obj: dict, where: str) -> ParameterSet:
     if not isinstance(obj, dict):
         raise ConfigError(where, "parameter set must be an object")
-    n = _get(obj, "n", None, int, positive=True)
-    if n is None:
-        raise ConfigError(f"{where}.n", "missing")
-    p = _get(obj, "p", None, float)
-    q = _get(obj, "q", None, float)
-    if p is None or q is None:
-        raise ConfigError(f"{where}.p/q", "missing")
+    _known(obj, f"{where}.", ("n", "p", "q", "alpha", "beta", "a", "b", "c"))
+    n = _get(obj, "n", None, int, positive=True, where=f"{where}.")
+    p = _get(obj, "p", None, float, where=f"{where}.")
+    q = _get(obj, "q", None, float, where=f"{where}.")
     if not (1.0 < p <= q):
         raise ConfigError(f"{where}.p/q", f"need 1 < p <= q, got p={p}, q={q}")
     vecs = {name: tuple(_vector(obj.get(name), f"{where}.{name}", n))
@@ -104,6 +115,7 @@ def _audit_case(i: int, case, n: int):
     where = f"cases[{i}]"
     if not isinstance(case, dict):
         raise ConfigError(where, "must be an object")
+    _known(case, f"{where}.", ("identity", "n", "params", "point"))
     name = case.get("identity")
     if name not in IDENTITY_IDS:
         raise ConfigError(f"{where}.identity", f"unknown identity {name!r}")
@@ -125,6 +137,9 @@ def _audit_cases(cfg: dict, n: int, seed: int):
     if explicit is not None:
         if not isinstance(explicit, list):
             raise ConfigError("cases", "must be a list")
+        for unread in ("identities", "configs_per_identity"):
+            if unread in cfg:
+                raise ConfigError(unread, "not read when cases are given")
         for i, case in enumerate(explicit):
             yield _audit_case(i, case, n)
         return
@@ -151,10 +166,16 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
     if oracle not in ("auto", "mc", "quad"):
         raise ConfigError("oracle", f"must be auto/mc/quad, got {oracle!r}")
 
+    cases = list(_audit_cases(cfg, n, seed))  # every case checked up front
+    for ident, cn, _, _ in cases:
+        if oracle == "quad" and not quad_supported(ident, cn):
+            raise ConfigError("oracle", f"quadrature does not reach {ident} "
+                                        f"at n = {cn}")
+
     rows, details = [], []
     inconclusive = 0
     findings = 0
-    for i, (ident, cn, params, point) in enumerate(_audit_cases(cfg, n, seed)):
+    for i, (ident, cn, params, point) in enumerate(cases):
         rec = verify_identity(ident, params, point, budget=budget,
                               seed=seed + 977 * i, method=oracle)
         rows.append(audit_row(rec))
@@ -278,6 +299,10 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("coordinates",
                           f"must be a list of indices in 0..{n - 1}, got {coords!r}")
     tf = make_test_function(n, l, r, base)
+    try:  # the ranges do not depend on R: one check covers the grid
+        check_norm_ranges(params, tf)
+    except ConvergenceDomainError as exc:
+        raise ConfigError("l/r", str(exc)) from None
     report = scaling_experiment(params, tf, grid, budget, seed,
                                 coordinates=coords)
 
@@ -315,11 +340,17 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-# per subcommand: its function and the config fields it takes as flags
-COMMANDS = {"audit": (cmd_audit, ("seed", "budget", "n")),
-            "classify": (cmd_classify, ()),
-            "witness": (cmd_witness, ()),
-            "scaling": (cmd_scaling, ("seed", "budget"))}
+# per subcommand: its function, the config fields it also takes as flags,
+# and every top-level config key it reads
+COMMANDS = {
+    "audit": (cmd_audit, ("seed", "budget", "n"),
+              ("n", "seed", "budget", "oracle", "cases", "identities",
+               "configs_per_identity")),
+    "classify": (cmd_classify, (), ("parameter_sets",)),
+    "witness": (cmd_witness, (), ("parameter_sets",)),
+    "scaling": (cmd_scaling, ("seed", "budget"),
+                ("params", "l", "r", "R_base", "R_grid", "budget", "seed",
+                 "coordinates"))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="audit cone-tube integral identities, classify operator "
                     "parameters, construct Schur witnesses, fit norm slopes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name, (_, flags, _) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         for flag in flags:
@@ -340,9 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fn, flags = COMMANDS[args.command]
+    fn, flags, keys = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
+        _known(cfg, "", keys)
         for field in flags:
             value = getattr(args, field)
             if value is not None:

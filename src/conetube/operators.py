@@ -112,6 +112,8 @@ class TestFunctionFR:
 
 def make_test_function(n: int, l_plain, r_plain, R) -> TestFunctionFR:
     from .indices import shift_index
+    if any(np.shape(np.atleast_1d(v)) != (n,) for v in (l_plain, r_plain, R)):
+        raise InvalidInputError(f"l, r and R must have length n = {n}")
     return TestFunctionFR(shift_index(MultiIndex(tuple(np.atleast_1d(l_plain)))),
                           shift_index(MultiIndex(tuple(np.atleast_1d(r_plain)))),
                           tuple(np.atleast_1d(R)))
@@ -311,6 +313,20 @@ def f_R_norm_closed(params: ParameterSet, tf: TestFunctionFR,
     e = f_R_norm_exponents(params, tf)
     return FRNormClosed(exponents=tuple(e), log_constant_p=math.log(cst) / p,
                         constant_stated=cst ** (1.0 / p))
+
+
+def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
+    """Raise ConvergenceDomainError unless both norms of the experiment are
+    finite: f_R's (L27 at (p l + alpha, p r)), the closed image's (L26 at
+    the image parameters) and the image's q-norm (L27 at the derived pair
+    of :func:`image_norm_conditions`)."""
+    n, q = params.n, params.q
+    f_R_norm_closed(params, tf)
+    check_params("L26", n, _image_params(params, tf))
+    check_params("L27", n, {
+        "l": q * params.vec("a") + params.vec("beta"),
+        "r": q * (tf.r_plain() + params.vec("c") - tf.l_plain()
+                  - params.vec("b") - (n + 1.0))})
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,7 @@ class AuditRecord:
     status: str
     scaling: list = field(default_factory=list)
     scaling_pass: bool | None = None
-    region: str = "cone"
+    region: str = "cone"  # the domain integrated: cone, slice, tube or dual
 
 
 def _scaling_seed(seed: int, lam: float) -> int:
@@ -516,7 +516,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     record = AuditRecord(identity=identity_id, n=n, params=p, point=point,
                          lhs=lhs, rhs_stated=rhs, structure=struct,
                          fitted_constant=fitted, z_score=float(z), status="",
-                         region=region)
+                         region=ident.domain if region == "cone" else region)
     if sigma > 0.25 * scale and scale > 0:
         record.status = INCONCLUSIVE
         return record

@@ -18,7 +18,7 @@ import numpy as np
 
 from .identities import get_identity
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 AUDIT_COLUMNS = ("identity", "n", "params_json", "point_json", "lhs",
                  "lhs_stderr", "rhs", "z_score", "scaling_pass", "status")
@@ -27,8 +27,8 @@ SCALING_COLUMNS = ("coordinate", "R", "f_norm", "f_sigma", "Tf_norm", "Tf_sigma"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, complex):
-        return repr(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return repr(complex(value))  # parses back with complex()
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)

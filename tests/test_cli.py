@@ -28,18 +28,25 @@ class TestAudit:
         code = run(["audit", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         lines = (tmp_path / "out" / "audit.csv").read_text().splitlines()
-        assert lines[0] == "# schema_version=1"
+        assert lines[0] == "# schema_version=2"
         rows = list(csv.reader(lines[1:]))
         assert tuple(rows[0]) == AUDIT_COLUMNS
         statuses = {r[-1] for r in rows[1:]}
         assert statuses <= {"CONFIRMED", "EXPONENT_CONFIRMED_CONSTANT_MISMATCH"}
+        # every value cell parses, the complex ones included
+        cells = [r[k] for r in rows[1:] for k in (4, 6)]  # lhs, rhs
+        assert any("j" in cell for cell in cells)
+        for cell in cells:
+            complex(cell)
         details = json.loads((tmp_path / "out" / "audit_details.json")
                              .read_text())
-        assert details["schema_version"] == 1
+        assert details["schema_version"] == 2
         assert details["summary"]["rows"] == 8
-        # dual-region companions recorded for the two kernel identities
-        regions = {d["region"] for d in details["records"]}
-        assert regions == {"cone", "dual"}
+        # each row names the domain it integrated; dual-region companions
+        # are recorded for the two kernel identities
+        regions = {(d["identity"], d["region"]) for d in details["records"]}
+        assert regions == {(i, get_identity(i).domain) for i in IDENTITY_IDS} \
+            | {("L23_2", "dual"), ("COR1_2", "dual")}
         assert (tmp_path / "out" / "run_meta.json").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -239,15 +246,41 @@ class TestBadConfigs:
         ("audit", {"identity": "L27", "n": 1,
                    "params": {"l": [0.2], "r": [0.5]},
                    "point": {"x": [0.0], "y": [1.0]}}, "cases[0].params"),
+        # the f_R norm is infinite: r - l > n + 1 fails
+        ("scaling", {"params": {"n": 1, "p": 2, "q": 2, "alpha": [0],
+                                "beta": [0], "a": [0], "b": [0], "c": [2]},
+                     "l": [0.5], "r": [1.2], "R_grid": [1, 2, 4],
+                     "budget": 100_000, "seed": 5}, "l/r"),
+        # the image norm is infinite: c + r - l > n + 1 (L26) fails
+        ("scaling", {"params": {"n": 1, "p": 2, "q": 2, "alpha": [0],
+                                "beta": [0], "a": [0], "b": [0], "c": [0.5]},
+                     "l": [0.5], "r": [2.0]}, "l/r"),
+        ("audit", {"n": 1, "budjet": 10}, "budjet"),
+        ("audit", {"identity": "L24", "n": 1, "params": {"r": [3.0], "eta": [1.0]},
+                   "point": {"b": [1.0]}, "seed": 3}, "cases[0].seed"),
+        ("audit", {"identities": ["L24"], "cases": []}, "identities"),
+        ("classify", {"gamma": [0, 0]}, "parameter_sets[0].gamma"),
+        ("scaling", {"params": {"n": 2, "p": 2, "q": 2, "alpha": [0, 0],
+                                "beta": [0, 0], "a": [0, 0], "b": [0, 0],
+                                "c": [3, 3], "d": [0, 0]}}, "params.d"),
+        ("scaling", {"R_gird": [1, 2]}, "R_gird"),
+        ("audit", {"identity": "L24", "n": float("inf"),
+                   "params": {"r": [3.0], "eta": [1.0]},
+                   "point": {"b": [1.0]}}, "cases[0].n"),
+        ("classify", {"alpha": [10**400, 0]}, "parameter_sets[0].alpha"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
-            "R_grid-negative", "case-outside-range"])
+            "R_grid-negative", "case-outside-range", "f-norm-infinite",
+            "image-norm-infinite", "unknown-top-key", "unknown-case-key",
+            "identities-beside-cases", "unknown-parameter-key",
+            "unknown-params-key", "unknown-scaling-key", "infinite-case-order",
+            "vector-entry-beyond-float"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
                 "a": [0, 0], "b": [0, 0], "c": [3, 3]}
         if command == "audit":
-            payload = {"cases": [patch]}
+            payload = {"cases": [patch]} if "identity" in patch else patch
         elif command == "scaling":
             payload = {"params": sets, "l": [2, 2], "r": [4, 4],
                        "budget": 1000, **patch}
@@ -257,6 +290,7 @@ class TestBadConfigs:
         assert run([command, "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("*"))  # no report written
 
     @pytest.mark.parametrize("command, flag", [
         ("classify", "--seed"), ("classify", "--budget"), ("classify", "--n"),

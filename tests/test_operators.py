@@ -38,6 +38,14 @@ class TestParameterSet:
             ParameterSet(n=2, p=2.0, q=2.0, alpha=(0,), beta=(0, 0),
                          a=(0, 0), b=(0, 0), c=(3, 3))
 
+    @pytest.mark.parametrize("n, l, r, R", [
+        (5, [2], [4], [1]), (2, [2, 2], [4, 4, 4], [1, 1]),
+        (2, [2, 2], [4, 4], [1]), (2, 2, 4, 1)])
+    def test_test_function_lengths_match_n(self, n, l, r, R):
+        with pytest.raises(InvalidInputError, match="length n"):
+            make_test_function(n, l, r, R)
+        assert make_test_function(1, 2, 4, 1).n == 1
+
 
 class TestAdmissibleLR:
     def test_worked_set_all_strict(self, worked_params):
