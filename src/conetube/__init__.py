@@ -6,7 +6,6 @@ from .boundedness import (ClassificationResult, SchurWitness, classify,
                           random_sufficient_params, schur_numeric_check,
                           schur_witness, theorem1_necessary,
                           theorem2_sufficient)
-from .constants import AuditReport, audit_constant_identities
 from .errors import (AccuracyError, BranchCutError, ConeDomainError,
                      ConetubeError, ConfigError, ConvergenceDomainError,
                      ConventionError, InfeasibleError, InvalidInputError,

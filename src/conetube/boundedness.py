@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, WitnessConstructionError
-from .identities import _log_unchecked_power, _shifted_index, random_tube_point
+from .geometry import log_delta_power
+from .identities import _shifted_index, random_tube_point
 from .indices import bold_values
 from .oracle import oracle_estimate
 from .operators import ParameterSet, necessary_exponent_condition
@@ -178,8 +179,10 @@ class SchurWitness:
 def t_interval(params: ParameterSet) -> tuple[float, float]:
     n, p, q = params.n, params.p, params.q
     c = params.vec("c")
-    lo = float(np.max(n / c - n / (p * c)))
-    hi = float(np.min(1.0 - n / (q * c)))
+    # a zero c_j leaves the interval undefined: NaN or infinite endpoints
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = float(np.max(n / c - n / (p * c)))
+        hi = float(np.min(1.0 - n / (q * c)))
     return lo, hi
 
 
@@ -324,8 +327,8 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
                 "L27", {"l": _shifted_index(weight, n, "l"),
                         "r": _shifted_index(kernel, n, "r")},
                 z, budget, seed + 101 * i + offset, method="mc")
-            outer = math.exp(float(_log_unchecked_power(z.y, outer_e)))
-            phi = math.exp(float(_log_unchecked_power(z.y, phi_e)))
+            outer = math.exp(float(log_delta_power(z.y, outer_e)))
+            phi = math.exp(float(log_delta_power(z.y, phi_e)))
             ratios[k].append(outer * est.value / phi)
             sigmas[k].append(outer * est.std_error / phi)
 

@@ -66,6 +66,14 @@ def _get(cfg: dict, field: str, default, kind, positive: bool = False,
     return value
 
 
+def _budget(cfg: dict) -> int:
+    """The Monte Carlo sample count; an error bar needs two samples."""
+    budget = _get(cfg, "budget", 200_000, int)
+    if budget < 2:
+        raise ConfigError("budget", f"must be at least 2, got {budget}")
+    return budget
+
+
 def _known(obj: dict, where: str, keys) -> None:
     """Reject the keys of ``obj`` that its reader does not use."""
     unknown = sorted(set(obj) - set(keys))
@@ -161,7 +169,7 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
     if n not in (1, 2, 3):
         raise ConfigError("n", f"supported orders are 1, 2, 3; got {n}")
     seed = _get(cfg, "seed", 0, int)
-    budget = _get(cfg, "budget", 200_000, int, positive=True)
+    budget = _budget(cfg)
     oracle = cfg.get("oracle", "auto")
     if oracle not in ("auto", "mc", "quad"):
         raise ConfigError("oracle", f"must be auto/mc/quad, got {oracle!r}")
@@ -290,7 +298,7 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
     grid = _parse("R_grid", lambda: [float(x) for x in grid])
     if not all(x > 0 for x in grid):
         raise ConfigError("R_grid", f"grid points must be positive, got {grid}")
-    budget = _get(cfg, "budget", 200_000, int, positive=True)
+    budget = _budget(cfg)
     seed = _get(cfg, "seed", 0, int)
     coords = cfg.get("coordinates")
     if coords is not None and not (

@@ -135,6 +135,25 @@ def require_cone(x) -> np.ndarray:
     return arr
 
 
+def log_delta_power(coords: np.ndarray, s: np.ndarray,
+                    d: np.ndarray | None = None) -> np.ndarray:
+    """log of delta_power for batch coordinates known to be interior.
+
+    No domain or length check.  Pass the exact Schur coordinate ``d`` when
+    available; recomputing it from assembled coordinates cancels
+    catastrophically at large borders.
+    """
+    n = order_from_dim(coords.shape[-1])
+    if d is None:
+        d = schur_complement(coords)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = s[-1] * np.log(d) if s[-1] != 0.0 else np.zeros(np.shape(d))
+        if n > 1:
+            out = out + np.sum(s[: n - 1] * np.log(coords[..., : n - 1]),
+                               axis=-1)
+    return out
+
+
 def delta_power(y, s) -> np.ndarray | float:
     """Minor power function: prod_{j<n} y_j^{s_j} * D(y)^{s_n}.
 
@@ -146,11 +165,7 @@ def delta_power(y, s) -> np.ndarray | float:
     ent = _entries(s)
     if ent.shape != (n,):
         raise InvalidInputError(f"exponent vector must have length {n}, got {ent.shape}")
-    d = schur_complement(arr)
-    logval = ent[-1] * np.log(d)
-    if n > 1:
-        logval = logval + np.sum(ent[: n - 1] * np.log(arr[..., : n - 1]), axis=-1)
-    out = np.exp(logval)
+    out = np.exp(log_delta_power(arr, ent))
     return float(out) if np.ndim(out) == 0 else out
 
 

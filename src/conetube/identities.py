@@ -33,8 +33,9 @@ from . import constants as C
 from .errors import InvalidInputError
 from .geometry import (TubePoint, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
-                       delta_transform_parts, minor_exponents, order_from_dim,
-                       require_cone, schur_complement, schur_real_part)
+                       delta_transform_parts, log_delta_power, minor_exponents,
+                       order_from_dim, require_cone, schur_complement,
+                       schur_real_part)
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       require_convention)
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
@@ -55,25 +56,6 @@ def _tube(point) -> TubePoint:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
-
-
-def _log_unchecked_power(coords: np.ndarray, entries: np.ndarray,
-                         d: np.ndarray | None = None) -> np.ndarray:
-    """log of the minor power for batch cone coords known to be interior.
-
-    Pass the exact Schur coordinate ``d`` when available; recomputing it
-    from assembled coordinates cancels catastrophically at large borders.
-    """
-    n = order_from_dim(coords.shape[-1])
-    if d is None:
-        d = schur_complement(coords)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = entries[-1] * np.log(d) if entries[-1] != 0.0 \
-            else np.zeros(np.shape(d))
-        if n > 1:
-            out = out + np.sum(entries[: n - 1] * np.log(coords[..., : n - 1]),
-                               axis=-1)
-    return out
 
 
 def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -111,12 +93,12 @@ def _structure_L24(n, r, eta, b):
     expo = eta - bold_values(r, n)
     expo = expo + (n + 1.0) / 2.0
     bb = np.asarray(b, dtype=float)
-    return float(np.exp(_log_unchecked_power(bb, expo)))
+    return float(np.exp(log_delta_power(bb, expo)))
 
 
 def _structure_L25(n, r, v):
     expo = -bold_values(r, n) + (n + 1.0) / 2.0
-    return float(np.exp(_log_unchecked_power(np.asarray(v, dtype=float), expo)))
+    return float(np.exp(log_delta_power(np.asarray(v, dtype=float), expo)))
 
 
 def _zeta_diff(z: TubePoint, xi: TubePoint) -> np.ndarray:
@@ -133,7 +115,7 @@ def _structure_L26(n, l, r, eta, z: TubePoint, xi: TubePoint):
 
 def _structure_L27(n, l, r, z: TubePoint):
     expo = (l - r) + (n + 1.0)
-    return float(np.exp(_log_unchecked_power(z.y, expo)))
+    return float(np.exp(log_delta_power(z.y, expo)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +306,7 @@ def _laplace_integrand(n, s, t, shifted):
 
     def f(ycoords, d=None):
         return np.exp(-FOUR_PI * _dot(ycoords, t)
-                      + _log_unchecked_power(ycoords, ent, d))
+                      + log_delta_power(ycoords, ent, d))
     return f
 
 
@@ -438,8 +420,8 @@ def _L24_integrand(n, r, eta, b):
     rb, eb = bold_values(r, n), bold_values(eta, n)
 
     def f(ycoords, d=None):
-        return np.exp(_log_unchecked_power(ycoords + b, -rb)
-                      + _log_unchecked_power(ycoords, eb, d))
+        return np.exp(log_delta_power(ycoords + b, -rb)
+                      + log_delta_power(ycoords, eb, d))
     return f
 
 
@@ -580,7 +562,7 @@ def _L26_integrand(n, l, r, eta, point):
         zeta2 = (v + yxi) - 1j * (u - xxi)   # (w - conj(xi))/i
         kern = (complex_power_from_minors(complex_minors(zeta1), er)
                 * complex_power_from_minors(complex_minors(zeta2), ee))
-        return np.exp(_log_unchecked_power(v, lb)) * kern
+        return np.exp(log_delta_power(v, lb)) * kern
     return f
 
 
@@ -662,7 +644,7 @@ def _L27_integrand(n, l, r, z: TubePoint):
 
     def f(u, v):
         zeta = (yz + v) - 1j * (xz - u)
-        return np.exp(_log_unchecked_power(v, lb)) * _abs_complex_power(zeta, -rb)
+        return np.exp(log_delta_power(v, lb)) * _abs_complex_power(zeta, -rb)
     return f
 
 

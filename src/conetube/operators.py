@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
-                       minor_exponents)
-from .identities import (_log_unchecked_power, _shifted_index, check_params,
-                         closed_value, get_identity, tube_proposal)
+                       log_delta_power, minor_exponents)
+from .identities import (_shifted_index, check_params, closed_value,
+                         get_identity, tube_proposal)
 from .indices import Convention, MultiIndex, bold_values, plain_values
 from .oracle import (IntegralEstimate, mc_integrate_cone,
                      mc_integrate_tube)
@@ -258,7 +258,7 @@ def _f_R_batch(tf: TestFunctionFR):
 
     def f(x, v):
         zeta = (v + Remb) - 1j * x
-        return (np.exp(_log_unchecked_power(v, lb))
+        return (np.exp(log_delta_power(v, lb))
                 / complex_power_from_minors(complex_minors(zeta),
                                             minor_exponents(rb)))
     return f
@@ -276,7 +276,7 @@ def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
     tube identity at xi = iR."""
     n = params.n
     xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
-    a_part = math.exp(float(_log_unchecked_power(
+    a_part = math.exp(float(log_delta_power(
         z.y, bold_values(params.vec("a"), n))))
     return complex(a_part * closed_value("L26", _image_params(params, tf),
                                          (z, xi), constant))
@@ -414,14 +414,14 @@ def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
     """
     n = params.n
     spec = _image_proposal(z, params, tf)
-    outer = math.exp(float(_log_unchecked_power(z.y, outer_bold)))
+    outer = math.exp(float(log_delta_power(z.y, outer_bold)))
     ec = minor_exponents(bold_values(params.vec("c"), n))
     xz, yz = z.x, z.y
 
     def integrand(x, v):
         zeta = (yz + v) - 1j * (xz - x)
         kern = complex_power_from_minors(complex_minors(zeta), ec)
-        return np.exp(_log_unchecked_power(v, inner_bold)) * f(x, v) / kern
+        return np.exp(log_delta_power(v, inner_bold)) * f(x, v) / kern
 
     est = mc_integrate_tube(integrand, spec, budget, seed)
     return dataclasses.replace(est, value=outer * est.value,

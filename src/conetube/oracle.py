@@ -96,17 +96,25 @@ def _mc_reduce(partials, count, method):
                             samples=count, method=method, nonfinite=bad)
 
 
-def _mc_run(draw_and_eval, count: int, seed: int, method: str) -> IntegralEstimate:
-    if count < 1:
-        raise InvalidInputError("sample count must be >= 1")
+def _mc_run(sample, integrand, spec: SamplerSpec, count: int, seed: int,
+            method: str) -> IntegralEstimate:
+    """Draw ``count`` points by ``sample``, weight the integrand at them."""
+    if count < 2:
+        raise InvalidInputError(
+            f"sample count must be at least 2 for an error bar, got {count}")
     n_chunks = (count + CHUNK - 1) // CHUNK
     sizes = [CHUNK] * (n_chunks - 1) + [count - CHUNK * (n_chunks - 1)]
+
+    def weighted(size, rng):
+        # the draws are freed on return, before the chunk is reduced
+        *args, logpdf = sample(spec, size, rng)
+        return integrand(*args) * np.exp(-logpdf)
 
     def work(k):
         rng = _chunk_rng(seed, k)
         # non-finite values are counted and zeroed below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            vals = draw_and_eval(sizes[k], rng)
+            vals = weighted(sizes[k], rng)
         finite = np.isfinite(vals)
         bad = int(vals.shape[0] - np.count_nonzero(finite))
         if bad:
@@ -124,35 +132,20 @@ def _mc_run(draw_and_eval, count: int, seed: int, method: str) -> IntegralEstima
 
 def mc_integrate_cone(integrand, spec: SamplerSpec, count: int,
                       seed: int) -> IntegralEstimate:
-    """Importance-sampling estimate of a cone integral."""
-
-    def draw_and_eval(size, rng):
-        coords, d, logpdf = sample_cone(spec, size, rng)
-        return integrand(coords, d) * np.exp(-logpdf)
-
-    return _mc_run(draw_and_eval, count, seed, "MC_CONE")
+    """Importance-sampling estimate of a cone integral; integrand f(coords, d)."""
+    return _mc_run(sample_cone, integrand, spec, count, seed, "MC_CONE")
 
 
 def mc_integrate_tube(integrand, spec: SamplerSpec, count: int,
                       seed: int) -> IntegralEstimate:
     """Importance-sampling estimate of a tube integral; integrand f(x, v)."""
-
-    def draw_and_eval(size, rng):
-        x, v, logpdf = sample_tube(spec, size, rng)
-        return integrand(x, v) * np.exp(-logpdf)
-
-    return _mc_run(draw_and_eval, count, seed, "MC_TUBE")
+    return _mc_run(sample_tube, integrand, spec, count, seed, "MC_TUBE")
 
 
 def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
                        seed: int) -> IntegralEstimate:
     """Importance-sampling estimate over a horizontal slice; integrand f(u)."""
-
-    def draw_and_eval(size, rng):
-        x, logpdf = sample_slice(spec, size, rng)
-        return integrand(x) * np.exp(-logpdf)
-
-    return _mc_run(draw_and_eval, count, seed, "MC_SLICE")
+    return _mc_run(sample_slice, integrand, spec, count, seed, "MC_SLICE")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +312,8 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         raise InvalidInputError(
             f"quadrature supports cone/slice domains at n <= 2 and tube at n = 1; "
             f"{identity_id} at n = {n} is out of reach")
+    # a divergent integral has no quadrature; Monte Carlo takes any params
+    check_params(identity_id, n, params)
     p = _params_arrays(n, params)
     f = _lhs_integrand(identity_id, n, p, point, region)
     cplx = ident.complex_valued
@@ -412,12 +407,10 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
         raise InvalidInputError(f"unknown oracle method {method!r}")
     p = _params_arrays(n, params)
     f = _lhs_integrand(identity_id, n, p, point, region)
-    spec = ident.sampler(n, p, point)
-    if ident.domain == "cone":
-        return mc_integrate_cone(f, spec, budget, seed)
-    if ident.domain == "slice":
-        return mc_integrate_slice(f, spec, budget, seed)
-    return mc_integrate_tube(f, spec, budget, seed)
+    # built per call, so the entry points are looked up when it runs
+    mc = {"cone": mc_integrate_cone, "slice": mc_integrate_slice,
+          "tube": mc_integrate_tube}[ident.domain]
+    return mc(f, ident.sampler(n, p, point), budget, seed)
 
 
 _CALIBRATION_CACHE: dict = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from pathlib import Path
 
@@ -42,9 +43,11 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # JSON (RFC 8259) has no NaN or Infinity
     return obj
 
 

@@ -206,6 +206,24 @@ class TestClassifyWitness:
         assert good["ok"] and good["t"] == pytest.approx(0.5)
         assert not bad["ok"]
 
+    def test_undefined_interval_written_as_null(self, tmp_path, capsys):
+        # c = 0 leaves the t-interval undefined; the file stays valid JSON
+        # and nothing is warned on stderr
+        cfg = write_cfg(tmp_path, "c0.json", {"parameter_sets": [
+            {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
+             "a": [0, 0], "b": [0, 0], "c": [0, 0]}]})
+        assert run(["witness", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = (tmp_path / "out" / "witnesses.json").read_text()
+        entry = json.loads(text, parse_constant=reject)["witnesses"][0]
+        assert entry["t_interval"] == [None, None]
+        assert not entry["ok"] and entry["error"]
+
 
 class TestScaling:
     def test_csv_shape_and_slopes(self, tmp_path):
@@ -268,13 +286,17 @@ class TestBadConfigs:
                    "params": {"r": [3.0], "eta": [1.0]},
                    "point": {"b": [1.0]}}, "cases[0].n"),
         ("classify", {"alpha": [10**400, 0]}, "parameter_sets[0].alpha"),
+        # one sample gives no error bar
+        ("audit", {"n": 2, "budget": 1, "oracle": "mc"}, "budget"),
+        ("scaling", {"budget": 1}, "budget"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
             "image-norm-infinite", "unknown-top-key", "unknown-case-key",
             "identities-beside-cases", "unknown-parameter-key",
             "unknown-params-key", "unknown-scaling-key", "infinite-case-order",
-            "vector-entry-beyond-float"])
+            "vector-entry-beyond-float", "audit-budget-one",
+            "scaling-budget-one"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],

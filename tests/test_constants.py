@@ -4,8 +4,56 @@ import numpy as np
 import pytest
 
 from conetube import constants as C
-from conetube.constants import audit_constant_identities
 from conetube.errors import ConvergenceDomainError
+
+
+# direct (non-log) Gamma-function evaluation: the reference for C1-C4, and
+# through products of these, for the composites C5-C8
+
+def c1_direct(n: int, s) -> float:
+    v = np.asarray(s, dtype=float)
+    num = math.gamma(v[-1] + 1.0)
+    for j in range(n - 1):
+        num *= math.gamma(v[j] + 1.5)
+    return num / (2.0 ** (2.0 * v[-1] + n + 1.0)
+                  * math.pi ** (float(np.sum(v)) + (3.0 * n - 1.0) / 2.0))
+
+
+def c3_direct(n: int, s) -> float:
+    v = np.asarray(s, dtype=float)
+    num = math.gamma(v[-1] + 1.0)
+    for j in range(n - 1):
+        num *= math.gamma(v[j] + (n + 1.0) / 2.0)
+    return num / (2.0 ** (2.0 * v[-1] + n + 1.0)
+                  * math.pi ** (float(np.sum(v)) + (n * n + 1.0) / 2.0))
+
+
+def c2_direct(n: int, s) -> float:
+    v = np.asarray(s, dtype=float)
+    out = 2.0 ** (float(np.sum(v)) + n - 1.0) * math.pi ** (1.0 - 2.0 * n)
+    out *= math.gamma(v[-1] + n + 1.0) / math.gamma(v[-1] + 1.0)
+    for j in range(n - 1):
+        out *= math.gamma(v[j] + 2.5) / math.gamma(v[j] + 1.5)
+    return out
+
+
+def c4_direct(n: int, s) -> float:
+    v = np.asarray(s, dtype=float)
+    out = 2.0 ** (float(np.sum(v)) + n * (n - 1.0) / 2.0) * math.pi ** (1.0 - 2.0 * n)
+    out *= math.gamma(v[-1] + n + 1.0) / math.gamma(v[-1] + 1.0)
+    for j in range(n - 1):
+        out *= math.gamma(v[j] + (n + 3.0) / 2.0) / math.gamma(v[j] + (n + 1.0) / 2.0)
+    return out
+
+
+def _draw(rng, n, head, last):
+    """Entries j < n uniform on ``head``, entry n uniform on ``last``."""
+    return np.concatenate([rng.uniform(*head, size=n - 1),
+                           rng.uniform(*last, size=1)])
+
+
+def _in_range(checks) -> bool:
+    return all(ok for ok, _ in checks)
 
 
 class TestValues:
@@ -82,12 +130,12 @@ class TestLogVsDirect:
             for _ in range(200):
                 s = np.concatenate([rng.uniform(-1.2, 3, size=n - 1),
                                     rng.uniform(-0.9, 3, size=1)])
-                assert C.c1(n, s) == pytest.approx(C.c1_direct(n, s), rel=1e-12)
-                assert C.c2(n, s) == pytest.approx(C.c2_direct(n, s), rel=1e-12)
+                assert C.c1(n, s) == pytest.approx(c1_direct(n, s), rel=1e-12)
+                assert C.c2(n, s) == pytest.approx(c2_direct(n, s), rel=1e-12)
                 s3 = np.concatenate([rng.uniform(-(n + 1) / 2 + 0.2, 3, size=n - 1),
                                      rng.uniform(-0.9, 3, size=1)])
-                assert C.c3(n, s3) == pytest.approx(C.c3_direct(n, s3), rel=1e-12)
-                assert C.c4(n, s3) == pytest.approx(C.c4_direct(n, s3), rel=1e-12)
+                assert C.c3(n, s3) == pytest.approx(c3_direct(n, s3), rel=1e-12)
+                assert C.c4(n, s3) == pytest.approx(c4_direct(n, s3), rel=1e-12)
 
 
 class TestShiftDegeneracy:
@@ -97,13 +145,43 @@ class TestShiftDegeneracy:
             assert C.c1(2, s) == C.c3(2, s)
 
 
-class TestCompositionAudit:
-    def test_audit_passes(self):
+class TestCompositesVsDirect:
+    def test_composites_match_direct_products(self, rng):
+        # each composite against its defining product of direct references,
+        # so a change to a composite formula fails here
         for n in (1, 2, 3):
-            report = audit_constant_identities(n, trials=120, seed=7)
-            assert report.passed, report.mismatches
+            for _ in range(100):
+                eta = _draw(rng, n, (-(n + 1) / 2 + 0.3, 2.0), (-0.7, 2.0))
+                r = eta + _draw(rng, n, (n + 0.3, n + 3.0),
+                                ((n + 1) / 2 + 0.3, n + 3.0))
+                assert _in_range(C.c5_range(n, r, eta))
+                assert C.c5(n, r, eta) == pytest.approx(
+                    c4_direct(n, eta) * c4_direct(n, r - eta) / c4_direct(n, r),
+                    rel=1e-12)
 
-    def test_zero_shift_entry_present(self):
-        report = audit_constant_identities(2, trials=50, seed=3)
-        names = [e["check"] for e in report.entries]
-        assert "C1 == C3 at n=2 (zero shift)" in names
+                r6 = _draw(rng, n, (1.6, 5.0), ((n + 1) / 2 + 0.1, 5.0))
+                c6_ref = (2.0 ** (2 * n - 1 - np.sum(r6)) * c4_direct(n, r6)
+                          / c4_direct(n, r6 / 2))
+                assert C.c6(n, r6) == pytest.approx(c6_ref, rel=1e-12)
+
+                l8 = _draw(rng, n, (-(n + 1) / 2 + 0.3, 1.5), (-0.7, 1.5))
+                r8 = l8 + _draw(rng, n, ((3 * n + 1) / 2 + 0.3, 3 * n + 2.0),
+                                (n + 1.3, 3 * n + 2.0))
+                assert _in_range(C.c8_range(n, l8, r8))
+                c8_ref = (2.0 ** (2 * n - 1 - np.sum(r8)) * c4_direct(n, r8)
+                          / c4_direct(n, r8 / 2)
+                          * c4_direct(n, l8) * c4_direct(n, r8 - l8)
+                          / c4_direct(n, r8))
+                assert C.c8(n, l8, r8) == pytest.approx(c8_ref, rel=1e-12)
+
+            checked = 0
+            while checked < 100:
+                l7 = _draw(rng, n, (-(n + 1) / 2 + 0.1, 2.0), (-0.9, 2.0))
+                r7 = _draw(rng, n, ((n - 1) / 2 + 0.1, n + 3.0), (0.1, n + 3.0))
+                eta7 = _draw(rng, n, (n + 0.1, n + 3.0), ((n + 1) / 2 + 0.1, n + 3.0))
+                if not _in_range(C.c7_range(n, l7, r7, eta7)):
+                    continue
+                checked += 1
+                c7_ref = (c3_direct(n, l7) * c4_direct(n, r7 + l7 - eta7)
+                          / (c4_direct(n, r7) * c4_direct(n, eta7)))
+                assert C.c7(n, l7, r7, eta7) == pytest.approx(c7_ref, rel=1e-12)

@@ -344,8 +344,8 @@ class TestRegistry:
     def test_operator_modules_import_no_identity_builders(self):
         # the operator lab and the Schur check compute every lemma through
         # its registry entry; of the private helpers they may use only the
-        # two that belong to no single identity
-        allowed = {"_log_unchecked_power", "_shifted_index"}
+        # one that belongs to no single identity
+        allowed = {"_shifted_index"}
         root = Path(conetube.__file__).parent
         for name in ("operators.py", "boundedness.py"):
             tree = ast.parse((root / name).read_text())

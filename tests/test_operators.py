@@ -246,8 +246,7 @@ class TestDual:
         c_b = bold_values(params.vec("c"), n)
         from conetube.geometry import (complex_minors,
                                        complex_power_from_minors,
-                                       minor_exponents)
-        from conetube.identities import _log_unchecked_power
+                                       log_delta_power, minor_exponents)
         from conetube.oracle import mc_integrate_tube
         from conetube.identities import tube_proposal
         w_b = b_b + tff.l.values
@@ -264,8 +263,8 @@ class TestDual:
                 xw, vw = x[half:2 * half], v[half:2 * half]
                 zeta = (yz + vw) - 1j * (xz - xw)
                 kern = complex_power_from_minors(complex_minors(zeta), ec)
-                val = (np.exp(_log_unchecked_power(yz, a_b + be_b)
-                              + _log_unchecked_power(vw, b_b))
+                val = (np.exp(log_delta_power(yz, a_b + be_b)
+                              + log_delta_power(vw, b_b))
                        * ff(xw, vw) * np.conj(gg(xz, yz)) / kern)
                 out = np.zeros(x.shape[0], dtype=complex)
                 # compensate the doubled density of the pair (z, w)

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conetube.errors import (AccuracyError, InvalidInputError,
-                             OracleRejectedError)
+from conetube.errors import (AccuracyError, ConvergenceDomainError,
+                             InvalidInputError, OracleRejectedError)
 from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
                                  structure_value, _params_arrays)
@@ -135,6 +135,11 @@ class TestMonteCarlo:
         est = mc_integrate_cone(bad(0.0004), GAMMA_SPEC_1D, 100_000, seed=3)
         assert est.nonfinite > 0
 
+    def test_one_sample_refused(self):
+        # a standard error needs at least two samples
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            mc_integrate_cone(lambda coords, d: d, GAMMA_SPEC_1D, 1, seed=0)
+
     def test_nonfinite_counted_without_warning(self):
         # inf * 0 raises "invalid value" inside the integrand; the driver
         # counts and zeroes the NaNs instead of leaking the warning
@@ -259,6 +264,12 @@ class TestQuadrature:
         # diverges for r_1 <= 2: the mass of a finite window is no estimate
         with pytest.raises(AccuracyError, match="diverges"):
             quad_iterated("L25", {"r": [1.9, 3.0]}, np.array([1.0, 1, 0]))
+
+    def test_l25_n1_out_of_range_refused(self):
+        # r = 15/16 fails r > (n+1)/2: the integral diverges, and quadrature
+        # refuses it instead of returning a finite number
+        with pytest.raises(ConvergenceDomainError):
+            quad_iterated("L25", {"r": [0.9375]}, np.array([1.0]))
 
 
 class TestTensorPass:
