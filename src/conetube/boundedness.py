@@ -179,8 +179,8 @@ class SchurWitness:
 def t_interval(params: ParameterSet) -> tuple[float, float]:
     n, p, q = params.n, params.p, params.q
     c = params.vec("c")
-    # a zero c_j leaves the interval undefined: NaN or infinite endpoints
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or tiny c_j leaves the interval undefined: NaN or infinite ends
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lo = float(np.max(n / c - n / (p * c)))
         hi = float(np.min(1.0 - n / (q * c)))
     return lo, hi

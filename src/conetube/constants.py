@@ -31,18 +31,11 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConvergenceDomainError, InvalidInputError
+from .errors import ConvergenceDomainError
 from .indices import plain_values
 
 LOG2 = math.log(2.0)
 LOGPI = math.log(math.pi)
-
-
-def _vec(s, n=None) -> np.ndarray:
-    v = plain_values(s, n)
-    if n is not None and v.shape != (n,):
-        raise InvalidInputError(f"index must have length {n}")
-    return v
 
 
 def _check(violations) -> None:
@@ -68,7 +61,7 @@ def _poch_ratio(x: float, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def c1_range(n: int, s) -> list:
-    v = _vec(s, n)
+    v = plain_values(s, n)
     checks = [(v[-1] > -1.0, f"s[{n}] > -1 (got {v[-1]})")]
     checks += [(v[j] > -1.5, f"s[{j + 1}] > -3/2 (got {v[j]})") for j in range(n - 1)]
     return checks
@@ -76,7 +69,7 @@ def c1_range(n: int, s) -> list:
 
 def c1(n: int, s) -> float:
     """Normalizer of the cone Laplace transform of a plain minor power."""
-    v = _vec(s, n)
+    v = plain_values(s, n)
     _check(c1_range(n, s))
     logval = gammaln(v[-1] + 1.0) + np.sum(gammaln(v[:-1] + 1.5))
     logval -= (2.0 * v[-1] + n + 1.0) * LOG2
@@ -85,7 +78,7 @@ def c1(n: int, s) -> float:
 
 
 def c2_range(n: int, s) -> list:
-    v = _vec(s, n)
+    v = plain_values(s, n)
     checks = [(v[-1] > -(n + 1.0), f"s[{n}] > -(n+1) (got {v[-1]})")]
     checks += [(v[j] > -2.5, f"s[{j + 1}] > -5/2 (got {v[j]})") for j in range(n - 1)]
     return checks
@@ -93,7 +86,7 @@ def c2_range(n: int, s) -> list:
 
 def c2(n: int, s) -> float:
     """Normalizer of the inverse transform (kernel identity, plain index)."""
-    v = _vec(s, n)
+    v = plain_values(s, n)
     _check(c2_range(n, s))
     logval = (np.sum(v) + n - 1.0) * LOG2 + (1.0 - 2.0 * n) * LOGPI
     poly = _poch_ratio(v[-1] + 1.0, n)
@@ -103,7 +96,7 @@ def c2(n: int, s) -> float:
 
 
 def c3_range(n: int, s) -> list:
-    v = _vec(s, n)
+    v = plain_values(s, n)
     checks = [(v[-1] > -1.0, f"s[{n}] > -1 (got {v[-1]})")]
     checks += [(v[j] > -(n + 1.0) / 2.0, f"s[{j + 1}] > -(n+1)/2 (got {v[j]})")
                for j in range(n - 1)]
@@ -112,7 +105,7 @@ def c3_range(n: int, s) -> list:
 
 def c3(n: int, s) -> float:
     """Shifted-index analogue of c1."""
-    v = _vec(s, n)
+    v = plain_values(s, n)
     _check(c3_range(n, s))
     logval = gammaln(v[-1] + 1.0) + np.sum(gammaln(v[:-1] + (n + 1.0) / 2.0))
     logval -= (2.0 * v[-1] + n + 1.0) * LOG2
@@ -121,7 +114,7 @@ def c3(n: int, s) -> float:
 
 
 def c4_range(n: int, s) -> list:
-    v = _vec(s, n)
+    v = plain_values(s, n)
     checks = [(v[-1] > -(n + 1.0), f"s[{n}] > -(n+1) (got {v[-1]})")]
     checks += [(v[j] > -(n + 3.0) / 2.0, f"s[{j + 1}] > -(n+3)/2 (got {v[j]})")
                for j in range(n - 1)]
@@ -131,7 +124,7 @@ def c4_range(n: int, s) -> list:
 def c4(n: int, s) -> float:
     """Shifted-index analogue of c2."""
     _check(c4_range(n, s))
-    return _c4_formula(n, _vec(s, n))
+    return _c4_formula(n, plain_values(s, n))
 
 
 def _c4_formula(n: int, v: np.ndarray) -> float:
@@ -148,7 +141,7 @@ def _c4_formula(n: int, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def c5_range(n: int, r, eta) -> list:
-    rv, ev = _vec(r, n), _vec(eta, n)
+    rv, ev = plain_values(r, n), plain_values(eta, n)
     checks = [
         (rv[-1] > ev[-1] + (n + 1.0) / 2.0,
          f"r[{n}] > eta[{n}] + (n+1)/2 (got {rv[-1]} vs {ev[-1] + (n + 1) / 2})"),
@@ -165,27 +158,27 @@ def c5_range(n: int, r, eta) -> list:
 
 
 def c5(n: int, r, eta) -> float:
-    rv, ev = _vec(r, n), _vec(eta, n)
+    rv, ev = plain_values(r, n), plain_values(eta, n)
     _check(c5_range(n, r, eta))
     return c4(n, ev) * c4(n, rv - ev) / c4(n, rv)
 
 
 def c6_range(n: int, r) -> list:
-    rv = _vec(r, n)
+    rv = plain_values(r, n)
     checks = [(rv[-1] > (n + 1.0) / 2.0, f"r[{n}] > (n+1)/2 (got {rv[-1]})")]
     checks += [(rv[j] > 1.5, f"r[{j + 1}] > 3/2 (got {rv[j]})") for j in range(n - 1)]
     return checks
 
 
 def c6(n: int, r) -> float:
-    rv = _vec(r, n)
+    rv = plain_values(r, n)
     _check(c6_range(n, r))
     scale = math.exp((2.0 * n - 1.0 - float(np.sum(rv))) * LOG2)
     return scale * c4(n, rv) / c4(n, rv / 2.0)
 
 
 def c7_range(n: int, l, r, eta) -> list:
-    lv, rv, ev = _vec(l, n), _vec(r, n), _vec(eta, n)
+    lv, rv, ev = plain_values(l, n), plain_values(r, n), plain_values(eta, n)
     checks = [
         (lv[-1] > -1.0, f"l[{n}] > -1 (got {lv[-1]})"),
         (rv[-1] > 0.0, f"r[{n}] > 0 (got {rv[-1]})"),
@@ -206,14 +199,14 @@ def c7_range(n: int, l, r, eta) -> list:
 
 
 def c7(n: int, l, r, eta) -> float:
-    lv, rv, ev = _vec(l, n), _vec(r, n), _vec(eta, n)
+    lv, rv, ev = plain_values(l, n), plain_values(r, n), plain_values(eta, n)
     _check(c7_range(n, l, r, eta))
     # r + l - eta may leave C4's own range inside C7's; c7_range is the gate
     return c3(n, lv) * _c4_formula(n, rv + lv - ev) / (c4(n, rv) * c4(n, ev))
 
 
 def c8_range(n: int, l, r) -> list:
-    lv, rv = _vec(l, n), _vec(r, n)
+    lv, rv = plain_values(l, n), plain_values(r, n)
     checks = [
         (lv[-1] > -1.0, f"l[{n}] > -1 (got {lv[-1]})"),
         (rv[-1] - lv[-1] > n + 1.0,
@@ -231,6 +224,6 @@ def c8_range(n: int, l, r) -> list:
 def c8(n: int, l, r) -> float:
     # the second factor's collapsed subscript is read as the two-index
     # composite at (r, l)
-    lv, rv = _vec(l, n), _vec(r, n)
+    lv, rv = plain_values(l, n), plain_values(r, n)
     _check(c8_range(n, l, r))
     return c6(n, rv) * (c4(n, lv) * c4(n, rv - lv) / c4(n, rv))

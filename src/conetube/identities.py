@@ -284,7 +284,7 @@ class IdentityDef:
     point: PointKind
     random_params: callable      # (n, rng) -> in-range params
     dual_region: callable | None = None  # integrand over the dual cone, if any
-    reduction: callable | None = None  # (n, params, point) -> SliceReduction
+    reduction: callable | None = None  # (n, params, point) -> Reduction | None
 
 
 def _params_arrays(n, params):
@@ -472,21 +472,28 @@ def _L25_integrand(n, r, v):
 
 
 @dataclass(frozen=True)
-class SliceReduction:
-    """A slice integrand with the last diagonal real coordinate integrated out."""
+class Reduction:
+    """An integrand with the last diagonal real coordinate integrated out."""
 
-    integrand: callable   # batch callable over the 2n - 2 other real coordinates
+    integrand: callable   # batch callable over the coordinates left
     tail_index: float | None  # mass beyond R axis scales falls like R^-tail_index
 
 
-def _L25_reduction(n, r, v) -> SliceReduction:
+def _log_slice_fact(rho, a):
+    """log of the n = 1 slice fact
+    int |a - it|^-rho dt = sqrt(pi) Gamma((rho-1)/2) / Gamma(rho/2) a^(1-rho)."""
+    log_c = (0.5 * math.log(math.pi) + math.lgamma((rho - 1.0) / 2.0)
+             - math.lgamma(rho / 2.0))
+    return log_c + (1.0 - rho) * np.log(a)
+
+
+def _L25_reduction(n, r, v) -> Reduction:
     """L25 with u_n integrated in closed form.
 
     M_n = M_{n-1} S, and the complex Schur complement S is affine in u_n
-    with slope -i while A = Re S > 0 does not depend on it.  With
-    e = minor_exponents(-bold r) and rho = -e_n, the n = 1 slice fact
-    int |A - it|^-rho dt = sqrt(pi) Gamma((rho-1)/2) / Gamma(rho/2) A^(1-rho)
-    leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times that, at u_n = 0.
+    with slope -i while A = Re S > 0 does not depend on it.  With e =
+    minor_exponents(-bold r) and rho = -e_n, the n = 1 slice fact at A
+    leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times it, at u_n = 0.
 
     At n = 2 the reduced integrand falls like |u|^-(bold r_1) along every
     ray of the (u_1, u_3) plane, and like |u_3|^(2 - 2 rho) along the u_3
@@ -501,12 +508,10 @@ def _L25_reduction(n, r, v) -> SliceReduction:
     lead = e[: n - 1].copy()
     if n > 1:
         lead[-1] += e[-1]
-    log_c = (0.5 * math.log(math.pi) + math.lgamma((rho - 1.0) / 2.0)
-             - math.lgamma(rho / 2.0))
 
     def f(w):
         u = np.insert(w, n - 1, 0.0, axis=-1)
-        out = log_c + (1.0 - rho) * np.log(schur_real_part(v, u))
+        out = _log_slice_fact(rho, schur_real_part(v, u))
         if n > 1:
             log_mod = np.log(np.hypot(v[: n - 1], u[..., : n - 1]))
             out = out + np.sum(lead * np.cumsum(log_mod, axis=-1), axis=-1)
@@ -515,7 +520,7 @@ def _L25_reduction(n, r, v) -> SliceReduction:
     tail = math.inf if n == 1 else None  # at n = 1 no coordinate is left
     if n == 2:
         tail = min(rb[0] - 2.0, 2.0 * rho - 3.0)
-    return SliceReduction(f, tail)
+    return Reduction(f, tail)
 
 
 def _L25_sampler(n, r, v):
@@ -564,6 +569,25 @@ def _L26_integrand(n, l, r, eta, point):
                 * complex_power_from_minors(complex_minors(zeta2), ee))
         return np.exp(log_delta_power(v, lb)) * kern
     return f
+
+
+def _L26_reduction(l, r, eta, z: TubePoint, xi: TubePoint) -> Reduction:
+    """L26 at n = 1 with u integrated in closed form: a cone integrand over v.
+
+    The kernels are (b + iu)^-r (a - iu)^-eta, Re a, Re b > 0, and the Beta
+    convolution int (a - it)^-eta (b + it)^-r dt = 2 pi Gamma(r + eta - 1)
+    / (Gamma(r) Gamma(eta)) (a + b)^(1 - r - eta) (principal branches) leaves
+    that at a + b = (y_z + y_xi + 2v) - i (x_z - x_xi), times v^l.
+    """
+    rho = float(r[0] + eta[0])
+    log_c = (math.log(TWO_PI) + math.lgamma(rho - 1.0) - math.lgamma(r[0])
+             - math.lgamma(eta[0]))
+    zeta = _zeta_diff(z, xi)[0]
+
+    def f(v):
+        return np.exp(log_delta_power(v, l) + log_c
+                      + (1.0 - rho) * np.log(zeta + 2.0 * v[..., 0]))
+    return Reduction(f, None)
 
 
 def _tube_v_real_laws(n, centers, offsets):
@@ -633,6 +657,8 @@ def _mk_L26():
         sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
         point=TUBE_PAIR,
         random_params=_random_L26,
+        reduction=lambda n, p, pt: (  # derived at n = 1 only
+            _L26_reduction(p["l"], p["r"], p["eta"], *pt) if n == 1 else None),
     )
 
 
@@ -646,6 +672,18 @@ def _L27_integrand(n, l, r, z: TubePoint):
         zeta = (yz + v) - 1j * (xz - u)
         return np.exp(log_delta_power(v, lb)) * _abs_complex_power(zeta, -rb)
     return f
+
+
+def _L27_reduction(l, r, z: TubePoint) -> Reduction:
+    """L27 at n = 1 with u integrated in closed form: a cone integrand over v.
+
+    The kernel modulus is |A - i(x - u)|^-r with A = y + v, so the n = 1
+    slice fact leaves its value at A, times the weight v^l.
+    """
+    def f(v):
+        return np.exp(log_delta_power(v, l)
+                      + _log_slice_fact(r[0], z.y[0] + v[..., 0]))
+    return Reduction(f, None)
 
 
 def _L27_sampler(n, l, r, z: TubePoint):
@@ -673,6 +711,8 @@ def _mk_L27():
         sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
         point=tube_point(),
         random_params=_random_L27,
+        reduction=lambda n, p, pt: (  # derived at n = 1 only
+            _L27_reduction(p["l"], p["r"], pt) if n == 1 else None),
     )
 
 

@@ -8,16 +8,16 @@ Two oracle families:
   SeedSequence((seed, k)), and partial sums are reduced in chunk order, so
   the result is bit-identical for any worker count.
 
-* Quadrature in the same canonical coordinates: scalar adaptive integration
-  for the one-dimensional integrals at n = 1 (cone and slice), and a
-  vectorized trapezoid tensor on exponentially transformed axes for the
-  rest in reach: the cone at n = 2 (3-D), the tube at n = 1 (2-D over
-  (u, v)) and the slice at n = 2, which is 2-D over (u_1, u_3) because the
-  identity's ``reduction`` integrates u_2 in closed form; its windows reach
-  as far as the reduced integrand's tail index asks, and the mass left
-  outside is added to the error.  Everything at n >= 3 is Monte Carlo
-  only.  This is the high-precision path behind the analytic acceptance
-  suite and constant calibration.
+* Quadrature in the same canonical coordinates.  Every n = 1 integral is
+  one scalar adaptive ``quad``: over d on the cone, over u on the slice and
+  over v on the tube, whose ``reduction`` integrates u in closed form.  At
+  n = 2 a trapezoid tensor on exponentially transformed axes integrates
+  the cone (3-D) and the slice (2-D over (u_1, u_3); its ``reduction``
+  integrates u_2), whose windows reach as far as the reduced integrand's
+  tail index asks, the mass left outside added to the error.  The tube at
+  n >= 2 and everything at n >= 3 is Monte Carlo only.  This is the
+  high-precision path behind the analytic acceptance suite and constant
+  calibration.
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
@@ -47,6 +47,7 @@ CHUNK = 1 << 16
 TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
 SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
 SLICE_MAX_HALF = 80.0  # slice windows reach at most ~e^80 axis scales
+REAL_HALF = math.asinh(1.0e10) + 1.0  # a sinh axis reaching 1e10 scales
 NONFINITE_LIMIT = 1e-3
 
 CONFIRMED = "CONFIRMED"
@@ -153,8 +154,7 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
 # ---------------------------------------------------------------------------
 
 def _quad(f, a, b, epsabs, epsrel):
-    val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
-    return val, err
+    return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
 
 
 # -- vectorized tensor quadrature (n = 2 domains) ---------------------------
@@ -182,13 +182,6 @@ def _pos_window(law) -> tuple:
     return max(math.log(lo) - 1.5, -90.0), min(math.log(hi) + 1.5, 50.0)
 
 
-def _real_window(core_scale: float, tail_extent: float) -> tuple:
-    """Sinh-mapped real axis resolving the O(core_scale) center and the tails."""
-    scale = max(core_scale, 1e-6)
-    half = math.asinh(max(tail_extent / scale, 10.0)) + 1.0
-    return scale, -half, half
-
-
 def _slice_half_width(tail_index: float, rel_tol: float) -> tuple:
     """Half-width of a sinh-mapped slice window, and the relative mass left
     outside it.
@@ -202,8 +195,7 @@ def _slice_half_width(tail_index: float, rel_tol: float) -> tuple:
         raise AccuracyError(
             f"the slice integral diverges (tail index {tail_index:.3g} <= 0)",
             achieved=math.inf)
-    half = min(max(math.asinh(1.0e10) + 1.0,
-                   1.0 + math.log(100.0 / rel_tol) / tail_index),
+    half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / tail_index),
                SLICE_MAX_HALF)
     return half, math.exp(-tail_index * (half - 1.0))
 
@@ -254,18 +246,18 @@ def _tensor_pass(f_axes, axes, h):
     return total
 
 
-def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625)):
+def tensor_quad(f_axes, axes, rel_tol=1e-8):
     """Iterated trapezoid on transformed axes with step-halving control.
 
     ``axes`` entries are ("pos", log_lo, log_hi), ("lin", lo, hi) or
     ("real", scale, lo, hi); ``f_axes`` takes one broadcastable array per
-    axis.  Returns (value, error_estimate); steps whose tensor would exceed
-    TENSOR_MAX_EVALS nodes are skipped.
+    axis.  Returns (complex value, error estimate); steps whose tensor
+    would exceed TENSOR_MAX_EVALS nodes are skipped.
     """
     prev = None
     value = None
     err = math.inf
-    for h in steps:
+    for h in (0.25, 0.125, 0.0625):
         cost = 1.0
         for axis in axes:
             cost *= (axis[-1] - axis[-2]) / h  # every axis kind ends (lo, hi)
@@ -279,8 +271,6 @@ def tensor_quad(f_axes, axes, rel_tol=1e-8, steps=(0.25, 0.125, 0.0625)):
             if err <= rel_tol * max(abs(value), 1e-300):
                 break
         prev = value
-    if abs(value.imag) == 0.0:
-        value = value.real
     return value, err
 
 
@@ -291,10 +281,8 @@ def _quad_complex(f, a, b, epsabs, epsrel):
 
 
 def quad_supported(identity_id: str, n: int) -> bool:
-    ident = get_identity(identity_id)
-    if ident.domain == "cone" or ident.reduction is not None:
-        return n <= 2
-    return n == 1
+    """Quadrature reaches the tube at n = 1, the cone and the slice at n <= 2."""
+    return n <= (1 if get_identity(identity_id).domain == "tube" else 2)
 
 
 def _lhs_integrand(identity_id: str, n: int, p: dict, point, region: str):
@@ -316,13 +304,15 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
     check_params(identity_id, n, params)
     p = _params_arrays(n, params)
     f = _lhs_integrand(identity_id, n, p, point, region)
-    cplx = ident.complex_valued
-    q1 = _quad_complex if cplx else _quad
 
-    if ident.domain == "cone" and n == 1:
-        g = lambda d: f(np.array([[d]]), np.array([d]))[0]
-        val, err = q1(g, 0.0, np.inf, 1e-300, rel_tol)
-    elif ident.domain == "cone" and n == 2:
+    if n == 1:
+        if ident.domain == "tube":  # u in closed form: a cone integral over v
+            f = ident.reduction(n, p, point).integrand
+        g = lambda x: f(np.array([[x]]))[0]
+        lo = -np.inf if ident.domain == "slice" else 0.0
+        q1 = _quad_complex if ident.complex_valued else _quad
+        val, err = q1(g, lo, np.inf, 1e-300, rel_tol)
+    elif ident.domain == "cone":
         # standardize the border coordinate by its conditional law so one
         # grid resolves the ridge at every radial value
         spec = ident.sampler(n, p, point)
@@ -332,7 +322,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         if blaw.kind == "gaussian":
             tau_axis = ("lin", -12.0, 12.0)
         else:
-            tau_axis = ("real",) + _real_window(1.0, 1.0e10)
+            tau_axis = ("real", 1.0, -REAL_HALF, REAL_HALF)
 
         def f_axes(y1, tau, d):
             y1b, taub, db = np.broadcast_arrays(y1, tau, d)
@@ -344,11 +334,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
 
         val, err = tensor_quad(f_axes, [("pos",) + wy, tau_axis, ("pos",) + wd],
                                rel_tol)
-    elif ident.domain == "slice" and n == 1:
-        g = lambda u: f(np.array([[u]]))[0]
-        val, err = q1(g, -np.inf, np.inf, 1e-300, rel_tol)
-    elif ident.domain == "slice" and n == 2:
-        # u_2 integrated in closed form: 2-D tensor over (u_1, u_3)
+    else:  # slice, n = 2: u_2 in closed form, 2-D tensor over (u_1, u_3)
         red = ident.reduction(n, p, point)
         v = np.asarray(point, dtype=float)
         d = max(float(v[1] - v[2] ** 2 / v[0]), 0.25 * v[1])
@@ -361,18 +347,6 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         val, err = tensor_quad(f_axes, [("real", s, -half, half) for s in scales],
                                rel_tol)
         err += tail * abs(val)
-    else:  # tube, n = 1: 2-D tensor over (u, v)
-        spec = ident.sampler(n, p, point)  # a tube_proposal: centred at 0
-        wv = _pos_window(spec.radial[0])
-        core = spec.real[0].offset
-        su, ulo, uhi = _real_window(core, 1.0e10 * core)
-
-        def f_axes(u, v):
-            ub, vb = np.broadcast_arrays(u, v)
-            return f(ub[..., None], vb[..., None])
-
-        val, err = tensor_quad(f_axes, [("real", su, ulo, uhi), ("pos",) + wv],
-                               rel_tol, steps=(0.25, 0.125, 0.0625, 0.03125))
 
     if abs(val) > 0 and err > 100 * rel_tol * abs(val):
         raise AccuracyError(

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestAudit:
         assert regions == {(i, get_identity(i).domain) for i in IDENTITY_IDS} \
             | {("L23_2", "dual"), ("COR1_2", "dual")}
         assert (tmp_path / "out" / "run_meta.json").exists()
+
+    @pytest.mark.parametrize("config", [{}, {"n": 1, "seed": 1}],
+                             ids=["default", "seed-1"])
+    def test_n1_quadrature_audit_has_no_mismatch(self, tmp_path, config):
+        # every row by quadrature; the tube rows integrate u in closed form
+        cfg = write_cfg(tmp_path, "a.json", config)
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+        statuses = [row[-1] for row in csv.reader(lines[2:])]
+        assert len(statuses) == 24 and "MISMATCH" not in statuses
 
     def test_replay_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, "a.json",
@@ -207,22 +219,30 @@ class TestClassifyWitness:
         assert not bad["ok"]
 
     def test_undefined_interval_written_as_null(self, tmp_path, capsys):
-        # c = 0 leaves the t-interval undefined; the file stays valid JSON
-        # and nothing is warned on stderr
+        # a zero c_j, or one so small that n / c_j overflows, leaves the
+        # t-interval undefined; the file stays valid JSON and nothing is
+        # warned (pytest captures warnings before capsys sees them, so any
+        # warning is raised as an error here)
         cfg = write_cfg(tmp_path, "c0.json", {"parameter_sets": [
             {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
-             "a": [0, 0], "b": [0, 0], "c": [0, 0]}]})
-        assert run(["witness", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 1
+             "a": [0, 0], "b": [0, 0], "c": [0, 0]},
+            {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
+             "a": [0], "b": [0], "c": [1e-310]}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["witness", "--config", cfg,
+                        "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == ""
 
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
         text = (tmp_path / "out" / "witnesses.json").read_text()
-        entry = json.loads(text, parse_constant=reject)["witnesses"][0]
-        assert entry["t_interval"] == [None, None]
-        assert not entry["ok"] and entry["error"]
+        entries = json.loads(text, parse_constant=reject)["witnesses"]
+        assert len(entries) == 2
+        for entry in entries:
+            assert entry["t_interval"] == [None, None]
+            assert not entry["ok"] and entry["error"]
 
 
 class TestScaling:
@@ -289,6 +309,9 @@ class TestBadConfigs:
         # one sample gives no error bar
         ("audit", {"n": 2, "budget": 1, "oracle": "mc"}, "budget"),
         ("scaling", {"budget": 1}, "budget"),
+        # quadrature reaches the tube only at n = 1
+        ("audit", {"n": 2, "oracle": "quad", "identities": ["L26", "L27"],
+                   "configs_per_identity": 1}, "oracle"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
@@ -296,7 +319,7 @@ class TestBadConfigs:
             "identities-beside-cases", "unknown-parameter-key",
             "unknown-params-key", "unknown-scaling-key", "infinite-case-order",
             "vector-entry-beyond-float", "audit-budget-one",
-            "scaling-budget-one"])
+            "scaling-budget-one", "quad-n2-tube"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],

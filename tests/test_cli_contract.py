@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -94,8 +95,8 @@ def audit_case(draw, orders):
     return draw(maybe(st.just(case), p_bad=0.05))
 
 
-# Quadrature ignores the budget and takes seconds per row on the n = 1
-# tube and the n = 2 cone, so "quad" and "auto" (quadrature at n = 1) are
+# Quadrature ignores the budget: an n = 1 audit takes about a second and an
+# n = 2 cone row seconds, so "quad" and "auto" (quadrature at n = 1) are
 # drawn only with orders where they are cheap: Monte Carlo, or rejected
 ORDERS = {"mc": (1, 2, 3), "auto": (2, 3), "quad": (3,)}
 
@@ -182,6 +183,7 @@ CONFIGS = st.one_of(
               JUNK))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])

@@ -256,6 +256,38 @@ class TestSliceReduction:
         assert red.tail_index == pytest.approx(0.6)
 
 
+class TestTubeReduction:
+    """L26 and L27 at n = 1 with u integrated in closed form (the quadrature
+    oracle's integrand over v)."""
+
+    @pytest.mark.parametrize("ident_id", ["L26", "L27"])
+    def test_reduced_integrand_matches_quad_over_u(self, ident_id):
+        from scipy import integrate
+        ident = get_identity(ident_id)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            params = random_params(ident_id, 1, rng)
+            point = random_point(ident_id, 1, rng)
+            full = ident.integrand(1, params, point)
+            reduced = ident.reduction(1, params, point).integrand
+            for v in (0.03, 0.4, 1.0, 3.5, 40.0):
+                def part(take):
+                    return integrate.quad(
+                        lambda u: take(full(np.array([[u]]),
+                                            np.array([[v]]))[0]),
+                        -np.inf, np.inf, epsabs=0.0, epsrel=1e-13,
+                        limit=400)[0]
+                total = complex(part(np.real), part(np.imag))
+                got = reduced(np.array([[v]]))[0]
+                assert abs(got - total) <= 1e-10 * abs(total), (params, v)
+
+    @pytest.mark.parametrize("ident_id", ["L26", "L27"])
+    def test_derived_at_n1_only(self, ident_id, rng):
+        ident = get_identity(ident_id)
+        assert ident.reduction(2, random_params(ident_id, 2, rng),
+                               random_point(ident_id, 2, rng)) is None
+
+
 class TestTubeProductClosed:
     def test_conjugate_symmetric_configuration_real(self, rng):
         params = random_params("L26", 1, rng)

@@ -181,6 +181,7 @@ class TestQuadrature:
     def test_support_table(self):
         assert quad_supported("L23_1", 2) and not quad_supported("L23_1", 3)
         assert quad_supported("L27", 1) and not quad_supported("L27", 2)
+        assert quad_supported("L26", 1) and not quad_supported("L26", 2)
         assert quad_supported("L25", 2)
 
     def test_n1_analytic_values(self):
@@ -200,6 +201,19 @@ class TestQuadrature:
         z = TubePoint.make(np.zeros(3), np.array([1.0, 1, 0]))
         with pytest.raises(InvalidInputError):
             quad_iterated("L27", {"l": [0.0, 0], "r": [4.0, 4]}, z)
+
+    def test_l26_n1_matches_nested_quad(self):
+        # the seed-0 L26 row of the default n = 1 audit.  Reference: nested
+        # scipy quad of the full integrand, inner over u on (-inf, inf) at
+        # epsrel 1e-12, outer over v on (0, inf) at epsrel 1e-11, real and
+        # imaginary parts separately: 3.8580596363281554 - 0.24537497418427126i
+        z = TubePoint.make([-0.17486026655258047], [1.1404072399791443])
+        xi = TubePoint.make([0.14816213514364712], [0.8767706507924969])
+        params = {"l": [0.6270779231349853], "r": [1.5333690674466744],
+                  "eta": [1.493708855688311]}
+        est = quad_iterated("L26", params, (z, xi))
+        ref = 3.8580596363 - 0.2453749742j
+        assert abs(est.value - ref) <= 1e-8 * abs(ref)
 
     def test_mc_quad_cross_agreement(self, rng):
         # |MC - QUAD| <= 3 sigma_MC on in-range spot checks at n <= 2
