@@ -48,9 +48,10 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _get(cfg: dict, field: str, default, kind, positive: bool = False,
+def _get(cfg: dict, field: str, default, kind, least: int | None = None,
          where: str = ""):
-    """cfg[field] as ``kind``; ``default`` if absent, required if that is None."""
+    """cfg[field] as ``kind``, at least ``least`` if given; ``default`` if
+    absent, required if that is None."""
     if field not in cfg:
         if default is None:
             raise ConfigError(where + field, "missing")
@@ -61,17 +62,15 @@ def _get(cfg: dict, field: str, default, kind, positive: bool = False,
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(where + field,
                           f"expected {kind.__name__}, got {value!r}") from None
-    if positive and value <= 0:
-        raise ConfigError(where + field, f"must be positive, got {value}")
+    if least is not None and value < least:
+        raise ConfigError(where + field, f"must be at least {least}, got {value}")
     return value
 
 
-def _budget(cfg: dict) -> int:
-    """The Monte Carlo sample count; an error bar needs two samples."""
-    budget = _get(cfg, "budget", 200_000, int)
-    if budget < 2:
-        raise ConfigError("budget", f"must be at least 2, got {budget}")
-    return budget
+def _budget_seed(cfg: dict) -> tuple[int, int]:
+    """The Monte Carlo sample count (an error bar needs two) and the seed."""
+    return (_get(cfg, "budget", 200_000, int, least=2),
+            _get(cfg, "seed", 0, int, least=0))
 
 
 def _known(obj: dict, where: str, keys) -> None:
@@ -92,12 +91,15 @@ def _parse(where: str, read):
         raise ConfigError(where, str(exc)) from None
 
 
-def _vector(value, field: str, n: int):
+def _vector(value, field: str, n: int | None = None):
+    """``value`` as finite floats, an n-vector when n is given."""
     if value is None:
         raise ConfigError(field, "missing")
     arr = _parse(field, lambda: np.asarray(value, dtype=float))
-    if arr.shape != (n,):
+    if n is not None and arr.shape != (n,):
         raise ConfigError(field, f"expected {n} numbers, got {value!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(field, f"entries must be finite, got {value!r}")
     return arr
 
 
@@ -105,11 +107,12 @@ def _parameter_set(obj: dict, where: str) -> ParameterSet:
     if not isinstance(obj, dict):
         raise ConfigError(where, "parameter set must be an object")
     _known(obj, f"{where}.", ("n", "p", "q", "alpha", "beta", "a", "b", "c"))
-    n = _get(obj, "n", None, int, positive=True, where=f"{where}.")
+    n = _get(obj, "n", None, int, least=1, where=f"{where}.")
     p = _get(obj, "p", None, float, where=f"{where}.")
     q = _get(obj, "q", None, float, where=f"{where}.")
-    if not (1.0 < p <= q):
-        raise ConfigError(f"{where}.p/q", f"need 1 < p <= q, got p={p}, q={q}")
+    if not (1.0 < p <= q < np.inf):
+        raise ConfigError(f"{where}.p/q",
+                          f"need 1 < p <= q < inf, got p={p}, q={q}")
     vecs = {name: tuple(_vector(obj.get(name), f"{where}.{name}", n))
             for name in ("alpha", "beta", "a", "b", "c")}
     return ParameterSet(n=n, p=p, q=q, **vecs)
@@ -129,11 +132,11 @@ def _audit_case(i: int, case, n: int):
         raise ConfigError(f"{where}.identity", f"unknown identity {name!r}")
     ident = get_identity(name)
     cn = _parse(f"{where}.n", lambda: int(case.get("n", n)))
-    params = _parse(f"{where}.params", lambda: {
-        k: np.asarray(v, dtype=float) for k, v in case.get("params", {}).items()})
-    if set(params) != set(ident.param_names):
-        raise ConfigError(f"{where}.params",
-                          f"{name} needs exactly {sorted(ident.param_names)}")
+    params = case.get("params", {})
+    if not isinstance(params, dict) or set(params) != set(ident.param_names):
+        raise ConfigError(f"{where}.params", f"{name} needs an object with "
+                          f"exactly the keys {sorted(ident.param_names)}")
+    params = {k: _vector(v, f"{where}.params.{k}") for k, v in params.items()}
     _parse(f"{where}.params", lambda: check_params(name, cn, params))
     point = _parse(f"{where}.point",
                    lambda: ident.point.parse(case.get("point", {}), cn))
@@ -155,7 +158,7 @@ def _audit_cases(cfg: dict, n: int, seed: int):
     if not isinstance(identities, list) or \
             any(i not in IDENTITY_IDS for i in identities):
         raise ConfigError("identities", f"must be a subset of {IDENTITY_IDS}")
-    per = _get(cfg, "configs_per_identity", 3, int, positive=True)
+    per = _get(cfg, "configs_per_identity", 3, int, least=1)
     rng = np.random.default_rng(seed)
     for ident in identities:
         for _ in range(per):
@@ -165,11 +168,10 @@ def _audit_cases(cfg: dict, n: int, seed: int):
 
 
 def cmd_audit(cfg: dict, out_dir: Path) -> int:
-    n = _get(cfg, "n", 1, int, positive=True)
+    n = _get(cfg, "n", 1, int, least=1)
     if n not in (1, 2, 3):
         raise ConfigError("n", f"supported orders are 1, 2, 3; got {n}")
-    seed = _get(cfg, "seed", 0, int)
-    budget = _budget(cfg)
+    budget, seed = _budget_seed(cfg)
     oracle = cfg.get("oracle", "auto")
     if oracle not in ("auto", "mc", "quad"):
         raise ConfigError("oracle", f"must be auto/mc/quad, got {oracle!r}")
@@ -292,14 +294,13 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
     base = _vector(cfg.get("R_base", [1.0] * n), "R_base", n)
     if not np.all(base > 0):
         raise ConfigError("R_base", "must be a positive n-vector")
-    grid = cfg.get("R_grid", [1.0, 2.0, 4.0, 8.0])
-    if not isinstance(grid, list) or len(grid) < 2:
-        raise ConfigError("R_grid", "need at least two grid points")
-    grid = _parse("R_grid", lambda: [float(x) for x in grid])
-    if not all(x > 0 for x in grid):
-        raise ConfigError("R_grid", f"grid points must be positive, got {grid}")
-    budget = _budget(cfg)
-    seed = _get(cfg, "seed", 0, int)
+    grid = _vector(cfg.get("R_grid", [1.0, 2.0, 4.0, 8.0]), "R_grid")
+    if grid.ndim != 1 or len(np.unique(grid)) < 2:
+        raise ConfigError("R_grid", "need at least two distinct grid points")
+    if not np.all(grid > 0):
+        raise ConfigError("R_grid",
+                          f"grid points must be positive, got {grid.tolist()}")
+    budget, seed = _budget_seed(cfg)
     coords = cfg.get("coordinates")
     if coords is not None and not (
             isinstance(coords, list)

@@ -83,26 +83,35 @@ def border_reversed(x: np.ndarray) -> np.ndarray:
 
 def schur_complement(x) -> np.ndarray:
     """D(x) = x_n - sum_j x_{2n-j}^2 / x_j. No domain check."""
-    arr = _as_coords(x)
+    return _schur(_as_coords(x))
+
+
+def _schur(arr: np.ndarray) -> np.ndarray:
+    """schur_complement in the dtype of ``arr``, real or complex."""
     n = order_from_dim(arr.shape[-1])
     if n == 1:
         return arr[..., 0]
-    u = border_reversed(arr)
+    u = arr[..., n:][..., ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return arr[..., n - 1] - np.sum(u * u / arr[..., : n - 1], axis=-1)
 
 
-def leading_minors(x) -> np.ndarray:
-    """All n leading principal minors via the product/Schur factorization."""
-    arr = _as_coords(x)
+def _arrowhead_minors(arr: np.ndarray) -> np.ndarray:
+    """Leading minors x_1 ... x_k (k < n) and x_1 ... x_{n-1} D, in the
+    dtype of ``arr``."""
     n = order_from_dim(arr.shape[-1])
     out = np.empty(arr.shape[:-1] + (n,), dtype=arr.dtype)
-    if n > 1:
-        out[..., : n - 1] = np.cumprod(arr[..., : n - 1], axis=-1)
-        out[..., n - 1] = out[..., n - 2] * schur_complement(arr)
-    else:
-        out[..., 0] = arr[..., 0]
+    out[..., : n - 1] = np.cumprod(arr[..., : n - 1], axis=-1)
+    # a named D: the inline temporary may be multiplied in place, which
+    # rounds the complex product differently in the last bit
+    dc = _schur(arr)
+    out[..., n - 1] = out[..., n - 2] * dc if n > 1 else dc
     return out
+
+
+def leading_minors(x) -> np.ndarray:
+    """All n leading principal minors via the product/Schur factorization."""
+    return _arrowhead_minors(_as_coords(x))
 
 
 def leading_minors_dense(x) -> np.ndarray:
@@ -203,18 +212,7 @@ def delta_transform_parts(t) -> tuple[np.ndarray, np.ndarray]:
 
 def complex_minors(zeta: np.ndarray) -> np.ndarray:
     """Leading minors of the complex arrowhead built on ``zeta``."""
-    arr = np.asarray(zeta, dtype=complex)
-    n = order_from_dim(arr.shape[-1])
-    out = np.empty(arr.shape[:-1] + (n,), dtype=complex)
-    if n == 1:
-        out[..., 0] = arr[..., 0]
-        return out
-    diag = arr[..., : n - 1]
-    u = arr[..., n:][..., ::-1]
-    out[..., : n - 1] = np.cumprod(diag, axis=-1)
-    dc = arr[..., n - 1] - np.sum(u * u / diag, axis=-1)
-    out[..., n - 1] = out[..., n - 2] * dc
-    return out
+    return _arrowhead_minors(np.asarray(zeta, dtype=complex))
 
 
 def schur_real_part(v, u) -> np.ndarray:

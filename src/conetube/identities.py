@@ -205,8 +205,9 @@ def random_tube_point(n: int, rng: np.random.Generator,
 
 def _read_vector(value, n: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (2 * n - 1,):
-        raise InvalidInputError(f"expected a {2 * n - 1}-vector, got {value!r}")
+    if arr.shape != (2 * n - 1,) or not np.all(np.isfinite(arr)):
+        raise InvalidInputError(
+            f"expected a finite {2 * n - 1}-vector, got {value!r}")
     return arr
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, OracleRejectedError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
                        log_delta_power, minor_exponents)
 from .identities import (_shifted_index, check_params, closed_value,
@@ -362,6 +362,9 @@ def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
     f = ident.integrand(n, p, Remb)
     est = mc_integrate_cone(lambda y, d=None: cst * f(y, d),
                             ident.sampler(n, p, Remb), budget, seed)
+    if not est.value > 0:
+        raise OracleRejectedError(est.nonfinite / est.samples,
+                                  f"norm estimate {est.value} is not positive")
     norm = est.value ** (1.0 / power)
     return float(norm), float(norm * est.std_error / (power * est.value))
 
@@ -456,8 +459,8 @@ def fit_loglog(xs, ys, sigmas) -> tuple[float, float]:
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
-    if len(xs) < 2:
-        raise InfeasibleError("slope fit needs at least two grid points")
+    if len(np.unique(xs)) < 2:
+        raise InfeasibleError("slope fit needs two distinct grid points")
     logy = np.log(ys)
     sig_log = np.maximum(sig / ys, 1e-12)
     w = 1.0 / sig_log ** 2
@@ -499,11 +502,11 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
     """Fit f_R and T f_R norm slopes against each R_j over a geometric grid.
 
     One coordinate is varied at a time with the others pinned at the test
-    function's base R.  Requires at least two grid points.
+    function's base R.  Requires two distinct grid points.
     """
     R_grid = [float(x) for x in R_grid]
-    if len(R_grid) < 2:
-        raise InfeasibleError("R grid must contain at least two points "
+    if len(set(R_grid)) < 2:
+        raise InfeasibleError("R grid must contain two distinct points "
                               "(slope fit is under-determined)")
     n = params.n
     coords = list(range(n)) if coordinates is None else list(coordinates)

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
-from .geometry import canonical_to_coords
+from .geometry import canonical_to_coords, schur_complement
 from .identities import (get_identity, check_params,
                          kernel_region_integrand, _params_arrays)
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
@@ -79,6 +79,13 @@ def _chunk_rng(seed: int, k: int) -> np.random.Generator:
                                                         spawn_key=(k,)))
 
 
+def _number(value) -> complex | float:
+    """A Python float, or a complex if the imaginary part is nonzero."""
+    if isinstance(value, complex) and value.imag != 0.0:
+        return complex(value)
+    return float(value.real)
+
+
 def _mc_reduce(partials, count, method):
     total = sum(p[0] for p in partials)
     total_sq = sum(p[1] for p in partials)
@@ -90,11 +97,9 @@ def _mc_reduce(partials, count, method):
         raise OracleRejectedError(1.0, "no finite samples")
     mean = total / n_eff
     var = max(float((total_sq - n_eff * abs(mean) ** 2) / (n_eff - 1)), 0.0)
-    value = complex(mean) if isinstance(mean, complex) else float(mean)
-    if isinstance(value, complex) and value.imag == 0.0:
-        value = value.real
-    return IntegralEstimate(value=value, std_error=math.sqrt(var / n_eff),
-                            samples=count, method=method, nonfinite=bad)
+    return IntegralEstimate(value=_number(mean),
+                            std_error=math.sqrt(var / n_eff), samples=count,
+                            method=method, nonfinite=bad)
 
 
 def _mc_run(sample, integrand, spec: SamplerSpec, count: int, seed: int,
@@ -326,8 +331,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
 
         def f_axes(y1, tau, d):
             y1b, taub, db = np.broadcast_arrays(y1, tau, d)
-            loc = blaw.mu0 + blaw.mu1 * y1b
-            scl = blaw.s0 + blaw.s1 * np.sqrt(y1b)
+            loc, scl = blaw.loc_scale(y1b)
             u1b = loc + scl * taub
             vals = f(canonical_to_coords(y1b[..., None], u1b[..., None], db), db)
             return vals * scl
@@ -337,7 +341,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
     else:  # slice, n = 2: u_2 in closed form, 2-D tensor over (u_1, u_3)
         red = ident.reduction(n, p, point)
         v = np.asarray(point, dtype=float)
-        d = max(float(v[1] - v[2] ** 2 / v[0]), 0.25 * v[1])
+        d = max(float(schur_complement(v)), 0.25 * v[1])
         scales = (float(v[0]), math.sqrt(float(v[0]) * d))
         half, tail = _slice_half_width(red.tail_index, rel_tol)
 
@@ -352,10 +356,8 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         raise AccuracyError(
             f"quadrature reached only relative error {err / abs(val):.2e} "
             f"(target {rel_tol:.1e})", achieved=err / abs(val))
-    if isinstance(val, complex) and val.imag == 0.0:
-        val = val.real
-    return IntegralEstimate(value=val, std_error=float(err), samples=1,
-                            method="QUAD_ITERATED")
+    return IntegralEstimate(value=_number(val), std_error=float(err),
+                            samples=1, method="QUAD_ITERATED")
 
 
 # ---------------------------------------------------------------------------

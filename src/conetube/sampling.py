@@ -7,9 +7,9 @@ exactly computable density and no rejection step.  Radial coordinates
 integrands) or a beta-prime law (for polynomially decaying ones, where a
 Gamma proposal would have catastrophically thin tails).  Border coordinates
 u_j are sampled conditionally on y_j with Gaussian or Cauchy laws whose
-location and scale may depend on y_j; tube real parts use per-coordinate
-Cauchy laws, since the kernels decay only polynomially in x and Gaussian
-proposals would under-sample the tails.
+location and scale may depend on y_j.  Tube real parts use Cauchy laws (the
+kernels decay only polynomially in x), one draw and log-density for all
+three; they differ only in the loc and scale read from the context.
 
 Dominance is the preset designer's responsibility: the chosen law must have
 tails at least as heavy as the integrand along every coordinate, which the
@@ -85,45 +85,63 @@ class BorderLaw:
         if self.kind not in ("gaussian", "cauchy"):
             raise InvalidInputError(f"unknown border law {self.kind!r}")
 
-    def _loc_scale(self, y: np.ndarray):
+    def loc_scale(self, y: np.ndarray):
         return self.mu0 + self.mu1 * y, self.s0 + self.s1 * np.sqrt(y)
 
     def sample(self, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
-        loc, sc = self._loc_scale(y)
+        loc, sc = self.loc_scale(y)
         if self.kind == "gaussian":
             return loc + sc * rng.standard_normal(size=y.shape)
         return loc + sc * rng.standard_cauchy(size=y.shape)
 
     def logpdf(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        loc, sc = self._loc_scale(y)
+        loc, sc = self.loc_scale(y)
         t = (u - loc) / sc
         if self.kind == "gaussian":
             return -0.5 * t * t - np.log(sc) - 0.5 * LOG_2PI
         return -np.log1p(t * t) - np.log(sc) - LOG_PI
 
 
+class _Cauchy:
+    """The one Cauchy body of the tube real-part laws: loc + scale * C(0, 1).
+
+    Each law reads its loc and scale from the context, ``x`` the (count, m)
+    real coordinates drawn so far and ``v`` the imaginary parts (None on a
+    slice), through ``_loc_scale``.
+    """
+
+    _log = staticmethod(np.log)
+
+    def sample(self, rng: np.random.Generator, x, v=None) -> np.ndarray:
+        loc, sc = self._loc_scale(x, v)
+        return loc + sc * rng.standard_cauchy(size=x.shape[0])
+
+    def logpdf(self, xk: np.ndarray, x, v=None) -> np.ndarray:
+        loc, sc = self._loc_scale(x, v)
+        t = (xk - loc) / sc
+        return -np.log1p(t * t) - self._log(sc) - LOG_PI
+
+
 @dataclass(frozen=True)
-class CauchyLaw:
+class CauchyLaw(_Cauchy):
     """Static Cauchy law for one real-part coordinate of the tube."""
 
     center: float
     scale: float
+    # np.log rounds some scalars (1.05, say) differently from math.log
+    _log = staticmethod(math.log)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.center + self.scale * rng.standard_cauchy(size=count)
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.center) / self.scale
-        return -np.log1p(t * t) - math.log(self.scale) - LOG_PI
+    def _loc_scale(self, x, v):
+        return self.center, self.scale
 
 
 @dataclass(frozen=True)
-class ConditionalCauchyLaw:
+class ConditionalCauchyLaw(_Cauchy):
     """Cauchy law for a border real coordinate, widened with its diagonal.
 
     The kernel moduli grow only linearly along border directions that track
     a large diagonal coordinate, so the border proposal scale follows
-    sqrt(|diag|): scale = s0 + s1 * sqrt(hypot(c, x_diag)).
+    sqrt(|diag|): scale = s0 + s1 * sqrt(hypot(c, x_diag)), x_diag = x[ref].
     """
 
     ref: int
@@ -131,20 +149,12 @@ class ConditionalCauchyLaw:
     s0: float
     s1: float
 
-    def _scale(self, xref: np.ndarray) -> np.ndarray:
-        return self.s0 + self.s1 * np.sqrt(np.hypot(self.c, xref))
-
-    def sample(self, rng: np.random.Generator, xref: np.ndarray) -> np.ndarray:
-        return self._scale(xref) * rng.standard_cauchy(size=xref.shape)
-
-    def logpdf(self, x: np.ndarray, xref: np.ndarray) -> np.ndarray:
-        sc = self._scale(xref)
-        t = x / sc
-        return -np.log1p(t * t) - np.log(sc) - LOG_PI
+    def _loc_scale(self, x, v):
+        return 0.0, self.s0 + self.s1 * np.sqrt(np.hypot(self.c, x[:, self.ref]))
 
 
 @dataclass(frozen=True)
-class VCauchyLaw:
+class VCauchyLaw(_Cauchy):
     """Cauchy law for a tube real coordinate, scaled by the imaginary part.
 
     The kernels' widths in x track the imaginary coordinates, so the
@@ -157,20 +167,10 @@ class VCauchyLaw:
     ref2: int | None
     offset: float
 
-    def _scale(self, vcoords: np.ndarray) -> np.ndarray:
+    def _loc_scale(self, x, v):
         if self.ref2 is None:
-            base = vcoords[:, self.ref1]
-        else:
-            base = np.sqrt(vcoords[:, self.ref1] * vcoords[:, self.ref2])
-        return self.offset + base
-
-    def sample(self, rng: np.random.Generator, vcoords: np.ndarray) -> np.ndarray:
-        return self._scale(vcoords) * rng.standard_cauchy(size=vcoords.shape[0])
-
-    def logpdf(self, x: np.ndarray, vcoords: np.ndarray) -> np.ndarray:
-        sc = self._scale(vcoords)
-        t = x / sc
-        return -np.log1p(t * t) - np.log(sc) - LOG_PI
+            return 0.0, self.offset + v[:, self.ref1]
+        return 0.0, self.offset + np.sqrt(v[:, self.ref1] * v[:, self.ref2])
 
 
 @dataclass(frozen=True)
@@ -218,31 +218,18 @@ def sample_cone(spec: SamplerSpec, count: int, rng: np.random.Generator):
 
 def _sample_real(spec: SamplerSpec, count: int, rng: np.random.Generator,
                  vcoords: np.ndarray | None = None):
-    m = 2 * spec.n - 1
-    x = np.empty((count, m))
+    if spec.real is None:
+        raise InvalidInputError("sampler spec has no real-part laws")
+    x = np.empty((count, 2 * spec.n - 1))
     logpdf = np.zeros(count)
-    for k in range(m):  # diagonals precede the borders that reference them
-        law = spec.real[k]
-        if isinstance(law, VCauchyLaw):
-            if vcoords is None:
-                raise InvalidInputError(
-                    "imaginary-part-scaled laws need a tube sampler")
-            x[:, k] = law.sample(rng, vcoords)
-            logpdf += law.logpdf(x[:, k], vcoords)
-        elif isinstance(law, ConditionalCauchyLaw):
-            xref = x[:, law.ref]
-            x[:, k] = law.sample(rng, xref)
-            logpdf += law.logpdf(x[:, k], xref)
-        else:
-            x[:, k] = law.sample(rng, count)
-            logpdf += law.logpdf(x[:, k])
+    for k, law in enumerate(spec.real):  # diagonals precede their borders
+        x[:, k] = law.sample(rng, x, vcoords)
+        logpdf += law.logpdf(x[:, k], x, vcoords)
     return x, logpdf
 
 
 def sample_tube(spec: SamplerSpec, count: int, rng: np.random.Generator):
     """Draw tube points; returns (x (count, m), vcoords (count, m), logpdf)."""
-    if spec.real is None:
-        raise InvalidInputError("sampler spec has no real-part laws")
     vcoords, _, logpdf = sample_cone(spec, count, rng)
     x, logpdf_x = _sample_real(spec, count, rng, vcoords)
     return x, vcoords, logpdf + logpdf_x
@@ -250,6 +237,4 @@ def sample_tube(spec: SamplerSpec, count: int, rng: np.random.Generator):
 
 def sample_slice(spec: SamplerSpec, count: int, rng: np.random.Generator):
     """Draw only real parts (horizontal slice); returns (x, logpdf)."""
-    if spec.real is None:
-        raise InvalidInputError("sampler spec has no real-part laws")
     return _sample_real(spec, count, rng)

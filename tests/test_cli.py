@@ -262,6 +262,18 @@ class TestScaling:
         slopes = json.loads((tmp_path / "out" / "scaling.json").read_text())
         assert slopes["slopes"][0]["f_analytic"] == pytest.approx(-1.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_norm_is_a_finding(self, tmp_path, capsys):
+        # at R = 1e300 the f_R norm estimate underflows to 0.0
+        cfg = write_cfg(tmp_path, "s.json", {
+            "params": {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
+                       "a": [0], "b": [0], "c": [2]},
+            "l": [0.5], "r": [3], "R_grid": [1, 1e300], "budget": 1000})
+        assert run(["scaling", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not positive" in err
+
     def test_single_point_grid_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "s.json", {
             "params": {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
@@ -312,6 +324,25 @@ class TestBadConfigs:
         # quadrature reaches the tube only at n = 1
         ("audit", {"n": 2, "oracle": "quad", "identities": ["L26", "L27"],
                    "configs_per_identity": 1}, "oracle"),
+        # non-finite entries inside lists
+        ("classify", {"alpha": [float("inf"), 0]}, "parameter_sets[0].alpha"),
+        ("audit", {"identity": "L23_1", "n": 1,
+                   "params": {"s": [float("inf")]}, "point": {"t": [1.0]}},
+         "cases[0].params.s"),
+        ("audit", {"identity": "L27", "n": 1,
+                   "params": {"l": [0.2], "r": [float("inf")]},
+                   "point": {"x": [0.0], "y": [1.0]}}, "cases[0].params.r"),
+        ("audit", {"identity": "L27", "n": 1,
+                   "params": {"l": [0.2], "r": [3.5]},
+                   "point": {"x": [float("inf")], "y": [1.0]}},
+         "cases[0].point"),
+        ("scaling", {"R_grid": [1, float("inf")]}, "R_grid"),
+        # a slope needs two distinct grid points
+        ("scaling", {"R_grid": [1, 1]}, "R_grid"),
+        ("audit", {"seed": -1, "configs_per_identity": 1,
+                   "identities": ["L23_1"]}, "seed"),
+        ("scaling", {"seed": -1}, "seed"),
+        ("classify", {"q": float("inf")}, "parameter_sets[0].p/q"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
@@ -319,7 +350,10 @@ class TestBadConfigs:
             "identities-beside-cases", "unknown-parameter-key",
             "unknown-params-key", "unknown-scaling-key", "infinite-case-order",
             "vector-entry-beyond-float", "audit-budget-one",
-            "scaling-budget-one", "quad-n2-tube"])
+            "scaling-budget-one", "quad-n2-tube", "classify-alpha-infinite",
+            "case-param-infinite", "case-kernel-param-infinite",
+            "case-point-infinite", "R_grid-infinite", "R_grid-repeated",
+            "audit-seed-negative", "scaling-seed-negative", "q-infinite"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],

@@ -1,15 +1,17 @@
 """Property test of the CLI contract: any config gives exit 0, 1 or 2.
 
 Configs for all four commands are generated from the keys each command
-reads, with valid, wrongly typed and out-of-range values, plus unknown keys.
-Whatever the config, ``main`` must return 0, 1 or 2 without raising, and a
-rejected config (exit 2) must name the field it rejects.  Budgets stay at
-or below 2,000, so every run is cheap.
+reads, with valid, wrongly typed and out-of-range values (infinite vector
+entries, repeated or infinite grid points, negative seeds among them), plus
+unknown keys.  Whatever the config, ``main`` must return 0, 1 or 2 without
+raising, and a rejected config (exit 2) must name the field it rejects.
+Budgets stay at or below 2,000, so every run is cheap.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -62,6 +64,23 @@ def vector(n):
     return st.lists(st.floats(-3, 6), min_size=n, max_size=n)
 
 
+def junk_or(bad):
+    """Half the time JUNK, half the time ``bad``: a one_of would give
+    ``bad`` only one of JUNK's many branches."""
+    return st.booleans().flatmap(lambda junk: JUNK if junk else bad)
+
+
+def bad_vector(n):
+    """Junk, or an n-vector with one infinite entry."""
+    return junk_or(vector(n).flatmap(lambda v: st.sampled_from(
+        [v[:k] + [sign * math.inf] + v[k + 1:]
+         for k in range(n) for sign in (1, -1)])))
+
+
+# seeds that are not a usable stream key: junk, or negative
+BAD_SEED = junk_or(st.integers(-1000, -1))
+
+
 @st.composite
 def parameter_set(draw, orders=(1, 2, 3)):
     n = draw(st.sampled_from(orders))
@@ -70,9 +89,9 @@ def parameter_set(draw, orders=(1, 2, 3)):
            "p": draw(maybe(st.just(p))),
            "q": draw(maybe(st.floats(p, 4.0)))}
     for name in ("alpha", "beta", "a", "b"):
-        obj[name] = draw(maybe(vector(n)))
+        obj[name] = draw(maybe(vector(n), bad_vector(n)))
     obj["c"] = draw(maybe(st.lists(st.floats(0.0, 6.0), min_size=n,
-                                   max_size=n)))
+                                   max_size=n), bad_vector(n)))
     return with_unknown(draw, drop_some(draw, obj))
 
 
@@ -84,7 +103,7 @@ def audit_case(draw, orders):
     params = {k: v.tolist() for k, v in random_params(ident, cn, rng).items()}
     if rarely(draw):  # out of range, or wrongly typed
         key = draw(st.sampled_from(sorted(params)))
-        params[key] = draw(st.one_of(vector(cn), JUNK))
+        params[key] = draw(st.one_of(vector(cn), bad_vector(cn)))
     point = get_identity(ident).point.payload(random_point(ident, cn, rng))
     case = {"identity": draw(maybe(st.just(ident), p_bad=0.05)),
             "n": draw(maybe(st.just(cn), p_bad=0.05)),
@@ -108,7 +127,7 @@ def audit_config(draw):
         else (1, 2, 3)
     n = draw(st.sampled_from(orders))
     cfg = {"n": draw(maybe(st.just(n), st.sampled_from([0, 4, -1, "x", 1.5]))),
-           "seed": draw(maybe(st.integers(0, 1000))),
+           "seed": draw(maybe(st.integers(0, 1000), BAD_SEED, p_bad=0.1)),
            "budget": draw(maybe(st.integers(1, 2000), BAD_BUDGET)),
            "oracle": oracle}
     if draw(st.booleans()):
@@ -148,9 +167,13 @@ def scaling_config(draw):
            "r": draw(maybe(st.lists(st.floats(0.5, 6.0), min_size=n,
                                     max_size=n))),
            "budget": draw(maybe(st.integers(1, 2000), BAD_BUDGET)),
-           "seed": draw(maybe(st.integers(0, 1000)))}
+           "seed": draw(maybe(st.integers(0, 1000), BAD_SEED, p_bad=0.1))}
+    # bad grids: junk, a repeated point (no slope) or an infinite one
+    bad_grid = junk_or(st.floats(0.25, 8.0).flatmap(
+        lambda x: st.sampled_from([[x, x], [x, x, x], [x, math.inf],
+                                   [math.inf, x, 2 * x]])))
     optional = {"R_grid": maybe(st.lists(st.floats(0.25, 8.0), min_size=2,
-                                         max_size=3)),
+                                         max_size=3), bad_grid, p_bad=0.2),
                 "R_base": maybe(st.lists(st.floats(0.25, 4.0), min_size=n,
                                          max_size=n)),
                 "coordinates": maybe(st.lists(st.integers(0, n - 1),

@@ -284,6 +284,9 @@ class TestScalingExperiment:
         tf = tf_for(worked_params, [2, 2], [4, 4])
         with pytest.raises(InfeasibleError):
             scaling_experiment(worked_params, tf, [1.0], budget=1000, seed=0)
+        with pytest.raises(InfeasibleError):
+            scaling_experiment(worked_params, tf, [2.0, 2.0], budget=1000,
+                               seed=0)
 
     def test_fit_loglog(self):
         # exact power law recovered

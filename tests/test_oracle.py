@@ -16,8 +16,9 @@ from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, quad_iterated, quad_supported,
                              verify_identity)
-from conetube.sampling import (CauchyLaw, RadialLaw, SamplerSpec,
-                               sample_cone, sample_tube)
+from conetube.sampling import (CauchyLaw, ConditionalCauchyLaw, RadialLaw,
+                               SamplerSpec, VCauchyLaw, sample_cone,
+                               sample_tube)
 
 from test_identities import slice_modulus_constant_n2
 
@@ -28,6 +29,40 @@ GAMMA_SPEC_1D = SamplerSpec(n=1, radial=(RadialLaw("gamma", 1.0, 4 * math.pi),),
 def tube_spec_1d():
     return SamplerSpec(n=1, radial=(RadialLaw("betaprime", 1.0, 2.0, 1.0),),
                        border=(), real=(CauchyLaw(0.0, 1.0),))
+
+
+# real-part laws and their explicit Cauchy (loc, scale) at the context (x, v)
+REAL_LAWS = [
+    (CauchyLaw(0.0, 1.05), lambda x, v: (0.0, 1.05)),
+    (CauchyLaw(-0.3, 2.5), lambda x, v: (-0.3, 2.5)),
+    (ConditionalCauchyLaw(ref=0, c=0.5, s0=0.2, s1=0.7),
+     lambda x, v: (0.0, 0.2 + 0.7 * np.sqrt(np.hypot(0.5, x[:, 0])))),
+    (VCauchyLaw(ref1=1, ref2=None, offset=0.3),
+     lambda x, v: (0.0, 0.3 + v[:, 1])),
+    (VCauchyLaw(ref1=0, ref2=2, offset=0.3),
+     lambda x, v: (0.0, 0.3 + np.sqrt(v[:, 0] * v[:, 2]))),
+]
+
+
+class TestRealPartLaws:
+    @pytest.mark.parametrize("law, explicit", REAL_LAWS,
+                             ids=["static-1.05", "static", "conditional",
+                                  "v-diagonal", "v-border"])
+    def test_draws_and_logpdf_are_the_cauchy_formulas(self, law, explicit):
+        ctx = np.random.default_rng(5)
+        x = ctx.standard_normal((1000, 3))
+        v = ctx.uniform(0.5, 2.0, (1000, 3))
+        loc, scale = explicit(x, v)
+        # a static scale's log is math.log: np.log(1.05) differs in the
+        # last bit on some machines
+        log_scale = (math.log(scale) if isinstance(scale, float)
+                     else np.log(scale))
+        draws = law.sample(np.random.default_rng(11), x, v)
+        expected = loc + scale * np.random.default_rng(11).standard_cauchy(1000)
+        assert np.array_equal(draws, expected)
+        t = (draws - loc) / scale
+        assert np.array_equal(law.logpdf(draws, x, v),
+                              -np.log1p(t * t) - log_scale - math.log(math.pi))
 
 
 class TestSamplers:
