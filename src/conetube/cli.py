@@ -48,6 +48,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value such as 1e6."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise TypeError
+    return int(value)
+
+
 def _get(cfg: dict, field: str, default, kind, least: int | None = None,
          where: str = ""):
     """cfg[field] as ``kind``, at least ``least`` if given; ``default`` if
@@ -58,13 +66,20 @@ def _get(cfg: dict, field: str, default, kind, least: int | None = None,
         return default
     value = cfg[field]
     try:
-        value = kind(value)
+        value = (_integer if kind is int else kind)(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(where + field,
                           f"expected {kind.__name__}, got {value!r}") from None
     if least is not None and value < least:
         raise ConfigError(where + field, f"must be at least {least}, got {value}")
     return value
+
+
+def _order(cfg: dict, default: int, where: str = "") -> int:
+    n = _get(cfg, "n", default, int, where=where)
+    if n not in (1, 2, 3):
+        raise ConfigError(where + "n", f"supported orders are 1, 2, 3; got {n}")
+    return n
 
 
 def _budget_seed(cfg: dict) -> tuple[int, int]:
@@ -131,7 +146,7 @@ def _audit_case(i: int, case, n: int):
     if name not in IDENTITY_IDS:
         raise ConfigError(f"{where}.identity", f"unknown identity {name!r}")
     ident = get_identity(name)
-    cn = _parse(f"{where}.n", lambda: int(case.get("n", n)))
+    cn = _order(case, n, f"{where}.")
     params = case.get("params", {})
     if not isinstance(params, dict) or set(params) != set(ident.param_names):
         raise ConfigError(f"{where}.params", f"{name} needs an object with "
@@ -168,9 +183,7 @@ def _audit_cases(cfg: dict, n: int, seed: int):
 
 
 def cmd_audit(cfg: dict, out_dir: Path) -> int:
-    n = _get(cfg, "n", 1, int, least=1)
-    if n not in (1, 2, 3):
-        raise ConfigError("n", f"supported orders are 1, 2, 3; got {n}")
+    n = _order(cfg, 1)
     budget, seed = _budget_seed(cfg)
     oracle = cfg.get("oracle", "auto")
     if oracle not in ("auto", "mc", "quad"):
@@ -303,10 +316,11 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
     budget, seed = _budget_seed(cfg)
     coords = cfg.get("coordinates")
     if coords is not None and not (
-            isinstance(coords, list)
-            and all(type(j) is int and 0 <= j < n for j in coords)):
-        raise ConfigError("coordinates",
-                          f"must be a list of indices in 0..{n - 1}, got {coords!r}")
+            isinstance(coords, list) and coords
+            and all(type(j) is int and 0 <= j < n for j in coords)
+            and len(set(coords)) == len(coords)):
+        raise ConfigError("coordinates", "must be a non-empty list of distinct "
+                          f"indices in 0..{n - 1}, got {coords!r}")
     tf = make_test_function(n, l, r, base)
     try:  # the ranges do not depend on R: one check covers the grid
         check_norm_ranges(params, tf)

@@ -5,12 +5,16 @@ Eight identities are registered:
 
     L23_1   cone Laplace transform of a plain minor power
     L23_2   inverse transform / kernel form of L23_1
-    COR1_1  cone Laplace transform of a shifted minor power
-    COR1_2  inverse transform of COR1_1 (no trailing next-to-top minor factor)
+    COR1_1  L23_1 at the shifted index
+    COR1_2  L23_2 at the shifted index, without the next-to-top minor factor
     L24     cone integral of a shifted power against a shifted-power translate
     L25     horizontal-slice integral of a kernel modulus
     L26     tube integral of a product of two kernels against a power weight
     L27     tube integral of a kernel modulus against a power weight
+
+Each corollary is its lemma at the shifted index: every border offset 3/2
+becomes (n+1)/2 = 3/2 + (n-2)/2, C1 and C2 become C3 and C4, and COR1_2
+also drops the next-to-top minor factor; one builder per transform makes both.
 
 Each identity is split into a constant and a constant-free *structure*
 (the product of powers the closed form predicts); closed = constant x
@@ -37,7 +41,7 @@ from .geometry import (TubePoint, canonical_to_coords,
                        order_from_dim, require_cone, schur_complement,
                        schur_real_part)
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
-                      require_convention)
+                      require_convention, shift_offset)
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
                        RadialLaw, SamplerSpec, VCauchyLaw)
 
@@ -65,24 +69,30 @@ def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.exp(np.sum(e * np.log(np.abs(mins)), axis=-1))
 
 
+def _border(n, shifted) -> float:
+    """Border offset of the transform identities: 3/2, or (n+1)/2 shifted."""
+    return (n + 1.0) / 2.0 if shifted else 1.5
+
+
 # ---------------------------------------------------------------------------
 # structures (constant-free closed-form factors)
 # ---------------------------------------------------------------------------
 
-def _structure_laplace(n, s, t, border_exp_offset):
+def _structure_laplace(n, s, t, shifted: bool):
     q, tn = delta_transform_parts(np.asarray(t, dtype=float))
     logval = (-s[-1] - (n + 1.0) / 2.0) * np.log(tn)
     if n > 1:
-        logval = logval + np.sum((-s[: n - 1] - border_exp_offset) * np.log(q), axis=-1)
+        logval = logval + np.sum((-s[: n - 1] - _border(n, shifted)) * np.log(q),
+                                 axis=-1)
     return np.exp(logval)
 
 
-def _structure_kernel(n, s, z: TubePoint, with_next_to_top: bool,
-                      shifted: bool = False):
+def _structure_kernel(n, s, z: TubePoint, shifted: bool):
+    """The shifted form reads the bold index and has no next-to-top factor."""
     ent = bold_values(s, n) if shifted else np.asarray(s, dtype=float)
     e = minor_exponents(-ent)
     e[-1] += -(n + 1.0)
-    if with_next_to_top and n >= 2:
+    if not shifted and n >= 2:
         e[n - 2] += n - 2.0
     return complex_power_from_minors(complex_minors(z.zeta), e)
 
@@ -292,14 +302,14 @@ def _params_arrays(n, params):
     return {k: plain_values(v, n) for k, v in params.items()}
 
 
-def _low_index(n, rng, hi, border_lo=None) -> np.ndarray:
+def _low_index(n, rng, hi, shifted=True) -> np.ndarray:
     """Random index just inside its lower range bounds, entries below hi."""
-    lo = -(n + 1) / 2.0 + 0.4 if border_lo is None else border_lo
+    lo = 0.4 - _border(n, shifted)
     return np.concatenate([rng.uniform(lo, hi, size=n - 1),
                            rng.uniform(-0.6, hi, size=1)])
 
 
-# -- L23_1 / COR1_1 ---------------------------------------------------------
+# -- L23 / COR1: one builder per transform; C.c* is looked up when called --
 
 def _laplace_integrand(n, s, t, shifted):
     t = np.asarray(t, dtype=float)
@@ -311,39 +321,21 @@ def _laplace_integrand(n, s, t, shifted):
     return f
 
 
-def _mk_L23_1():
+def _laplace_identity(id, label, shifted) -> IdentityDef:
     return IdentityDef(
-        id="L23_1", label="cone Laplace transform, plain power", domain="cone",
-        param_names=("s",), complex_valued=False,
-        range_check=lambda n, p: C.c1_range(n, p["s"]),
-        structure=lambda n, p, pt: _structure_laplace(n, p["s"], pt, 1.5),
-        stated_constant=lambda n, p: C.c1(n, p["s"]),
-        integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, False),
+        id=id, label=label, domain="cone", param_names=("s",),
+        complex_valued=False,
+        range_check=lambda n, p: (C.c3_range if shifted else C.c1_range)(n, p["s"]),
+        structure=lambda n, p, pt: _structure_laplace(n, p["s"], pt, shifted),
+        stated_constant=lambda n, p: (C.c3 if shifted else C.c1)(n, p["s"]),
+        integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, shifted),
         sampler=lambda n, p, pt: _cone_laplace_preset(
-            n, pt, np.concatenate([p["s"][:-1] + 1.5, p["s"][-1:] + 1.0]), FOUR_PI),
+            n, pt, np.concatenate([p["s"][:-1] + _border(n, shifted),
+                                   p["s"][-1:] + 1.0]), FOUR_PI),
         point=cone_vector("t"),
-        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, -1.1)},
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, shifted)},
     )
 
-
-def _mk_COR1_1():
-    return IdentityDef(
-        id="COR1_1", label="cone Laplace transform, shifted power", domain="cone",
-        param_names=("s",), complex_valued=False,
-        range_check=lambda n, p: C.c3_range(n, p["s"]),
-        structure=lambda n, p, pt: _structure_laplace(n, p["s"], pt, (n + 1.0) / 2.0),
-        stated_constant=lambda n, p: C.c3(n, p["s"]),
-        integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, True),
-        sampler=lambda n, p, pt: _cone_laplace_preset(
-            n, pt,
-            np.concatenate([p["s"][:-1] + (n + 1.0) / 2.0, p["s"][-1:] + 1.0]),
-            FOUR_PI),
-        point=cone_vector("t"),
-        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5)},
-    )
-
-
-# -- L23_2 / COR1_2 ---------------------------------------------------------
 
 def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     """Inverse-transform integrand over t, as a cone-domain batch callable.
@@ -355,7 +347,7 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     coordinates, so it is reached from cone samples by that substitution
     (Jacobian 2^(n-1)); at n = 1 the two regions coincide.
     """
-    border_exp = (s[: n - 1] + ((n + 1.0) / 2.0 if shifted else 1.5))
+    border_exp = s[: n - 1] + _border(n, shifted)
     top_exp = s[-1] + (n + 1.0) / 2.0
     inv_const = 1.0 / (C.c3(n, s) if shifted else C.c1(n, s))
     jac = 2.0 ** (n - 1) if dual else 1.0
@@ -375,41 +367,20 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     return f
 
 
-def _kernel_sampler(n, s, z: TubePoint, shifted):
-    shapes = np.concatenate([s[: n - 1] + (2.5 if not shifted else (n + 3.0) / 2.0),
-                             s[-1:] + (n + 3.0) / 2.0])
-    return _cone_laplace_preset(n, z.y, shapes, TWO_PI)
-
-
-def _mk_L23_2():
+def _kernel_identity(id, label, shifted) -> IdentityDef:
     return IdentityDef(
-        id="L23_2", label="inverse transform kernel, plain power", domain="cone",
-        param_names=("s",), complex_valued=True,
-        range_check=lambda n, p: C.c2_range(n, p["s"]),
-        structure=lambda n, p, pt: _structure_kernel(n, p["s"], pt, True),
-        stated_constant=lambda n, p: C.c2(n, p["s"]),
-        integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, False),
-        sampler=lambda n, p, pt: _kernel_sampler(n, p["s"], pt, False),
+        id=id, label=label, domain="cone", param_names=("s",),
+        complex_valued=True,
+        range_check=lambda n, p: (C.c4_range if shifted else C.c2_range)(n, p["s"]),
+        structure=lambda n, p, pt: _structure_kernel(n, p["s"], pt, shifted),
+        stated_constant=lambda n, p: (C.c4 if shifted else C.c2)(n, p["s"]),
+        integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted),
+        sampler=lambda n, p, pt: _cone_laplace_preset(n, pt.y, np.concatenate(
+            [p["s"][:-1] + (_border(n, shifted) + 1.0),
+             p["s"][-1:] + (n + 3.0) / 2.0]), TWO_PI),
         point=tube_point(x_scale=0.15),
-        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, -1.1)},
-        dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, False,
-                                                       dual=True),
-    )
-
-
-def _mk_COR1_2():
-    return IdentityDef(
-        id="COR1_2", label="inverse transform kernel, shifted power", domain="cone",
-        param_names=("s",), complex_valued=True,
-        range_check=lambda n, p: C.c4_range(n, p["s"]),
-        structure=lambda n, p, pt: _structure_kernel(n, p["s"], pt, False,
-                                                     shifted=True),
-        stated_constant=lambda n, p: C.c4(n, p["s"]),
-        integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, True),
-        sampler=lambda n, p, pt: _kernel_sampler(n, p["s"], pt, True),
-        point=tube_point(x_scale=0.15),
-        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2)},
-        dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, True,
+        random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, shifted)},
+        dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted,
                                                        dual=True),
     )
 
@@ -718,7 +689,10 @@ def _mk_L27():
 
 
 IDENTITIES = {d.id: d for d in (
-    _mk_L23_1(), _mk_L23_2(), _mk_COR1_1(), _mk_COR1_2(),
+    _laplace_identity("L23_1", "cone Laplace transform, plain power", False),
+    _kernel_identity("L23_2", "inverse transform kernel, plain power", False),
+    _laplace_identity("COR1_1", "cone Laplace transform, shifted power", True),
+    _kernel_identity("COR1_2", "inverse transform kernel, shifted power", True),
     _mk_L24(), _mk_L25(), _mk_L26(), _mk_L27())}
 
 
@@ -778,7 +752,7 @@ def _shifted_index(s, n: int, name: str) -> np.ndarray:
         require_convention(s, Convention.SHIFTED, name)
         return plain_values(s, n)
     vals = np.atleast_1d(np.asarray(s, dtype=float)).copy()
-    vals[: len(vals) - 1] -= (len(vals) - 2) / 2.0
+    vals[: len(vals) - 1] -= shift_offset(len(vals))
     return vals
 
 

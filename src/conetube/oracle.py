@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammainccinv, gammaincinv
 
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
 from .geometry import canonical_to_coords, schur_complement
@@ -174,10 +175,9 @@ def _quad(f, a, b, epsabs, epsrel):
 # dominate the integrand by design, so their 1e-14 quantiles bound its mass.
 
 def _pos_window(law) -> tuple:
-    from scipy.stats import gamma as _g
-    if law.kind == "gamma":
-        lo = _g.ppf(1e-14, law.a) / law.b
-        hi = _g.isf(1e-14, law.a) / law.b
+    if law.kind == "gamma":  # the 1e-14 lower and upper quantiles
+        lo = gammaincinv(law.a, 1e-14) / law.b
+        hi = gammainccinv(law.a, 1e-14) / law.b
     else:
         # the law fattens the integrand tail by 1.25; the integrand marginal
         # decays like y^-(b + 2.25), so its mass beyond Y falls like
@@ -398,7 +398,8 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
 
     Quadrature-backed wherever quadrature reaches (exact to ~1e-10); MC with
     the stated budget elsewhere, in which case the value carries MC noise of
-    the recorded relative size.  Cached per (identity, n, params).
+    the recorded relative size.  Cached per (identity, n, params); a key
+    outside the convergence range raises and is not cached.
     """
     ident = get_identity(identity_id)
     p = _params_arrays(n, params)
@@ -406,6 +407,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
                                         for k, v in p.items())))
     if key in _CALIBRATION_CACHE:
         return _CALIBRATION_CACHE[key]
+    check_params(identity_id, n, p)  # a divergent integral has no constant
     ref = ident.point.reference(n)
     method = "quad" if quad_supported(identity_id, n) else "mc"
     est = oracle_estimate(identity_id, p, ref, budget, seed, method=method,

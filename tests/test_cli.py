@@ -72,6 +72,18 @@ class TestAudit:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        base = {"n": 2, "seed": 3, "budget": 2000, "configs_per_identity": 1,
+                "oracle": "mc", "identities": ["L23_1"]}
+        floats = {**base, "n": 2.0, "seed": 3.0, "budget": 2e3,
+                  "configs_per_identity": 1.0}
+        for name, payload in (("i", base), ("f", floats)):
+            cfg = write_cfg(tmp_path, f"{name}.json", payload)
+            assert run(["audit", "--config", cfg,
+                        "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "i" / "audit.csv").read_bytes() == \
+            (tmp_path / "f" / "audit.csv").read_bytes()
+
     def test_tiny_budget_warns_and_exits_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a.json",
                         {"n": 2, "seed": 1, "budget": 16,
@@ -343,6 +355,24 @@ class TestBadConfigs:
                    "identities": ["L23_1"]}, "seed"),
         ("scaling", {"seed": -1}, "seed"),
         ("classify", {"q": float("inf")}, "parameter_sets[0].p/q"),
+        # a case's order is read and checked like the top-level one
+        ("audit", {"identity": "L23_1", "n": 0, "params": {"s": []},
+                   "point": {"t": []}}, "cases[0].n"),
+        ("audit", {"identity": "L23_1", "n": -1, "params": {"s": []},
+                   "point": {"t": []}}, "cases[0].n"),
+        ("audit", {"identity": "L23_1", "n": 4, "params": {"s": [0.0] * 4},
+                   "point": {"t": [1.0] * 4 + [0.0] * 3}}, "cases[0].n"),
+        # integer fields are not truncated
+        ("audit", {"n": 1.5}, "n"),
+        ("audit", {"n": True}, "n"),
+        ("audit", {"n": 2, "oracle": "mc", "identities": ["L23_1"],
+                   "configs_per_identity": 1, "budget": 1000.9}, "budget"),
+        ("audit", {"n": 2, "oracle": "mc", "identities": ["L23_1"],
+                   "configs_per_identity": 1, "seed": 2.5}, "seed"),
+        ("audit", {"n": 2, "oracle": "mc", "identities": ["L23_1"],
+                   "configs_per_identity": 1.7}, "configs_per_identity"),
+        ("scaling", {"coordinates": []}, "coordinates"),
+        ("scaling", {"coordinates": [0, 0]}, "coordinates"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
@@ -353,7 +383,11 @@ class TestBadConfigs:
             "scaling-budget-one", "quad-n2-tube", "classify-alpha-infinite",
             "case-param-infinite", "case-kernel-param-infinite",
             "case-point-infinite", "R_grid-infinite", "R_grid-repeated",
-            "audit-seed-negative", "scaling-seed-negative", "q-infinite"])
+            "audit-seed-negative", "scaling-seed-negative", "q-infinite",
+            "case-order-zero", "case-order-negative", "case-order-four",
+            "order-fractional", "order-boolean", "budget-fractional",
+            "seed-fractional", "configs-fractional", "coordinates-empty",
+            "coordinates-repeated"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],

@@ -2,10 +2,12 @@
 
 Configs for all four commands are generated from the keys each command
 reads, with valid, wrongly typed and out-of-range values (infinite vector
-entries, repeated or infinite grid points, negative seeds among them), plus
-unknown keys.  Whatever the config, ``main`` must return 0, 1 or 2 without
-raising, and a rejected config (exit 2) must name the field it rejects.
-Budgets stay at or below 2,000, so every run is cheap.
+entries, repeated or infinite grid points, negative seeds, case orders
+outside 1..3 with params and point sized to match, empty or repeated
+scaling coordinates among them), plus unknown keys.  Whatever the config,
+``main`` must return 0, 1 or 2 without raising, and a rejected config
+(exit 2) must name the field it rejects.  Budgets stay at or below 2,000,
+so every run is cheap.
 """
 
 import contextlib
@@ -95,18 +97,33 @@ def parameter_set(draw, orders=(1, 2, 3)):
     return with_unknown(draw, drop_some(draw, obj))
 
 
+def emptied(obj):
+    """``obj`` with every list in it emptied."""
+    if isinstance(obj, dict):
+        return {k: emptied(v) for k, v in obj.items()}
+    return [] if isinstance(obj, list) else obj
+
+
 @st.composite
 def audit_case(draw, orders):
     ident = draw(st.sampled_from(IDENTITY_IDS))
-    cn = draw(st.sampled_from(orders))
+    order = draw(st.sampled_from(orders))
+    if draw(st.booleans()) and draw(st.booleans()):
+        # an unsupported order, with params and point sized for it; half of
+        # them 0, whose empty params and point no range check may index
+        order = draw(st.one_of(st.just(0),
+                               st.sampled_from([-1, 4, 1.5, True])))
+    cn = max(int(order), 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     params = {k: v.tolist() for k, v in random_params(ident, cn, rng).items()}
     if rarely(draw):  # out of range, or wrongly typed
         key = draw(st.sampled_from(sorted(params)))
         params[key] = draw(st.one_of(vector(cn), bad_vector(cn)))
     point = get_identity(ident).point.payload(random_point(ident, cn, rng))
+    if order < 1:
+        params, point = emptied(params), emptied(point)
     case = {"identity": draw(maybe(st.just(ident), p_bad=0.05)),
-            "n": draw(maybe(st.just(cn), p_bad=0.05)),
+            "n": draw(maybe(st.just(order), p_bad=0.05)),
             "params": params,
             "point": draw(maybe(st.just(json.loads(json.dumps(point))),
                                 p_bad=0.1))}
@@ -176,8 +193,11 @@ def scaling_config(draw):
                                          max_size=3), bad_grid, p_bad=0.2),
                 "R_base": maybe(st.lists(st.floats(0.25, 4.0), min_size=n,
                                          max_size=n)),
-                "coordinates": maybe(st.lists(st.integers(0, n - 1),
-                                              max_size=n, unique=True))}
+                "coordinates": maybe(
+                    st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                             unique=True),
+                    junk_or(st.one_of(st.just([]), st.integers(0, n - 1).map(
+                        lambda j: [j, j]))))}
     for key, strategy in optional.items():
         if draw(st.booleans()):
             cfg[key] = draw(strategy)

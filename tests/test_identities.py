@@ -9,7 +9,8 @@ import conetube
 from conetube import constants as C
 from conetube.errors import (ConeDomainError, ConvergenceDomainError,
                              ConventionError)
-from conetube.geometry import TubePoint, complex_minors, delta_power
+from conetube.geometry import (TubePoint, complex_minors,
+                               complex_power_from_minors, delta_power)
 from conetube.identities import (IDENTITY_IDS, closed_value, cone_shift_closed,
                                  cor1_kernel_closed, cor1_laplace_closed,
                                  get_identity, horizontal_abs_closed,
@@ -17,7 +18,8 @@ from conetube.identities import (IDENTITY_IDS, closed_value, cone_shift_closed,
                                  random_cone_vector, random_params,
                                  random_point, structure_value,
                                  tube_abs_closed, tube_product_closed)
-from conetube.indices import MultiIndex, shift_index
+from conetube.indices import MultiIndex, bold_values, shift_index
+from conetube.sampling import sample_cone
 
 
 def beta_translate_constant(r, eta):
@@ -136,6 +138,47 @@ class TestCorollaryForms:
         t = np.array([1.0, 1, 1, 0, 0])
         val = cor1_laplace_closed(t, [0.0, 0.0, 0.0])
         assert val == pytest.approx(C.c3(3, [0.0] * 3) * 4.0 ** -4, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cor, lemma", [("COR1_1", "L23_1"),
+                                            ("COR1_2", "L23_2")])
+    def test_corollary_is_lemma_at_bold_index(self, n, cor, lemma):
+        """COR1 at s is L23 at bold(s); COR1_2's structure also lacks the
+        next-to-top factor M_{n-1}^(n-2).  The offsets (n-2)/2 vanish at
+        n <= 2, so there the two agree bit for bit."""
+        rng = np.random.default_rng(90 + n)
+        c_def, l_def = get_identity(cor), get_identity(lemma)
+
+        def same(a, b):
+            if n <= 2:
+                return np.array_equal(a, b)
+            return np.allclose(a, b, rtol=1e-13, atol=0.0)
+
+        for _ in range(5):
+            s = random_params(cor, n, rng)["s"]
+            pc, pl = {"s": s}, {"s": bold_values(s, n)}
+            pt = random_point(cor, n, rng)
+            *args, _ = sample_cone(c_def.sampler(n, pc, pt), 64, rng)
+            with np.errstate(all="ignore"):
+                for build in ("integrand", "dual_region"):
+                    if getattr(c_def, build) is None:
+                        continue
+                    a = getattr(c_def, build)(n, pc, pt)(*args)
+                    b = getattr(l_def, build)(n, pl, pt)(*args)
+                    assert same(a, b), build
+            factor = 1.0
+            if cor == "COR1_2" and n >= 2:
+                e = np.zeros(n)
+                e[n - 2] = n - 2.0
+                factor = complex_power_from_minors(complex_minors(pt.zeta), e)
+            assert same(c_def.structure(n, pc, pt),
+                        l_def.structure(n, pl, pt) / factor)
+            assert same(c_def.stated_constant(n, pc),
+                        l_def.stated_constant(n, pl))
+            wide = {"s": rng.uniform(-4.0, 1.0, size=n)}
+            verdicts = [[ok for ok, _ in d.range_check(n, p)] for d, p in
+                        ((c_def, wide), (l_def, {"s": bold_values(wide["s"], n)}))]
+            assert verdicts[0] == verdicts[1]
 
 
 class TestConeShiftClosed:

@@ -11,7 +11,8 @@ from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
                                  structure_value, _params_arrays)
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
-                             MISMATCH, _axis_nodes, _tensor_pass, _thread_count,
+                             MISMATCH, _CALIBRATION_CACHE, _axis_nodes,
+                             _pos_window, _tensor_pass, _thread_count,
                              calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, quad_iterated, quad_supported,
@@ -322,6 +323,16 @@ class TestQuadrature:
 
 
 class TestTensorPass:
+    def test_gamma_window_matches_scipy_stats_quantiles(self):
+        from scipy.stats import gamma
+        for a in np.linspace(0.35, 12.0, 241):
+            law = RadialLaw("gamma", float(a), 2.7)
+            lo = gamma.ppf(1e-14, law.a) / law.b
+            hi = gamma.isf(1e-14, law.a) / law.b
+            expect = (max(math.log(lo) - 1.5, -90.0),
+                      min(math.log(hi) + 1.5, 50.0))
+            assert _pos_window(law) == expect, a
+
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_blocked_pass_is_bit_identical(self, complex_valued):
         axes = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
@@ -422,3 +433,12 @@ class TestCalibration:
         a = calibrated_constant("L25", 1, {"r": [2.0]})
         b = calibrated_constant("L25", 1, {"r": [2.0]})
         assert a == b
+
+    def test_out_of_range_refused_on_the_monte_carlo_path(self):
+        # n = 3 is past quadrature's reach; r fails every c6_range bound,
+        # where Monte Carlo would return a finite number for a divergent
+        # integral
+        before = dict(_CALIBRATION_CACHE)
+        with pytest.raises(ConvergenceDomainError):
+            calibrated_constant("L25", 3, {"r": [1.0, 1.0, 1.0]}, budget=20_000)
+        assert _CALIBRATION_CACHE == before
