@@ -2,14 +2,16 @@
 
 All four subcommands read one declarative JSON config (no prompts), compute,
 and write machine-readable reports: CSV for tabular sweeps, JSON for
-verdicts and witnesses, plus a run_meta.json carrying the timestamp and the
-echoed config.  Reports are byte-identical across reruns with the same
-config and seed; only the metadata file varies.
+verdicts and witnesses, plus a run_meta.json carrying the timestamp, the
+worker count, the versions and the echoed config.  Reports are
+byte-identical across reruns with the same config and seed, at any worker
+count; only the metadata file varies.
 
 Exit codes: 0 clean, 1 at least one finding (a scaling MISMATCH in an
 audit, a CONFLICT verdict, a failed witness construction or an off-analytic
-slope), 2 unusable configuration.  The worker count for the Monte Carlo
-oracles comes from the CONETUBE_THREADS environment variable.
+slope), 2 unusable configuration.  The worker count comes from the
+CONETUBE_THREADS environment variable; an audit spreads its cases over
+the workers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .identities import (IDENTITY_IDS, check_params, get_identity,
                          random_params, random_point)
 from .operators import (ParameterSet, check_norm_ranges, make_test_function,
                         scaling_experiment)
-from .oracle import INCONCLUSIVE, MISMATCH, quad_supported, verify_identity
+from .oracle import (INCONCLUSIVE, MISMATCH, parallel_map, quad_supported,
+                     verify_identity)
 from .reporting import (AUDIT_COLUMNS, SCALING_COLUMNS, audit_detail,
                         audit_row, write_csv, write_json, write_metadata)
 
@@ -50,10 +53,18 @@ def _load_config(path: str | None) -> dict:
 
 def _integer(value) -> int:
     """A JSON integer, or a float with an integral value such as 1e6."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not isinstance(value, (int, float)) or not float(value).is_integer():
         raise TypeError
     return int(value)
+
+
+def _has_bool(value) -> bool:
+    """Whether a boolean sits anywhere in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool)
 
 
 def _get(cfg: dict, field: str, default, kind, least: int | None = None,
@@ -66,6 +77,8 @@ def _get(cfg: dict, field: str, default, kind, least: int | None = None,
         return default
     value = cfg[field]
     try:
+        if isinstance(value, bool):  # a JSON boolean is not a number
+            raise TypeError
         value = (_integer if kind is int else kind)(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(where + field,
@@ -110,6 +123,8 @@ def _vector(value, field: str, n: int | None = None):
     """``value`` as finite floats, an n-vector when n is given."""
     if value is None:
         raise ConfigError(field, "missing")
+    if _has_bool(value):
+        raise ConfigError(field, f"expected numbers, got {value!r}")
     arr = _parse(field, lambda: np.asarray(value, dtype=float))
     if n is not None and arr.shape != (n,):
         raise ConfigError(field, f"expected {n} numbers, got {value!r}")
@@ -153,6 +168,8 @@ def _audit_case(i: int, case, n: int):
                           f"exactly the keys {sorted(ident.param_names)}")
     params = {k: _vector(v, f"{where}.params.{k}") for k, v in params.items()}
     _parse(f"{where}.params", lambda: check_params(name, cn, params))
+    if _has_bool(case.get("point")):
+        raise ConfigError(f"{where}.point", "expected numbers, got a boolean")
     point = _parse(f"{where}.point",
                    lambda: ident.point.parse(case.get("point", {}), cn))
     return name, cn, params, point
@@ -195,23 +212,28 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
             raise ConfigError("oracle", f"quadrature does not reach {ident} "
                                         f"at n = {cn}")
 
+    def verify(task):  # one case: its record, and its dual-region record
+        i, (ident, cn, params, point) = task
+        rec = verify_identity(ident, params, point, budget=budget,
+                              seed=seed + 977 * i, method=oracle)
+        if not (get_identity(ident).dual_region and cn <= 2):
+            return rec, None
+        return rec, verify_identity(ident, params, point, budget=budget,
+                                    seed=seed + 977 * i + 13, method=oracle,
+                                    region="dual")
+
     rows, details = [], []
     inconclusive = 0
     findings = 0
-    for i, (ident, cn, params, point) in enumerate(cases):
-        rec = verify_identity(ident, params, point, budget=budget,
-                              seed=seed + 977 * i, method=oracle)
+    for rec, dual in parallel_map(verify, enumerate(cases)):
         rows.append(audit_row(rec))
         details.append(audit_detail(rec))
         if rec.status == MISMATCH:
             findings += 1
         if rec.status == INCONCLUSIVE:
             inconclusive += 1
-        if get_identity(ident).dual_region and cn <= 2:
-            rec2 = verify_identity(ident, params, point, budget=budget,
-                                   seed=seed + 977 * i + 13, method=oracle,
-                                   region="dual")
-            details.append(audit_detail(rec2))
+        if dual is not None:
+            details.append(audit_detail(dual))
 
     write_csv(out_dir / "audit.csv", AUDIT_COLUMNS, rows)
     statuses = [r[-1] for r in rows]

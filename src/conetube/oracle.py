@@ -5,8 +5,12 @@ Two oracle families:
 * Monte Carlo importance sampling in the canonical cone chart (plus Cauchy
   real parts on the tube).  Deterministic for a fixed seed: the sample
   stream is split into fixed-size chunks, chunk k is generated from
-  SeedSequence((seed, k)), and partial sums are reduced in chunk order, so
-  the result is bit-identical for any worker count.
+  SeedSequence((seed, k)), and partial sums are reduced in chunk order.
+  The CONETUBE_THREADS workers go, through ``parallel_map``, to the
+  outermost independent unit: the records of an audit, else the chunks of
+  an estimate made on its own (the scaling lab, the Schur check, library
+  calls); at one thread it is a plain loop.  No value depends on that
+  schedule, so reports are byte-identical for every worker count.
 
 * Quadrature in the same canonical coordinates.  Every n = 1 integral is
   one scalar adaptive ``quad``: over d on the cone, over u on the slice and
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -73,6 +78,31 @@ def _thread_count() -> int:
     except ValueError:
         return 1
     return min(requested, os.cpu_count() or 1)
+
+
+_WORKER = threading.local()  # ``inside`` is set on parallel_map's threads
+
+
+def _mark_worker() -> None:
+    _WORKER.inside = True
+
+
+def parallel_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in item order, over ``_thread_count()``
+    threads.
+
+    At one thread, with fewer than two items, or when called from one of
+    its own workers, it is that plain loop on the calling thread: the
+    outermost caller gets the threads, and pools never nest.  An item that
+    raises surfaces the exception of the first failing item in item order.
+    """
+    items = list(items)
+    workers = min(_thread_count(), len(items))
+    if workers < 2 or getattr(_WORKER, "inside", False):
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers,
+                            initializer=_mark_worker) as pool:
+        return list(pool.map(fn, items))
 
 
 def _chunk_rng(seed: int, k: int) -> np.random.Generator:
@@ -128,13 +158,7 @@ def _mc_run(sample, integrand, spec: SamplerSpec, count: int, seed: int,
             vals = np.where(finite, vals, 0.0)
         return np.sum(vals), np.sum(np.abs(vals) ** 2), bad
 
-    workers = _thread_count()
-    if workers == 1:
-        partials = [work(k) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, range(n_chunks)))
-    return _mc_reduce(partials, count, method)
+    return _mc_reduce(parallel_map(work, range(n_chunks)), count, method)
 
 
 def mc_integrate_cone(integrand, spec: SamplerSpec, count: int,

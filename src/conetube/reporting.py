@@ -12,12 +12,15 @@ import csv
 import io
 import json
 import math
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .identities import get_identity
+from .oracle import _thread_count
 
 SCHEMA_VERSION = 2
 
@@ -78,8 +81,16 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
+    """run_meta.json: what may vary between runs without moving a data byte
+    (the time, the worker count, the versions), plus the echoed config."""
+    from . import __version__  # at call time: __init__ loads this module
+
     meta = {"schema_version": SCHEMA_VERSION,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "threads": _thread_count(),
+            "versions": {"conetube": __version__,
+                         "python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__},
             "config": _jsonable(config)}
     if extra:
         meta.update(_jsonable(extra))

@@ -48,7 +48,10 @@ class TestAudit:
         regions = {(d["identity"], d["region"]) for d in details["records"]}
         assert regions == {(i, get_identity(i).domain) for i in IDENTITY_IDS} \
             | {("L23_2", "dual"), ("COR1_2", "dual")}
-        assert (tmp_path / "out" / "run_meta.json").exists()
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        assert meta["command"] == "audit" and meta["threads"] >= 1
+        assert set(meta["versions"]) == {"conetube", "python", "numpy",
+                                         "scipy"}
 
     @pytest.mark.parametrize("config", [{}, {"n": 1, "seed": 1}],
                              ids=["default", "seed-1"])
@@ -71,6 +74,27 @@ class TestAudit:
         for name in ("audit.csv", "audit_details.json"):
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
+
+    def test_records_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # at two threads the cases run side by side: a lambda-scaled L23_2
+        # row and its dual-region row must still come out byte for byte
+        cfg = write_cfg(tmp_path, "a.json",
+                        {"n": 2, "seed": 5, "budget": 100_000, "oracle": "mc",
+                         "configs_per_identity": 1,
+                         "identities": ["L23_1", "L23_2", "L24"]})
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CONETUBE_THREADS", threads)
+            code = run(["audit", "--config", cfg,
+                        "--out", str(tmp_path / "out")])
+            runs.append((code, capsys.readouterr().out,
+                         *((tmp_path / "out" / name).read_bytes()
+                           for name in ("audit.csv", "audit_details.json"))))
+        assert runs[0] == runs[1]
+        details = json.loads(runs[0][3])
+        assert any(d["scaling"] for d in details["records"])
+        assert any(d["region"] == "dual" for d in details["records"])
 
     def test_integral_floats_read_as_integers(self, tmp_path):
         base = {"n": 2, "seed": 3, "budget": 2000, "configs_per_identity": 1,
@@ -373,6 +397,13 @@ class TestBadConfigs:
                    "configs_per_identity": 1.7}, "configs_per_identity"),
         ("scaling", {"coordinates": []}, "coordinates"),
         ("scaling", {"coordinates": [0, 0]}, "coordinates"),
+        # a boolean is not a number, in a float field either
+        ("classify", {"alpha": [True, 0]}, "parameter_sets[0].alpha"),
+        ("classify", {"q": True}, "parameter_sets[0].q"),
+        ("scaling", {"R_grid": [1, True, 4]}, "R_grid"),
+        ("audit", {"identity": "L24", "n": 1,
+                   "params": {"r": [3.0], "eta": [1.0]},
+                   "point": {"b": [True]}}, "cases[0].point"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
@@ -387,7 +418,8 @@ class TestBadConfigs:
             "case-order-zero", "case-order-negative", "case-order-four",
             "order-fractional", "order-boolean", "budget-fractional",
             "seed-fractional", "configs-fractional", "coordinates-empty",
-            "coordinates-repeated"])
+            "coordinates-repeated", "alpha-boolean-entry", "q-boolean",
+            "R_grid-boolean-entry", "case-point-boolean-entry"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],

@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -15,8 +17,8 @@ from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              _pos_window, _tensor_pass, _thread_count,
                              calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
-                             oracle_estimate, quad_iterated, quad_supported,
-                             verify_identity)
+                             oracle_estimate, parallel_map, quad_iterated,
+                             quad_supported, verify_identity)
 from conetube.sampling import (CauchyLaw, ConditionalCauchyLaw, RadialLaw,
                                SamplerSpec, VCauchyLaw, sample_cone,
                                sample_tube)
@@ -211,6 +213,52 @@ class TestMonteCarlo:
         est2 = mc_integrate_tube(tube_f, spec, 200_000, seed=9)
         assert est2.value == pytest.approx(1.0, rel=0.02)
         assert est2.method == "MC_TUBE"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+class TestParallelMap:
+    def test_results_come_back_in_item_order(self, monkeypatch, threads):
+        monkeypatch.setenv("CONETUBE_THREADS", threads)
+
+        def square(x):
+            time.sleep(0.02 if x == 0 else 0.0)  # later items finish first
+            return x * x
+
+        assert parallel_map(square, range(6)) == [x * x for x in range(6)]
+
+    def test_first_failing_item_surfaces(self, monkeypatch, threads):
+        monkeypatch.setenv("CONETUBE_THREADS", threads)
+
+        def fail(x):
+            if x == 2:
+                time.sleep(0.05)  # item 5 fails first in time
+            if x in (2, 5):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 2"):
+            parallel_map(fail, range(8))
+
+    def test_nested_call_runs_on_the_calling_worker(self, monkeypatch,
+                                                    threads):
+        monkeypatch.setenv("CONETUBE_THREADS", threads)
+        import conetube.oracle as oracle
+        pools = []
+
+        class Counted(oracle.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", Counted)
+
+        def outer(_):
+            inner = parallel_map(lambda _: threading.get_ident(), range(4))
+            return threading.get_ident(), inner
+
+        for me, inner in parallel_map(outer, range(4)):
+            assert inner == [me] * 4
+        assert len(pools) == (1 if _thread_count() > 1 else 0)
 
 
 class TestQuadrature:
