@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import InvalidInputError, WitnessConstructionError
 from .geometry import log_delta_power
-from .identities import _shifted_index, random_tube_point
-from .indices import bold_values
+from .identities import random_tube_point
+from .indices import Convention, bold_values, read_index
 from .oracle import oracle_estimate
 from .operators import ParameterSet, necessary_exponent_condition
 
@@ -324,8 +324,8 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
         z = random_tube_point(n, rng, x_scale=0.4)
         for k, (weight, kernel, outer_e, phi_e, offset) in enumerate(integrals):
             est = oracle_estimate(
-                "L27", {"l": _shifted_index(weight, n, "l"),
-                        "r": _shifted_index(kernel, n, "r")},
+                "L27", {"l": read_index(weight, Convention.SHIFTED),
+                        "r": read_index(kernel, Convention.SHIFTED)},
                 z, budget, seed + 101 * i + offset, method="mc")
             outer = math.exp(float(log_delta_power(z.y, outer_e)))
             phi = math.exp(float(log_delta_power(z.y, phi_e)))

@@ -9,9 +9,9 @@ count; only the metadata file varies.
 
 Exit codes: 0 clean, 1 at least one finding (a scaling MISMATCH in an
 audit, a CONFLICT verdict, a failed witness construction or an off-analytic
-slope), 2 unusable configuration.  The worker count comes from the
-CONETUBE_THREADS environment variable; an audit spreads its cases over
-the workers.
+slope), 2 unusable configuration, a CONETUBE_THREADS that is not a
+positive integer included.  The worker count comes from that environment
+variable; an audit spreads its cases over the workers.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .identities import (IDENTITY_IDS, check_params, get_identity,
                          random_params, random_point)
 from .operators import (ParameterSet, check_norm_ranges, make_test_function,
                         scaling_experiment)
-from .oracle import (INCONCLUSIVE, MISMATCH, parallel_map, quad_supported,
-                     verify_identity)
+from .oracle import (INCONCLUSIVE, MISMATCH, _thread_count, parallel_map,
+                     quad_supported, verify_identity)
 from .reporting import (AUDIT_COLUMNS, SCALING_COLUMNS, audit_detail,
                         audit_row, write_csv, write_json, write_metadata)
 
@@ -53,18 +53,19 @@ def _load_config(path: str | None) -> dict:
 
 def _integer(value) -> int:
     """A JSON integer, or a float with an integral value such as 1e6."""
-    if not isinstance(value, (int, float)) or not float(value).is_integer():
+    if not float(value).is_integer():
         raise TypeError
     return int(value)
 
 
-def _has_bool(value) -> bool:
-    """Whether a boolean sits anywhere in a JSON value."""
+def _numeric(value) -> bool:
+    """Whether every leaf of a JSON value is a JSON number: an int or a
+    float, not a bool (nor a string or null)."""
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, list):
-        return any(map(_has_bool, value))
-    return isinstance(value, bool)
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _get(cfg: dict, field: str, default, kind, least: int | None = None,
@@ -77,7 +78,7 @@ def _get(cfg: dict, field: str, default, kind, least: int | None = None,
         return default
     value = cfg[field]
     try:
-        if isinstance(value, bool):  # a JSON boolean is not a number
+        if not _numeric(value):
             raise TypeError
         value = (_integer if kind is int else kind)(value)
     except (TypeError, ValueError, OverflowError):
@@ -123,7 +124,7 @@ def _vector(value, field: str, n: int | None = None):
     """``value`` as finite floats, an n-vector when n is given."""
     if value is None:
         raise ConfigError(field, "missing")
-    if _has_bool(value):
+    if not _numeric(value):
         raise ConfigError(field, f"expected numbers, got {value!r}")
     arr = _parse(field, lambda: np.asarray(value, dtype=float))
     if n is not None and arr.shape != (n,):
@@ -168,10 +169,10 @@ def _audit_case(i: int, case, n: int):
                           f"exactly the keys {sorted(ident.param_names)}")
     params = {k: _vector(v, f"{where}.params.{k}") for k, v in params.items()}
     _parse(f"{where}.params", lambda: check_params(name, cn, params))
-    if _has_bool(case.get("point")):
-        raise ConfigError(f"{where}.point", "expected numbers, got a boolean")
-    point = _parse(f"{where}.point",
-                   lambda: ident.point.parse(case.get("point", {}), cn))
+    raw = case.get("point", {})
+    if not _numeric(raw):
+        raise ConfigError(f"{where}.point", f"expected numbers, got {raw!r}")
+    point = _parse(f"{where}.point", lambda: ident.point.parse(raw, cn))
     return name, cn, params, point
 
 
@@ -241,7 +242,6 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
                "by_status": {s: statuses.count(s) for s in sorted(set(statuses))}}
     write_json(out_dir / "audit_details.json",
                {"summary": summary, "records": details})
-    write_metadata(out_dir / "run_meta.json", cfg, {"command": "audit"})
     if inconclusive:
         print(f"warning: {inconclusive} inconclusive row(s); raise the budget "
               "to sharpen them", file=sys.stderr)
@@ -282,7 +282,6 @@ def cmd_classify(cfg: dict, out_dir: Path) -> int:
             "sufficient": _breakdown_payload(result.theorem2),
         })
     write_json(out_dir / "verdicts.json", {"verdicts": verdicts})
-    write_metadata(out_dir / "run_meta.json", cfg, {"command": "classify"})
     print(f"classify: {len(verdicts)} set(s) -> {out_dir / 'verdicts.json'}")
     for v in verdicts:
         print(f"  {v['verdict']}")
@@ -311,7 +310,6 @@ def cmd_witness(cfg: dict, out_dir: Path) -> int:
             entry.update({"ok": False, "error": str(exc)})
         witnesses.append(entry)
     write_json(out_dir / "witnesses.json", {"witnesses": witnesses})
-    write_metadata(out_dir / "run_meta.json", cfg, {"command": "witness"})
     print(f"witness: {len(witnesses)} set(s), {failures} failure(s) "
           f"-> {out_dir / 'witnesses.json'}")
     return 1 if failures else 0
@@ -367,7 +365,6 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
         "difference_analytic": c.Tf_analytic - c.f_analytic,
     } for c in report.coordinates]
     write_json(out_dir / "scaling.json", {"slopes": slopes})
-    write_metadata(out_dir / "run_meta.json", cfg, {"command": "scaling"})
     print(f"scaling: {len(rows)} rows -> {out_dir / 'scaling.csv'}")
     bad = 0
     for s in slopes:
@@ -418,6 +415,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     fn, flags, keys = COMMANDS[args.command]
     try:
+        try:  # read once, before any work
+            threads = _thread_count()
+        except InvalidInputError as exc:
+            raise ConfigError("CONETUBE_THREADS", str(exc)) from None
         cfg = _load_config(args.config)
         _known(cfg, "", keys)
         for field in flags:
@@ -426,7 +427,10 @@ def main(argv=None) -> int:
                 cfg[field] = value
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return fn(cfg, out_dir)
+        code = fn(cfg, out_dir)
+        write_metadata(out_dir / "run_meta.json", cfg,
+                       {"command": args.command, "threads": threads})
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,7 @@ from .geometry import (TubePoint, canonical_to_coords,
                        delta_transform_parts, log_delta_power, minor_exponents,
                        order_from_dim, require_cone, schur_complement,
                        schur_real_part)
-from .indices import (Convention, MultiIndex, bold_values, plain_values,
-                      require_convention, shift_offset)
+from .indices import Convention, bold_values, plain_values, read_index
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
                        RadialLaw, SamplerSpec, VCauchyLaw)
 
@@ -739,60 +738,44 @@ def structure_value(identity_id: str, params: dict, point):
 # public closed-form operations
 # ---------------------------------------------------------------------------
 
-def _plain_index(s, name: str) -> np.ndarray:
-    if isinstance(s, MultiIndex):
-        require_convention(s, Convention.PLAIN, name)
-        return s.values
-    return np.atleast_1d(np.asarray(s, dtype=float))
-
-
-def _shifted_index(s, n: int, name: str) -> np.ndarray:
-    """Plain values of an index declared shifted (bare arrays read as shifted)."""
-    if isinstance(s, MultiIndex):
-        require_convention(s, Convention.SHIFTED, name)
-        return plain_values(s, n)
-    vals = np.atleast_1d(np.asarray(s, dtype=float)).copy()
-    vals[: len(vals) - 1] -= shift_offset(len(vals))
-    return vals
+def _closed(identity_id: str, point, indices: dict, constant,
+            convention: Convention = Convention.PLAIN):
+    """closed_value at ``indices`` declared in ``convention``, as a float, or
+    as a complex for a complex-valued identity."""
+    params = {k: read_index(v, convention, k) for k, v in indices.items()}
+    cast = complex if get_identity(identity_id).complex_valued else float
+    return cast(closed_value(identity_id, params, point, constant))
 
 
 def laplace_power_closed(t, s, constant: float | None = None) -> float:
     """Closed form of the cone Laplace transform of a plain minor power."""
-    return float(closed_value("L23_1", {"s": _plain_index(s, "s")},
-                              require_cone(t), constant))
+    return _closed("L23_1", require_cone(t), {"s": s}, constant)
 
 
 def kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
     """Closed form of the inverse-transform kernel for a plain index."""
-    return complex(closed_value("L23_2", {"s": _plain_index(s, "s")}, _tube(z),
-                                constant))
+    return _closed("L23_2", _tube(z), {"s": s}, constant)
 
 
 def cor1_laplace_closed(t, s, constant: float | None = None) -> float:
     """Shifted-power Laplace closed form; takes the plain s and shifts inside."""
-    return float(closed_value("COR1_1", {"s": _plain_index(s, "s")},
-                              require_cone(t), constant))
+    return _closed("COR1_1", require_cone(t), {"s": s}, constant)
 
 
 def cor1_kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
-    return complex(closed_value("COR1_2", {"s": _plain_index(s, "s")}, _tube(z),
-                                constant))
+    return _closed("COR1_2", _tube(z), {"s": s}, constant)
 
 
 def cone_shift_closed(b, r, eta, constant: float | None = None) -> float:
     """Closed form of the cone integral of a power against a translate."""
-    bv = require_cone(b)
-    n = order_from_dim(bv.shape[-1])
-    params = {"r": _shifted_index(r, n, "r"), "eta": _shifted_index(eta, n, "eta")}
-    return float(closed_value("L24", params, bv, constant))
+    return _closed("L24", require_cone(b), {"r": r, "eta": eta}, constant,
+                   Convention.SHIFTED)
 
 
 def horizontal_abs_closed(v, r, constant: float | None = None) -> float:
     """Closed form of the horizontal-slice integral of a kernel modulus."""
-    vv = require_cone(v)
-    n = order_from_dim(vv.shape[-1])
-    return float(closed_value("L25", {"r": _shifted_index(r, n, "r")}, vv,
-                              constant))
+    return _closed("L25", require_cone(v), {"r": r}, constant,
+                   Convention.SHIFTED)
 
 
 def tube_product_closed(z: TubePoint, xi: TubePoint, l, r, eta,
@@ -801,18 +784,14 @@ def tube_product_closed(z: TubePoint, xi: TubePoint, l, r, eta,
     z, xi = _tube(z), _tube(xi)
     if z.n != xi.n:
         raise InvalidInputError("z and xi must share the same order")
-    n = z.n
-    params = {"l": _shifted_index(l, n, "l"), "r": _shifted_index(r, n, "r"),
-              "eta": _shifted_index(eta, n, "eta")}
-    return complex(closed_value("L26", params, (z, xi), constant))
+    return _closed("L26", (z, xi), {"l": l, "r": r, "eta": eta}, constant,
+                   Convention.SHIFTED)
 
 
 def tube_abs_closed(z: TubePoint, l, r, constant: float | None = None) -> float:
     """Closed form of the tube integral of a kernel modulus; x-independent."""
-    z = _tube(z)
-    n = z.n
-    params = {"l": _shifted_index(l, n, "l"), "r": _shifted_index(r, n, "r")}
-    return float(closed_value("L27", params, z, constant))
+    return _closed("L27", _tube(z), {"l": l, "r": r}, constant,
+                   Convention.SHIFTED)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ The closed forms mix two conventions for such vectors: the plain one, and a
 shifted one whose first n-1 entries carry an extra (n-2)/2.  Passing one
 where the other is expected is the single easiest way to get silently wrong
 answers at n >= 3, so :class:`MultiIndex` carries its convention as data and
-conversions are explicit.
+conversions are explicit.  A function that takes an index in a declared
+convention reads it through :func:`read_index`, the one reader of that
+declaration.
 
 For n = 1 and n = 2 the offset (n-2)/2 vanishes or there are no shifted
 coordinates, so the two conventions coincide numerically; the tag is still
@@ -81,17 +83,6 @@ def unshift_index(s: MultiIndex) -> MultiIndex:
     return MultiIndex(tuple(vals), Convention.PLAIN)
 
 
-def require_convention(s: MultiIndex, convention: Convention, name: str) -> None:
-    if not isinstance(s, MultiIndex):
-        raise ConventionError(
-            f"{name} must be a MultiIndex tagged {convention.value}; got "
-            f"{type(s).__name__}")
-    if s.convention is not convention:
-        raise ConventionError(
-            f"{name} must be in the {convention.value} convention, got "
-            f"{s.convention.value}")
-
-
 def plain_values(s, n: int | None = None) -> np.ndarray:
     """Plain-convention values of ``s``.
 
@@ -119,3 +110,22 @@ def bold_values(s, n: int | None = None) -> np.ndarray:
     vals = plain_values(s, n).copy()
     vals[: len(vals) - 1] += shift_offset(len(vals))
     return vals
+
+
+def read_index(s, convention: Convention, name: str = "index") -> np.ndarray:
+    """Plain values of an index declared in ``convention``.
+
+    This is the one reader of a declared convention.  A bare array-like is
+    read in the declared convention; a MultiIndex must carry it, or
+    ConventionError is raised.
+    """
+    if isinstance(s, MultiIndex):
+        if s.convention is not convention:
+            raise ConventionError(
+                f"{name} must be in the {convention.value} convention, got "
+                f"{s.convention.value}")
+    elif convention is Convention.SHIFTED:
+        vals = np.atleast_1d(np.asarray(s, dtype=float)).copy()
+        vals[:-1] -= shift_offset(len(vals))
+        return vals
+    return plain_values(s)

@@ -39,9 +39,10 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInputError, OracleRejectedError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
                        log_delta_power, minor_exponents)
-from .identities import (_shifted_index, check_params, closed_value,
-                         get_identity, tube_proposal)
-from .indices import Convention, MultiIndex, bold_values, plain_values
+from .identities import (check_params, closed_value, get_identity,
+                         tube_proposal)
+from .indices import (Convention, MultiIndex, bold_values, plain_values,
+                      read_index)
 from .oracle import (IntegralEstimate, mc_integrate_cone,
                      mc_integrate_tube)
 from .sampling import SamplerSpec
@@ -343,7 +344,7 @@ def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
     """
     from .oracle import calibrated_constant
     return float(np.real(calibrated_constant(
-        "L25", n, {"r": _shifted_index(bold_kernel, n, "r")})))
+        "L25", n, {"r": read_index(bold_kernel, Convention.SHIFTED)})))
 
 
 def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
@@ -357,8 +358,8 @@ def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
     Remb = embed_R(R, n)
     cst = _slice_constant(n, kernel_bold)
     ident = get_identity("L24")
-    p = {"r": _shifted_index(kernel_bold - (n + 1.0) / 2.0, n, "r"),
-         "eta": _shifted_index(weight_bold, n, "eta")}
+    p = {"r": read_index(kernel_bold - (n + 1.0) / 2.0, Convention.SHIFTED),
+         "eta": read_index(weight_bold, Convention.SHIFTED)}
     f = ident.integrand(n, p, Remb)
     est = mc_integrate_cone(lambda y, d=None: cst * f(y, d),
                             ident.sampler(n, p, Remb), budget, seed)

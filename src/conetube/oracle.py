@@ -72,11 +72,18 @@ class IntegralEstimate:
 
 
 def _thread_count() -> int:
-    """CONETUBE_THREADS, capped at the CPU count."""
+    """CONETUBE_THREADS, 1 when unset, capped at the CPU count.
+
+    Any value other than a positive integer raises InvalidInputError.
+    """
+    raw = os.environ.get("CONETUBE_THREADS", "1")
     try:
-        requested = max(1, int(os.environ.get("CONETUBE_THREADS", "1")))
-    except ValueError:
-        return 1
+        requested = int(raw) if raw.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        requested = 0
+    if requested < 1:
+        raise InvalidInputError(
+            f"CONETUBE_THREADS must be a positive integer, got {raw!r}")
     return min(requested, os.cpu_count() or 1)
 
 
@@ -249,30 +256,23 @@ def _axis_nodes(axis, h):
 
 
 def _tensor_pass(f_axes, axes, h):
-    grids = [_axis_nodes(axis, h) for axis in axes]
-    if len(axes) == 2:
-        # row blocks of about CHUNK nodes bound the integrand's temporaries;
-        # one sum over the whole buffer keeps the unblocked summation order
-        x0, w0 = grids[0]
-        x1, w1 = grids[1]
-        rows = max(1, CHUNK // x1.shape[0])
-        buf = None
-        for i in range(0, x0.shape[0], rows):
-            vals = f_axes(x0[i:i + rows, None], x1[None, :])
-            if buf is None:
-                buf = np.empty((x0.shape[0], x1.shape[0]), dtype=vals.dtype)
-            buf[i:i + rows] = vals * (w0[i:i + rows, None] * w1[None, :])
-        return complex(np.sum(buf))
-    x0, w0 = grids[0]
-    x1, w1 = grids[1]
-    x2, w2 = grids[2]
-    total = 0.0 + 0.0j
-    w12 = w1[:, None] * w2[None, :]
-    for i in range(x0.shape[0]):  # chunk over the first axis to bound memory
-        vals = f_axes(np.full((x1.shape[0], x2.shape[0]), x0[i]),
-                      x1[:, None], x2[None, :])
-        total += w0[i] * complex(np.sum(vals * w12))
-    return total
+    if len(axes) == 3:  # a two-axis pass over the last two axes per node
+        total = 0.0 + 0.0j
+        for x, w in zip(*_axis_nodes(axes[0], h)):
+            total += w * _tensor_pass(lambda a, b: f_axes(
+                np.full((a.shape[0], b.shape[1]), x), a, b), axes[1:], h)
+        return total
+    (x0, w0), (x1, w1) = (_axis_nodes(axis, h) for axis in axes)
+    # row blocks of about CHUNK nodes bound the integrand's temporaries;
+    # one sum over the whole buffer keeps the unblocked summation order
+    rows = max(1, CHUNK // x1.shape[0])
+    buf = None
+    for i in range(0, x0.shape[0], rows):
+        vals = f_axes(x0[i:i + rows, None], x1[None, :])
+        if buf is None:
+            buf = np.empty((x0.shape[0], x1.shape[0]), dtype=vals.dtype)
+        buf[i:i + rows] = vals * (w0[i:i + rows, None] * w1[None, :])
+    return complex(np.sum(buf))
 
 
 def tensor_quad(f_axes, axes, rel_tol=1e-8):

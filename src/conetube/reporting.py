@@ -20,7 +20,6 @@ import numpy as np
 import scipy
 
 from .identities import get_identity
-from .oracle import _thread_count
 
 SCHEMA_VERSION = 2
 
@@ -82,12 +81,12 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
     """run_meta.json: what may vary between runs without moving a data byte
-    (the time, the worker count, the versions), plus the echoed config."""
+    (the time, the versions, and in ``extra`` the worker count), plus the
+    echoed config."""
     from . import __version__  # at call time: __init__ loads this module
 
     meta = {"schema_version": SCHEMA_VERSION,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "threads": _thread_count(),
             "versions": {"conetube": __version__,
                          "python": platform.python_version(),
                          "numpy": np.__version__, "scipy": scipy.__version__},

@@ -404,6 +404,23 @@ class TestBadConfigs:
         ("audit", {"identity": "L24", "n": 1,
                    "params": {"r": [3.0], "eta": [1.0]},
                    "point": {"b": [True]}}, "cases[0].point"),
+        # nor is a string or null: every config number is a JSON number
+        ("classify", {"p": "2"}, "parameter_sets[0].p"),
+        ("classify", {"alpha": ["0", "0"]}, "parameter_sets[0].alpha"),
+        ("audit", {"identity": "L24", "n": 1,
+                   "params": {"r": ["3.0"], "eta": [1.0]},
+                   "point": {"b": [1.0]}}, "cases[0].params.r"),
+        ("audit", {"identity": "L24", "n": 1,
+                   "params": {"r": [3.0], "eta": [1.0]},
+                   "point": {"b": ["1.0"]}}, "cases[0].point"),
+        ("classify", {"beta": [0, None]}, "parameter_sets[0].beta"),
+        ("scaling", {"R_base": [1, None]}, "R_base"),
+        ("audit", {"identity": "L24", "n": 1,
+                   "params": {"r": [3.0], "eta": [None]},
+                   "point": {"b": [1.0]}}, "cases[0].params.eta"),
+        ("audit", {"identity": "L24", "n": 1,
+                   "params": {"r": [3.0], "eta": [1.0]},
+                   "point": {"b": [None]}}, "cases[0].point"),
     ], ids=["classify-alpha", "witness-alpha", "R_grid-entry", "R_base-entry",
             "coordinate-out-of-range", "coordinates-not-a-list",
             "R_grid-negative", "case-outside-range", "f-norm-infinite",
@@ -419,7 +436,10 @@ class TestBadConfigs:
             "order-fractional", "order-boolean", "budget-fractional",
             "seed-fractional", "configs-fractional", "coordinates-empty",
             "coordinates-repeated", "alpha-boolean-entry", "q-boolean",
-            "R_grid-boolean-entry", "case-point-boolean-entry"])
+            "R_grid-boolean-entry", "case-point-boolean-entry", "p-string",
+            "alpha-string-entries", "case-param-string", "case-point-string",
+            "beta-null-entry", "R_base-null-entry", "case-param-null-entry",
+            "case-point-null-entry"])
     def test_bad_config_names_field(self, tmp_path, capsys, command, patch,
                                     field):
         sets = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
@@ -436,6 +456,18 @@ class TestBadConfigs:
                     "--out", str(tmp_path / "o")]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not any((tmp_path / "o").glob("*"))  # no report written
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-1"])
+    def test_bad_thread_count_exits_two(self, tmp_path, capsys, monkeypatch,
+                                        threads):
+        monkeypatch.setenv("CONETUBE_THREADS", threads)
+        cfg = write_cfg(tmp_path, "c.json", {"parameter_sets": [
+            {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0], "a": [0],
+             "b": [0], "c": [2]}]})
+        assert run(["classify", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "config field 'CONETUBE_THREADS'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # read before any work
 
     @pytest.mark.parametrize("command, flag", [
         ("classify", "--seed"), ("classify", "--budget"), ("classify", "--n"),

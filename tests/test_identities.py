@@ -18,7 +18,7 @@ from conetube.identities import (IDENTITY_IDS, closed_value, cone_shift_closed,
                                  random_cone_vector, random_params,
                                  random_point, structure_value,
                                  tube_abs_closed, tube_product_closed)
-from conetube.indices import MultiIndex, bold_values, shift_index
+from conetube.indices import Convention, MultiIndex, bold_values, shift_index
 from conetube.sampling import sample_cone
 
 
@@ -392,6 +392,42 @@ class TestTubeAbsClosed:
                 lam ** expo * base, rel=1e-12)
 
 
+# each public closed form and the convention its indices are declared in
+PUBLIC_CLOSED = {
+    "L23_1": (laplace_power_closed, Convention.PLAIN),
+    "L23_2": (kernel_closed, Convention.PLAIN),
+    "COR1_1": (cor1_laplace_closed, Convention.PLAIN),
+    "COR1_2": (cor1_kernel_closed, Convention.PLAIN),
+    "L24": (cone_shift_closed, Convention.SHIFTED),
+    "L25": (horizontal_abs_closed, Convention.SHIFTED),
+    "L26": (tube_product_closed, Convention.SHIFTED),
+    "L27": (tube_abs_closed, Convention.SHIFTED)}
+
+
+@pytest.mark.parametrize("ident", IDENTITY_IDS)
+def test_public_closed_form_is_closed_value(rng, ident):
+    # bit for bit, for bare and tagged indices; the wrong tag is refused
+    fn, convention = PUBLIC_CLOSED[ident]
+    wrong = next(c for c in Convention if c is not convention)
+    ddef = get_identity(ident)
+    for n in (1, 2, 3):
+        params = random_params(ident, n, rng)
+        point = random_point(ident, n, rng)
+        args = point if ident == "L26" else (point,)
+        declared = [params[k] if convention is Convention.PLAIN
+                    else bold_values(params[k], n) for k in ddef.param_names]
+        expect = closed_value(ident, {k: MultiIndex(v, convention) for k, v
+                                      in zip(ddef.param_names, declared)},
+                              point)
+        for indices in (declared, [MultiIndex(v, convention)
+                                   for v in declared]):
+            got = fn(*args, *indices)
+            assert type(got) is (complex if ddef.complex_valued else float)
+            assert got == expect, (n, indices)
+        with pytest.raises(ConventionError):
+            fn(*args, *[MultiIndex(v, wrong) for v in declared])
+
+
 class TestRegistry:
     def test_all_identities_registered(self):
         assert set(IDENTITY_IDS) == {"L23_1", "L23_2", "COR1_1", "COR1_2",
@@ -418,9 +454,7 @@ class TestRegistry:
 
     def test_operator_modules_import_no_identity_builders(self):
         # the operator lab and the Schur check compute every lemma through
-        # its registry entry; of the private helpers they may use only the
-        # one that belongs to no single identity
-        allowed = {"_shifted_index"}
+        # its registry entry and use no private helper of the identities
         root = Path(conetube.__file__).parent
         for name in ("operators.py", "boundedness.py"):
             tree = ast.parse((root / name).read_text())
@@ -433,8 +467,7 @@ class TestRegistry:
                     imported += names
                 elif node.module in (None, "conetube"):
                     assert "identities" not in names, name
-            bad = [x for x in imported
-                   if x.startswith("_") and x not in allowed]
+            bad = [x for x in imported if x.startswith("_")]
             assert imported and bad == [], (name, bad)
 
     def test_structure_positive_for_modulus_identities(self, rng):

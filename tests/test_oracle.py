@@ -193,6 +193,14 @@ class TestMonteCarlo:
             est = mc_integrate_cone(integrand, GAMMA_SPEC_1D, 100_000, seed=3)
         assert est.nonfinite == 20  # 10 in each of the two chunks
 
+    def test_thread_count_is_a_positive_integer(self, monkeypatch):
+        monkeypatch.delenv("CONETUBE_THREADS", raising=False)
+        assert _thread_count() == 1
+        for bad in ("two", "0", "-1", "", "1.5", "9" * 5000):
+            monkeypatch.setenv("CONETUBE_THREADS", bad)
+            with pytest.raises(InvalidInputError, match="CONETUBE_THREADS"):
+                _thread_count()
+
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("CONETUBE_THREADS", "1000")
         assert _thread_count() == (os.cpu_count() or 1)
@@ -370,6 +378,9 @@ class TestQuadrature:
             quad_iterated("L25", {"r": [0.9375]}, np.array([1.0]))
 
 
+PLANE_AXES = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
+
+
 class TestTensorPass:
     def test_gamma_window_matches_scipy_stats_quantiles(self):
         from scipy.stats import gamma
@@ -381,20 +392,32 @@ class TestTensorPass:
                       min(math.log(hi) + 1.5, 50.0))
             assert _pos_window(law) == expect, a
 
-    @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_blocked_pass_is_bit_identical(self, complex_valued):
-        axes = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
+    @pytest.mark.parametrize("axes, complex_valued", [
+        (PLANE_AXES, False), (PLANE_AXES, True),
+        ([("lin", 0.5, 0.6)] + PLANE_AXES, False),
+        ([("lin", 0.5, 0.6)] + PLANE_AXES, True)],
+        ids=["False", "True", "three-axes-False", "three-axes-True"])
+    def test_blocked_pass_is_bit_identical(self, axes, complex_valued):
         h = 1.0 / 64
-        x0, w0 = _axis_nodes(axes[0], h)
-        x1, w1 = _axis_nodes(axes[1], h)
+        *outer, (x0, w0), (x1, w1) = [_axis_nodes(axis, h) for axis in axes]
         assert x0.size * x1.size > 4 * CHUNK  # several row blocks
 
-        def f(u, y):
-            vals = np.exp(-y) * y / (1.0 + u * u)
+        def f(*xs):
+            c = xs[0] if len(xs) == 3 else 1.0
+            u, y = xs[-2:]
+            vals = np.exp(-y) * y / (c + u * u)
             return vals * np.exp(1j * u * y) if complex_valued else vals
 
-        unblocked = complex(np.sum(f(x0[:, None], x1[None, :])
-                                   * (w0[:, None] * w1[None, :])))
+        def plane(*lead):  # the last two axes, in one unblocked sum
+            return complex(np.sum(f(*lead, x0[:, None], x1[None, :])
+                                  * (w0[:, None] * w1[None, :])))
+
+        if outer:
+            unblocked = 0.0 + 0.0j
+            for c, w in zip(*outer[0]):
+                unblocked += w * plane(np.full((x0.size, x1.size), c))
+        else:
+            unblocked = plane()
         assert _tensor_pass(f, axes, h) == unblocked
 
 
