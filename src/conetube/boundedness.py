@@ -92,6 +92,8 @@ class Breakdown:
         return [c.id for c in self.conditions if not c.satisfied]
 
 
+# a huge finite parameter overflows a margin to +-inf, which is its sign
+@np.errstate(over="ignore", invalid="ignore")
 def theorem1_necessary(params: ParameterSet) -> Breakdown:
     """Necessary conditions: weight inequalities plus the forced c."""
     n, p, q = params.n, params.p, params.q
@@ -109,6 +111,7 @@ def theorem1_necessary(params: ParameterSet) -> Breakdown:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def theorem2_sufficient(params: ParameterSet) -> Breakdown:
     """Sufficient conditions: c_j > n, weight inequalities, forced c."""
     n, p, q = params.n, params.p, params.q

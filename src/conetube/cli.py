@@ -43,12 +43,9 @@ def _load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError("config", f"file not found: {path}")
     try:
-        cfg = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be an object")
-    return cfg
 
 
 def _integer(value) -> int:
@@ -102,12 +99,23 @@ def _budget_seed(cfg: dict) -> tuple[int, int]:
             _get(cfg, "seed", 0, int, least=0))
 
 
-def _known(obj: dict, where: str, keys) -> None:
-    """Reject the keys of ``obj`` that its reader does not use."""
-    unknown = sorted(set(obj) - set(keys))
+def _object(value, where: str, keys) -> dict:
+    """``value`` as a JSON object whose every key is one of ``keys``, the
+    keys its reader uses; ``where`` is "" at the top level."""
+    if not isinstance(value, dict):
+        raise ConfigError(where or "config", "must be an object")
+    unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ConfigError(where + unknown[0],
+        raise ConfigError(f"{where}.{unknown[0]}" if where else unknown[0],
                           f"unknown key; expected one of {sorted(keys)}")
+    return value
+
+
+def _nonempty(value, field: str) -> list:
+    """``value`` as a non-empty JSON list: an empty selection is no run."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(field, f"must be a non-empty list, got {value!r}")
+    return value
 
 
 def _parse(where: str, read):
@@ -134,10 +142,8 @@ def _vector(value, field: str, n: int | None = None):
     return arr
 
 
-def _parameter_set(obj: dict, where: str) -> ParameterSet:
-    if not isinstance(obj, dict):
-        raise ConfigError(where, "parameter set must be an object")
-    _known(obj, f"{where}.", ("n", "p", "q", "alpha", "beta", "a", "b", "c"))
+def _parameter_set(obj, where: str) -> ParameterSet:
+    _object(obj, where, ("n", "p", "q", "alpha", "beta", "a", "b", "c"))
     n = _get(obj, "n", None, int, least=1, where=f"{where}.")
     p = _get(obj, "p", None, float, where=f"{where}.")
     q = _get(obj, "q", None, float, where=f"{where}.")
@@ -155,9 +161,7 @@ def _parameter_set(obj: dict, where: str) -> ParameterSet:
 
 def _audit_case(i: int, case, n: int):
     where = f"cases[{i}]"
-    if not isinstance(case, dict):
-        raise ConfigError(where, "must be an object")
-    _known(case, f"{where}.", ("identity", "n", "params", "point"))
+    _object(case, where, ("identity", "n", "params", "point"))
     name = case.get("identity")
     if name not in IDENTITY_IDS:
         raise ConfigError(f"{where}.identity", f"unknown identity {name!r}")
@@ -179,17 +183,16 @@ def _audit_case(i: int, case, n: int):
 def _audit_cases(cfg: dict, n: int, seed: int):
     explicit = cfg.get("cases")
     if explicit is not None:
-        if not isinstance(explicit, list):
-            raise ConfigError("cases", "must be a list")
+        _nonempty(explicit, "cases")
         for unread in ("identities", "configs_per_identity"):
             if unread in cfg:
                 raise ConfigError(unread, "not read when cases are given")
         for i, case in enumerate(explicit):
             yield _audit_case(i, case, n)
         return
-    identities = cfg.get("identities", list(IDENTITY_IDS))
-    if not isinstance(identities, list) or \
-            any(i not in IDENTITY_IDS for i in identities):
+    identities = _nonempty(cfg.get("identities", list(IDENTITY_IDS)),
+                           "identities")
+    if any(i not in IDENTITY_IDS for i in identities):
         raise ConfigError("identities", f"must be a subset of {IDENTITY_IDS}")
     per = _get(cfg, "configs_per_identity", 3, int, least=1)
     rng = np.random.default_rng(seed)
@@ -213,28 +216,17 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
             raise ConfigError("oracle", f"quadrature does not reach {ident} "
                                         f"at n = {cn}")
 
-    def verify(task):  # one case: its record, and its dual-region record
+    def verify(task):  # one case: a record per region the registry lists
         i, (ident, cn, params, point) = task
-        rec = verify_identity(ident, params, point, budget=budget,
-                              seed=seed + 977 * i, method=oracle)
-        if not (get_identity(ident).dual_region and cn <= 2):
-            return rec, None
-        return rec, verify_identity(ident, params, point, budget=budget,
-                                    seed=seed + 977 * i + 13, method=oracle,
-                                    region="dual")
+        return [verify_identity(ident, params, point, budget=budget,
+                                seed=seed + 977 * i + 13 * k, method=oracle,
+                                region=region)
+                for k, region in enumerate(get_identity(ident).regions(cn))]
 
     rows, details = [], []
-    inconclusive = 0
-    findings = 0
-    for rec, dual in parallel_map(verify, enumerate(cases)):
-        rows.append(audit_row(rec))
-        details.append(audit_detail(rec))
-        if rec.status == MISMATCH:
-            findings += 1
-        if rec.status == INCONCLUSIVE:
-            inconclusive += 1
-        if dual is not None:
-            details.append(audit_detail(dual))
+    for recs in parallel_map(verify, enumerate(cases)):
+        rows.append(audit_row(recs[0]))  # the domain's record is the row
+        details.extend(map(audit_detail, recs))
 
     write_csv(out_dir / "audit.csv", AUDIT_COLUMNS, rows)
     statuses = [r[-1] for r in rows]
@@ -242,13 +234,13 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
                "by_status": {s: statuses.count(s) for s in sorted(set(statuses))}}
     write_json(out_dir / "audit_details.json",
                {"summary": summary, "records": details})
-    if inconclusive:
-        print(f"warning: {inconclusive} inconclusive row(s); raise the budget "
-              "to sharpen them", file=sys.stderr)
+    if INCONCLUSIVE in statuses:
+        print(f"warning: {statuses.count(INCONCLUSIVE)} inconclusive row(s); "
+              "raise the budget to sharpen them", file=sys.stderr)
     print(f"audit: {len(rows)} rows -> {out_dir / 'audit.csv'}")
     for status, count in summary["by_status"].items():
         print(f"  {status}: {count}")
-    return 1 if findings else 0
+    return 1 if MISMATCH in statuses else 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +248,7 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _parameter_sets(cfg: dict):
-    sets = cfg.get("parameter_sets")
-    if not isinstance(sets, list) or not sets:
-        raise ConfigError("parameter_sets", "must be a non-empty list")
+    sets = _nonempty(cfg.get("parameter_sets"), "parameter_sets")
     return [_parameter_set(obj, f"parameter_sets[{i}]")
             for i, obj in enumerate(sets)]
 
@@ -336,11 +326,11 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
     budget, seed = _budget_seed(cfg)
     coords = cfg.get("coordinates")
     if coords is not None and not (
-            isinstance(coords, list) and coords
-            and all(type(j) is int and 0 <= j < n for j in coords)
+            all(type(j) is int and 0 <= j < n
+                for j in _nonempty(coords, "coordinates"))
             and len(set(coords)) == len(coords)):
-        raise ConfigError("coordinates", "must be a non-empty list of distinct "
-                          f"indices in 0..{n - 1}, got {coords!r}")
+        raise ConfigError("coordinates", "must be distinct indices in "
+                          f"0..{n - 1}, got {coords!r}")
     tf = make_test_function(n, l, r, base)
     try:  # the ranges do not depend on R: one check covers the grid
         check_norm_ranges(params, tf)
@@ -419,8 +409,7 @@ def main(argv=None) -> int:
             threads = _thread_count()
         except InvalidInputError as exc:
             raise ConfigError("CONETUBE_THREADS", str(exc)) from None
-        cfg = _load_config(args.config)
-        _known(cfg, "", keys)
+        cfg = _object(_load_config(args.config), "", keys)
         for field in flags:
             value = getattr(args, field)
             if value is not None:

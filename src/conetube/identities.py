@@ -296,6 +296,13 @@ class IdentityDef:
     dual_region: callable | None = None  # integrand over the dual cone, if any
     reduction: callable | None = None  # (n, params, point) -> Reduction | None
 
+    def regions(self, n: int) -> tuple:
+        """The regions the left-hand side is integrated over at order n: the
+        domain, then the dual cone where border doubling reaches it.  That
+        is n <= 2, where every symmetric matrix is an arrowhead."""
+        dual = ("dual",) if self.dual_region is not None and n <= 2 else ()
+        return (self.domain,) + dual
+
 
 def _params_arrays(n, params):
     return {k: plain_values(v, n) for k, v in params.items()}
@@ -341,10 +348,11 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
 
     By default it integrates over the cone itself (the literal claim);
     dual=True integrates over the dual cone under the coordinate
-    pairing, which is where the forward transform is actually finite.  The
-    dual cone is the image of the cone under doubling the border
+    pairing, which is where the forward transform is actually finite.  At
+    n <= 2 the dual cone is the image of the cone under doubling the border
     coordinates, so it is reached from cone samples by that substitution
-    (Jacobian 2^(n-1)); at n = 1 the two regions coincide.
+    (Jacobian 2^(n-1)); at n = 1 the two regions coincide.  At n = 3 the
+    doubled cone is not the dual cone, so ``regions`` lists no dual there.
     """
     border_exp = s[: n - 1] + _border(n, shifted)
     top_exp = s[-1] + (n + 1.0) / 2.0
@@ -709,11 +717,12 @@ def check_params(identity_id: str, n: int, params: dict) -> None:
 
 def kernel_region_integrand(identity_id: str, params: dict, point,
                             region: str):
-    """LHS integrand over the dual cone, for the identities that have one."""
+    """LHS integrand over a region that ``regions`` lists after the domain."""
     ident = get_identity(identity_id)
-    if region != "dual" or ident.dual_region is None:
-        raise InvalidInputError(f"{identity_id} has no {region!r} region")
     n = ident.point.order(point)
+    if region not in ident.regions(n)[1:]:
+        raise InvalidInputError(f"{identity_id} at n = {n} has no {region!r} "
+                                f"region; it has {list(ident.regions(n))}")
     return ident.dual_region(n, _params_arrays(n, params), point)
 
 

@@ -22,10 +22,10 @@ the only embedding under which the per-R_j power structure of the norms
 emerges.
 
 Every integral lemma is taken from its entry in the identity registry:
-the image T f_R is the two-kernel identity (L26) at xi = iR, the norm
-range and constant are the kernel-modulus identity's (L27), and the norm
-estimates are the translate identity's (L24) left-hand side after the
-slice identity (L25) has integrated out the real part.
+the image T f_R and its Monte Carlo proposal are the two-kernel identity
+(L26) at xi = iR, the norm ranges are the kernel-modulus identity's (L27),
+and the norm estimates are the translate identity's (L24) left-hand side
+after the slice identity (L25) has integrated out the real part.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInputError, OracleRejectedError
 from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
                        log_delta_power, minor_exponents)
-from .identities import (check_params, closed_value, get_identity,
-                         tube_proposal)
+from .identities import check_params, closed_value, get_identity
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       read_index)
 from .oracle import (IntegralEstimate, mc_integrate_cone,
                      mc_integrate_tube)
-from .sampling import SamplerSpec
 
 
 @dataclass(frozen=True)
@@ -271,6 +269,12 @@ def _image_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
             "eta": tf.r_plain()}
 
 
+def _f_R_norm_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
+    """Plain kernel-modulus (L27) parameters of f_R's p-norm: (p l + alpha, p r)."""
+    return {"l": params.p * tf.l_plain() + params.vec("alpha"),
+            "r": params.p * tf.r_plain()}
+
+
 def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
                    constant: float | None = None) -> complex:
     """Closed-form image of f_R under T: delta^a(Im z) times the two-kernel
@@ -306,8 +310,7 @@ def f_R_norm_closed(params: ParameterSet, tf: TestFunctionFR,
     weighted pair (p*l + alpha, p*r).
     """
     n, p = params.n, params.p
-    weighted = {"l": p * tf.l_plain() + params.vec("alpha"),
-                "r": p * tf.r_plain()}
+    weighted = _f_R_norm_params(params, tf)
     check_params("L27", n, weighted)
     cst = get_identity("L27").stated_constant(n, weighted) \
         if constant is None else constant
@@ -322,7 +325,7 @@ def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
     the image parameters) and the image's q-norm (L27 at the derived pair
     of :func:`image_norm_conditions`)."""
     n, q = params.n, params.q
-    f_R_norm_closed(params, tf)
+    check_params("L27", n, _f_R_norm_params(params, tf))
     check_params("L26", n, _image_params(params, tf))
     check_params("L27", n, {
         "l": q * params.vec("a") + params.vec("beta"),
@@ -398,26 +401,18 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
                             seed)
 
 
-def _image_proposal(z: TubePoint, params: ParameterSet,
-                    tf: TestFunctionFR) -> SamplerSpec:
-    """Tube proposal matched to delta^b(Im w) f_R(w) / P^c(z - conj w)."""
-    n = params.n
-    W = bold_values(params.vec("b"), n) + tf.l.values
-    tail = (bold_values(params.vec("c"), n) + tf.r.values - W) - (n + 1.0) / 2.0
-    scales = np.maximum(0.5 * (z.y[:n] + np.asarray(tf.R)), 0.3)
-    return tube_proposal(n, W, tail, scales, 0.5 * z.x)
-
-
 def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
                          inner_bold, budget: int, seed: int,
                          tf: TestFunctionFR) -> IntegralEstimate:
     """MC of delta^outer(Im z) * integral of delta^inner(Im w) f(w) / P^c(z - conj w).
 
-    ``f`` is a batch callable f(x, v); the proposal is tuned to the test
-    function ``tf``.
+    ``f`` is a batch callable f(x, v); the proposal is the two-kernel
+    identity's (L26) at the image parameters of the test function ``tf``,
+    with xi = iR.
     """
     n = params.n
-    spec = _image_proposal(z, params, tf)
+    xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
+    spec = get_identity("L26").sampler(n, _image_params(params, tf), (z, xi))
     outer = math.exp(float(log_delta_power(z.y, outer_bold)))
     ec = minor_exponents(bold_values(params.vec("c"), n))
     xz, yz = z.x, z.y

@@ -314,14 +314,16 @@ def quad_supported(identity_id: str, n: int) -> bool:
     return n <= (1 if get_identity(identity_id).domain == "tube" else 2)
 
 
-def _lhs_integrand(identity_id: str, n: int, p: dict, point, region: str):
-    if region == "cone":
-        return get_identity(identity_id).integrand(n, p, point)
+def _lhs_integrand(identity_id: str, n: int, p: dict, point, region):
+    """The LHS integrand over ``region``; None or the domain is the domain."""
+    ident = get_identity(identity_id)
+    if region in (None, ident.domain):
+        return ident.integrand(n, p, point)
     return kernel_region_integrand(identity_id, p, point, region)
 
 
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
-                  region: str = "cone") -> IntegralEstimate:
+                  region: str | None = None) -> IntegralEstimate:
     """Nested adaptive quadrature of one identity LHS in canonical coordinates."""
     ident = get_identity(identity_id)
     n = ident.point.order(point)
@@ -389,7 +391,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def oracle_estimate(identity_id: str, params: dict, point, budget: int,
-                    seed: int, method: str = "auto", region: str = "cone",
+                    seed: int, method: str = "auto", region: str | None = None,
                     quad_tol: float = 1e-8) -> IntegralEstimate:
     """One LHS estimate by the requested oracle ("mc", "quad" or "auto").
 
@@ -427,7 +429,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
     """
     ident = get_identity(identity_id)
     p = _params_arrays(n, params)
-    key = (identity_id, n, tuple(sorted((k, tuple(np.round(v, 12)))
+    key = (identity_id, n, tuple(sorted((k, tuple(v.tolist()))
                                         for k, v in p.items())))
     if key in _CALIBRATION_CACHE:
         return _CALIBRATION_CACHE[key]
@@ -467,9 +469,9 @@ class AuditRecord:
     fitted_constant: complex | float
     z_score: float
     status: str
+    region: str  # the region integrated: the domain, or dual
     scaling: list = field(default_factory=list)
     scaling_pass: bool | None = None
-    region: str = "cone"  # the domain integrated: cone, slice, tube or dual
 
 
 def _scaling_seed(seed: int, lam: float) -> int:
@@ -479,16 +481,18 @@ def _scaling_seed(seed: int, lam: float) -> int:
 def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000,
                     seed: int = 0, method: str = "auto",
                     always_scaling: bool = False,
-                    region: str = "cone") -> AuditRecord:
+                    region: str | None = None) -> AuditRecord:
     """Estimate one identity LHS and classify it against the closed form.
 
     Statuses: CONFIRMED (value agrees within 3 standard errors),
     EXPONENT_CONFIRMED_CONSTANT_MISMATCH (value off, dilation scaling
     agrees), MISMATCH (scaling off too), INCONCLUSIVE (error bar exceeds a
-    quarter of the value scale, nothing can be concluded).
+    quarter of the value scale, nothing can be concluded).  ``region`` is
+    one of the identity's ``regions``, its domain by default.
     """
     ident = get_identity(identity_id)
     n = ident.point.order(point)
+    region = region or ident.domain
     check_params(identity_id, n, params)
     p = _params_arrays(n, params)
 
@@ -511,7 +515,7 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     record = AuditRecord(identity=identity_id, n=n, params=p, point=point,
                          lhs=lhs, rhs_stated=rhs, structure=struct,
                          fitted_constant=fitted, z_score=float(z), status="",
-                         region=ident.domain if region == "cone" else region)
+                         region=region)
     if sigma > 0.25 * scale and scale > 0:
         record.status = INCONCLUSIVE
         return record

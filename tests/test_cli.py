@@ -281,6 +281,25 @@ class TestClassifyWitness:
             assert not entry["ok"] and entry["error"]
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, code", [("classify", 0),
+                                               ("witness", 1)])
+    def test_huge_finite_entry_warns_nothing(self, tmp_path, capsys,
+                                             command, code):
+        # a * q overflows: the margin is written as null, the verdict stands
+        cfg = write_cfg(tmp_path, "big.json", {"parameter_sets": [
+            {"n": 1, "p": 1.5, "q": 2, "alpha": [0], "beta": [0],
+             "a": [1e308], "b": [0], "c": [3]}]})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == ""
+        if command == "classify":
+            verdict, = json.loads((tmp_path / "out" / "verdicts.json")
+                                  .read_text())["verdicts"]
+            assert verdict["verdict"] == "UNBOUNDED"
+            assert verdict["necessary"][0]["margin"] is None
+
+
 class TestScaling:
     def test_csv_shape_and_slopes(self, tmp_path):
         cfg = write_cfg(tmp_path, "s.json", {
@@ -309,6 +328,18 @@ class TestScaling:
                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not positive" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_exponents_end_in_one_error_line(self, tmp_path,
+                                                         capsys):
+        cfg = write_cfg(tmp_path, "s.json", {
+            "params": {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
+                       "a": [0], "b": [0], "c": [3]},
+            "l": [1e300], "r": [1e301], "budget": 1000})
+        assert run(["scaling", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_single_point_grid_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "s.json", {
@@ -344,7 +375,9 @@ class TestBadConfigs:
         ("audit", {"n": 1, "budjet": 10}, "budjet"),
         ("audit", {"identity": "L24", "n": 1, "params": {"r": [3.0], "eta": [1.0]},
                    "point": {"b": [1.0]}, "seed": 3}, "cases[0].seed"),
-        ("audit", {"identities": ["L24"], "cases": []}, "identities"),
+        ("audit", {"identities": ["L24"], "cases": [
+            {"identity": "L24", "n": 1, "params": {"r": [3.0], "eta": [1.0]},
+             "point": {"b": [1.0]}}]}, "identities"),
         ("classify", {"gamma": [0, 0]}, "parameter_sets[0].gamma"),
         ("scaling", {"params": {"n": 2, "p": 2, "q": 2, "alpha": [0, 0],
                                 "beta": [0, 0], "a": [0, 0], "b": [0, 0],
@@ -396,6 +429,9 @@ class TestBadConfigs:
         ("audit", {"n": 2, "oracle": "mc", "identities": ["L23_1"],
                    "configs_per_identity": 1.7}, "configs_per_identity"),
         ("scaling", {"coordinates": []}, "coordinates"),
+        # an empty selection is no run
+        ("audit", {"cases": []}, "cases"),
+        ("audit", {"identities": []}, "identities"),
         ("scaling", {"coordinates": [0, 0]}, "coordinates"),
         # a boolean is not a number, in a float field either
         ("classify", {"alpha": [True, 0]}, "parameter_sets[0].alpha"),
@@ -435,6 +471,7 @@ class TestBadConfigs:
             "case-order-zero", "case-order-negative", "case-order-four",
             "order-fractional", "order-boolean", "budget-fractional",
             "seed-fractional", "configs-fractional", "coordinates-empty",
+            "cases-empty", "identities-empty",
             "coordinates-repeated", "alpha-boolean-entry", "q-boolean",
             "R_grid-boolean-entry", "case-point-boolean-entry", "p-string",
             "alpha-string-entries", "case-param-string", "case-point-string",

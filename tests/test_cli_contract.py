@@ -4,7 +4,9 @@ Configs for all four commands are generated from the keys each command
 reads, with valid, wrongly typed and out-of-range values (infinite vector
 entries, repeated or infinite grid points, negative seeds, case orders
 outside 1..3 with params and point sized to match, empty or repeated
-scaling coordinates among them), plus unknown keys.  Whatever the config,
+scaling coordinates, empty case and identity lists among them), plus
+unknown keys.  Classify and witness parameter sets also draw finite
+entries of +-1e308, whose products overflow.  Whatever the config,
 ``main`` must return 0, 1 or 2 without raising, and a rejected config
 (exit 2) must name the field it rejects.  Budgets stay at or below 2,000,
 so every run is cheap.
@@ -81,11 +83,16 @@ def junk_or(bad):
     return st.booleans().flatmap(lambda junk: JUNK if junk else bad)
 
 
+def one_entry(n, value):
+    """An n-vector with one entry at +value or -value."""
+    return vector(n).flatmap(lambda v: st.sampled_from(
+        [v[:k] + [sign * value] + v[k + 1:]
+         for k in range(n) for sign in (1, -1)]))
+
+
 def bad_vector(n):
     """Junk, or an n-vector with one infinite entry."""
-    return junk_or(vector(n).flatmap(lambda v: st.sampled_from(
-        [v[:k] + [sign * math.inf] + v[k + 1:]
-         for k in range(n) for sign in (1, -1)])))
+    return junk_or(one_entry(n, math.inf))
 
 
 # seeds that are not a usable stream key: junk, or negative
@@ -93,16 +100,21 @@ BAD_SEED = junk_or(st.integers(-1000, -1))
 
 
 @st.composite
-def parameter_set(draw, orders=(1, 2, 3)):
+def parameter_set(draw, orders=(1, 2, 3), huge=False):
+    """A parameter set; with ``huge``, half of them hold a finite +-1e308
+    entry in one vector."""
     n = draw(st.sampled_from(orders))
     p = draw(st.floats(1.05, 3.0))
     obj = {"n": draw(maybe(st.just(n))),
            "p": draw(maybe(st.just(p))),
            "q": draw(maybe(st.floats(p, 4.0)))}
-    for name in ("alpha", "beta", "a", "b"):
-        obj[name] = draw(maybe(vector(n), bad_vector(n)))
-    obj["c"] = draw(maybe(st.lists(st.floats(0.0, 6.0), min_size=n,
-                                   max_size=n), bad_vector(n)))
+    c = st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n)
+    for name, valid in (("alpha", vector(n)), ("beta", vector(n)),
+                        ("a", vector(n)), ("b", vector(n)), ("c", c)):
+        obj[name] = draw(maybe(valid, bad_vector(n)))
+    if huge and draw(st.booleans()):
+        name = draw(st.sampled_from(["alpha", "beta", "a", "b", "c"]))
+        obj[name] = draw(one_entry(n, 1e308))
     return with_unknown(draw, drop_some(draw, obj))
 
 
@@ -158,11 +170,11 @@ def audit_config(draw):
            "oracle": oracle}
     if draw(st.booleans()):
         cfg["cases"] = draw(maybe(st.lists(audit_case(orders), min_size=1,
-                                           max_size=2)))
+                                           max_size=2), junk_or(st.just([])), flips=3))
     if "cases" not in cfg or rarely(draw):
         cfg["identities"] = draw(maybe(st.lists(
             st.sampled_from(IDENTITY_IDS), min_size=1, max_size=2,
-            unique=True)))
+            unique=True), junk_or(st.just([])), flips=3))
         cfg["configs_per_identity"] = draw(maybe(
             st.just(1), st.sampled_from([0, -1, None, "x", [1], 1.5])))
     return with_unknown(draw, drop_some(draw, cfg))
@@ -170,8 +182,8 @@ def audit_config(draw):
 
 @st.composite
 def sets_config(draw):
-    cfg = {"parameter_sets": draw(maybe(st.lists(parameter_set(), min_size=1,
-                                                  max_size=2)))}
+    cfg = {"parameter_sets": draw(maybe(st.lists(parameter_set(huge=True),
+                                                  min_size=1, max_size=2)))}
     return with_unknown(draw, drop_some(draw, cfg))
 
 
@@ -228,6 +240,7 @@ def run_main(command: str, cfg) -> tuple[int, str]:
 CONFIGS = st.one_of(
     st.tuples(st.just("audit"), audit_config()),
     st.tuples(st.just("audit"), audit_config()),
+    st.tuples(st.sampled_from(["classify", "witness"]), sets_config()),
     st.tuples(st.sampled_from(["classify", "witness"]), sets_config()),
     st.tuples(st.just("scaling"), scaling_config()),
     st.tuples(st.just("scaling"), scaling_config()),

@@ -441,6 +441,16 @@ class TestRegistry:
                     p = random_params(ident, n, rng)
                     assert all(ok for ok, _ in ddef.range_check(n, p))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_regions(self, n):
+        # the domain, plus the dual cone for the two inverse transforms
+        # where border doubling reaches it
+        dual = {"L23_2", "COR1_2"} if n <= 2 else set()
+        for ident in IDENTITY_IDS:
+            domain = get_identity(ident).domain
+            expected = (domain, "dual") if ident in dual else (domain,)
+            assert get_identity(ident).regions(n) == expected, ident
+
     def test_no_identity_ids_outside_registry(self):
         # the oracle, the CLI and the report writers read the registry
         # instead of branching on identity ids

@@ -479,6 +479,34 @@ class TestVerifyIdentity:
             verify_identity("L24", {"r": [3.0], "eta": [1.0]},
                             np.array([1.0]), method="quad", region="dual")
 
+    @pytest.mark.parametrize("ident", ["L23_2", "COR1_2"])
+    def test_dual_region_refused_at_n3(self, rng, ident):
+        # at n = 3 border doubling does not give the dual cone, so the
+        # registry lists no dual region there and no estimate is made
+        params = random_params(ident, 3, rng)
+        z = random_point(ident, 3, rng)
+        with pytest.raises(InvalidInputError, match="dual"):
+            verify_identity(ident, params, z, budget=1000, method="mc",
+                            region="dual")
+        with pytest.raises(InvalidInputError, match="dual"):
+            oracle_estimate(ident, params, z, 1000, 0, method="mc",
+                            region="dual")
+
+    @pytest.mark.parametrize("ident, region, params, point", [
+        ("L25", "slice", {"r": [2.5]}, np.array([1.0])),
+        ("L27", "tube", {"l": [0.0], "r": [4.0]},
+         TubePoint.make([0.1], [1.0]))])
+    def test_own_domain_is_the_default_region(self, ident, region, params,
+                                              point):
+        default = verify_identity(ident, params, point, method="quad")
+        named = verify_identity(ident, params, point, method="quad",
+                                region=region)
+        assert default.region == named.region == region
+        assert (default.lhs, default.status) == (named.lhs, named.status)
+        with pytest.raises(InvalidInputError):  # "cone" is not their domain
+            verify_identity(ident, params, point, method="quad",
+                            region="cone")
+
     def test_stated_constant_outside_c4_range_still_judged(self):
         # second L26 draw of the n = 1 audit at seed 1: c7_range holds while
         # r + l - eta = -2.118 lies outside C4's own range
