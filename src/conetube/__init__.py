@@ -12,10 +12,7 @@ from .errors import (AccuracyError, BranchCutError, ConeDomainError,
                      OracleRejectedError, WitnessConstructionError)
 from .geometry import (ConePoint, TubePoint, assemble_arrowhead,
                        complex_power_P, delta_power, is_in_cone, minors)
-from .identities import (IDENTITY_IDS, cone_shift_closed, cor1_kernel_closed,
-                         cor1_laplace_closed, horizontal_abs_closed,
-                         kernel_closed, laplace_power_closed,
-                         tube_abs_closed, tube_product_closed)
+from .identities import IDENTITY_IDS, closed_form
 from .indices import Convention, MultiIndex, shift_index, unshift_index
 from .operators import (ParameterSet, TestFunctionFR, admissible_lr,
                         apply_T_closed, apply_T_numeric, dual_operator_eval,

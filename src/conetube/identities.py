@@ -51,12 +51,6 @@ TWO_PI = 2.0 * math.pi
 REAL_PAD = 0.3  # floor added to every real-part Cauchy scale
 
 
-def _tube(point) -> TubePoint:
-    if isinstance(point, TubePoint):
-        return point
-    raise InvalidInputError("expected a TubePoint")
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
@@ -241,7 +235,22 @@ class PointKind:
     scale: callable              # (point, lam) -> dilated point
     random: callable             # (n, rng) -> random point
     reference: callable          # n -> unit reference point
-    order: callable              # point -> n
+    order: callable              # point -> n; raises on a point of another kind
+
+
+def _tube(point) -> TubePoint:
+    if isinstance(point, TubePoint):
+        return point
+    raise InvalidInputError("expected a TubePoint")
+
+
+def _pair_order(pt) -> int:
+    if not (isinstance(pt, (tuple, list)) and len(pt) == 2):
+        raise InvalidInputError("expected a pair (z, xi) of TubePoints")
+    z, xi = _tube(pt[0]), _tube(pt[1])
+    if z.n != xi.n:
+        raise InvalidInputError("z and xi must share the same order")
+    return z.n
 
 
 def cone_vector(key: str) -> PointKind:
@@ -253,7 +262,7 @@ def cone_vector(key: str) -> PointKind:
         scale=lambda pt, lam: np.asarray(pt, dtype=float) * lam,
         random=random_cone_vector,
         reference=unit_cone_vector,
-        order=lambda pt: order_from_dim(np.shape(pt)[-1]))
+        order=lambda pt: order_from_dim(require_cone(pt).shape[-1]))
 
 
 def tube_point(x_scale: float = 0.25) -> PointKind:
@@ -265,7 +274,7 @@ def tube_point(x_scale: float = 0.25) -> PointKind:
         scale=_scale_tube,
         random=lambda n, rng: random_tube_point(n, rng, x_scale),
         reference=unit_tube_point,
-        order=lambda z: z.n)
+        order=lambda z: _tube(z).n)
 
 
 TUBE_PAIR = PointKind(
@@ -274,7 +283,7 @@ TUBE_PAIR = PointKind(
     scale=lambda pt, lam: (_scale_tube(pt[0], lam), _scale_tube(pt[1], lam)),
     random=lambda n, rng: (random_tube_point(n, rng), random_tube_point(n, rng)),
     reference=lambda n: (unit_tube_point(n), unit_tube_point(n)),
-    order=lambda pt: pt[0].n)
+    order=_pair_order)
 
 
 @dataclass(frozen=True)
@@ -285,6 +294,7 @@ class IdentityDef:
     label: str
     domain: str                  # integration domain: "cone" | "slice" | "tube"
     param_names: tuple
+    convention: Convention       # the convention closed_form reads indices in
     complex_valued: bool
     range_check: callable        # (n, params) -> list of (ok, message)
     structure: callable          # (n, params, point) -> value
@@ -302,10 +312,6 @@ class IdentityDef:
         is n <= 2, where every symmetric matrix is an arrowhead."""
         dual = ("dual",) if self.dual_region is not None and n <= 2 else ()
         return (self.domain,) + dual
-
-
-def _params_arrays(n, params):
-    return {k: plain_values(v, n) for k, v in params.items()}
 
 
 def _low_index(n, rng, hi, shifted=True) -> np.ndarray:
@@ -330,7 +336,7 @@ def _laplace_integrand(n, s, t, shifted):
 def _laplace_identity(id, label, shifted) -> IdentityDef:
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
-        complex_valued=False,
+        convention=Convention.PLAIN, complex_valued=False,
         range_check=lambda n, p: (C.c3_range if shifted else C.c1_range)(n, p["s"]),
         structure=lambda n, p, pt: _structure_laplace(n, p["s"], pt, shifted),
         stated_constant=lambda n, p: (C.c3 if shifted else C.c1)(n, p["s"]),
@@ -377,7 +383,7 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
 def _kernel_identity(id, label, shifted) -> IdentityDef:
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
-        complex_valued=True,
+        convention=Convention.PLAIN, complex_valued=True,
         range_check=lambda n, p: (C.c4_range if shifted else C.c2_range)(n, p["s"]),
         structure=lambda n, p, pt: _structure_kernel(n, p["s"], pt, shifted),
         stated_constant=lambda n, p: (C.c4 if shifted else C.c2)(n, p["s"]),
@@ -428,7 +434,7 @@ def _random_L24(n, rng):
 def _mk_L24():
     return IdentityDef(
         id="L24", label="shifted power against translate", domain="cone",
-        param_names=("r", "eta"), complex_valued=False,
+        param_names=("r", "eta"), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c5_range(n, p["r"], p["eta"]),
         structure=lambda n, p, pt: _structure_L24(n, p["r"], p["eta"], pt),
         stated_constant=lambda n, p: C.c5(n, p["r"], p["eta"]),
@@ -521,7 +527,7 @@ def _random_L25(n, rng):
 def _mk_L25():
     return IdentityDef(
         id="L25", label="horizontal slice of kernel modulus", domain="slice",
-        param_names=("r",), complex_valued=False,
+        param_names=("r",), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c6_range(n, p["r"]),
         structure=lambda n, p, pt: _structure_L25(n, p["r"], pt),
         stated_constant=lambda n, p: C.c6(n, p["r"]),
@@ -628,7 +634,8 @@ def _random_L26(n, rng):
 def _mk_L26():
     return IdentityDef(
         id="L26", label="tube kernel product", domain="tube",
-        param_names=("l", "r", "eta"), complex_valued=True,
+        param_names=("l", "r", "eta"), convention=Convention.SHIFTED,
+        complex_valued=True,
         range_check=lambda n, p: C.c7_range(n, p["l"], p["r"], p["eta"]),
         structure=lambda n, p, pt: _structure_L26(n, p["l"], p["r"], p["eta"], *pt),
         stated_constant=lambda n, p: C.c7(n, p["l"], p["r"], p["eta"]),
@@ -682,7 +689,7 @@ def _random_L27(n, rng):
 def _mk_L27():
     return IdentityDef(
         id="L27", label="tube kernel modulus", domain="tube",
-        param_names=("l", "r"), complex_valued=False,
+        param_names=("l", "r"), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c8_range(n, p["l"], p["r"]),
         structure=lambda n, p, pt: _structure_L27(n, p["l"], p["r"], pt),
         stated_constant=lambda n, p: C.c8(n, p["l"], p["r"]),
@@ -711,96 +718,65 @@ def get_identity(identity_id: str) -> IdentityDef:
             f"unknown identity {identity_id!r}; known: {sorted(IDENTITIES)}") from None
 
 
+def read_params(identity_id: str, n: int, params: dict) -> dict:
+    """The plain n-vectors of ``params``, whose keys must be exactly the
+    identity's ``param_names``."""
+    names = get_identity(identity_id).param_names
+    if not isinstance(params, dict) or set(params) != set(names):
+        raise InvalidInputError(f"{identity_id} takes exactly the params "
+                                f"{sorted(names)}, got {params!r}")
+    return {k: plain_values(v, n) for k, v in params.items()}
+
+
+def read_inputs(identity_id: str, params: dict, point):
+    """(registry entry, n, plain params) of ``params`` at ``point``; raises
+    on a point of another kind or a wrong key set."""
+    ident = get_identity(identity_id)
+    n = ident.point.order(point)
+    return ident, n, read_params(identity_id, n, params)
+
+
 def check_params(identity_id: str, n: int, params: dict) -> None:
-    C._check(get_identity(identity_id).range_check(n, _params_arrays(n, params)))
+    C._check(get_identity(identity_id).range_check(
+        n, read_params(identity_id, n, params)))
 
 
 def kernel_region_integrand(identity_id: str, params: dict, point,
                             region: str):
     """LHS integrand over a region that ``regions`` lists after the domain."""
-    ident = get_identity(identity_id)
-    n = ident.point.order(point)
+    ident, n, p = read_inputs(identity_id, params, point)
     if region not in ident.regions(n)[1:]:
         raise InvalidInputError(f"{identity_id} at n = {n} has no {region!r} "
                                 f"region; it has {list(ident.regions(n))}")
-    return ident.dual_region(n, _params_arrays(n, params), point)
+    return ident.dual_region(n, p, point)
 
 
 def closed_value(identity_id: str, params: dict, point,
                  constant: float | None = None):
     """constant x structure for one identity; stated constant by default."""
-    ident = get_identity(identity_id)
-    n = ident.point.order(point)
-    check_params(identity_id, n, params)
-    p = _params_arrays(n, params)
+    ident, n, p = read_inputs(identity_id, params, point)
+    C._check(ident.range_check(n, p))
     cst = ident.stated_constant(n, p) if constant is None else constant
     return cst * ident.structure(n, p, point)
 
 
 def structure_value(identity_id: str, params: dict, point):
+    ident, n, p = read_inputs(identity_id, params, point)
+    return ident.structure(n, p, point)
+
+
+# ---------------------------------------------------------------------------
+# the public closed form: indices in the identity's convention
+# ---------------------------------------------------------------------------
+
+def closed_form(identity_id: str, point, indices: dict,
+                constant: float | None = None):
+    """closed_value at ``indices`` read in the identity's ``convention``, as
+    a float, or as a complex for a complex-valued identity."""
     ident = get_identity(identity_id)
-    n = ident.point.order(point)
-    return ident.structure(n, _params_arrays(n, params), point)
-
-
-# ---------------------------------------------------------------------------
-# public closed-form operations
-# ---------------------------------------------------------------------------
-
-def _closed(identity_id: str, point, indices: dict, constant,
-            convention: Convention = Convention.PLAIN):
-    """closed_value at ``indices`` declared in ``convention``, as a float, or
-    as a complex for a complex-valued identity."""
-    params = {k: read_index(v, convention, k) for k, v in indices.items()}
-    cast = complex if get_identity(identity_id).complex_valued else float
+    params = {k: read_index(v, ident.convention, k) for k, v in indices.items()}
+    cast = complex if ident.complex_valued else float
     return cast(closed_value(identity_id, params, point, constant))
-
-
-def laplace_power_closed(t, s, constant: float | None = None) -> float:
-    """Closed form of the cone Laplace transform of a plain minor power."""
-    return _closed("L23_1", require_cone(t), {"s": s}, constant)
-
-
-def kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
-    """Closed form of the inverse-transform kernel for a plain index."""
-    return _closed("L23_2", _tube(z), {"s": s}, constant)
-
-
-def cor1_laplace_closed(t, s, constant: float | None = None) -> float:
-    """Shifted-power Laplace closed form; takes the plain s and shifts inside."""
-    return _closed("COR1_1", require_cone(t), {"s": s}, constant)
-
-
-def cor1_kernel_closed(z: TubePoint, s, constant: float | None = None) -> complex:
-    return _closed("COR1_2", _tube(z), {"s": s}, constant)
-
-
-def cone_shift_closed(b, r, eta, constant: float | None = None) -> float:
-    """Closed form of the cone integral of a power against a translate."""
-    return _closed("L24", require_cone(b), {"r": r, "eta": eta}, constant,
-                   Convention.SHIFTED)
-
-
-def horizontal_abs_closed(v, r, constant: float | None = None) -> float:
-    """Closed form of the horizontal-slice integral of a kernel modulus."""
-    return _closed("L25", require_cone(v), {"r": r}, constant,
-                   Convention.SHIFTED)
-
-
-def tube_product_closed(z: TubePoint, xi: TubePoint, l, r, eta,
-                        constant: float | None = None) -> complex:
-    """Closed form of the two-kernel tube integral (trailing factor verbatim)."""
-    z, xi = _tube(z), _tube(xi)
-    if z.n != xi.n:
-        raise InvalidInputError("z and xi must share the same order")
-    return _closed("L26", (z, xi), {"l": l, "r": r, "eta": eta}, constant,
-                   Convention.SHIFTED)
-
-
-def tube_abs_closed(z: TubePoint, l, r, constant: float | None = None) -> float:
-    """Closed form of the tube integral of a kernel modulus; x-independent."""
-    return _closed("L27", _tube(z), {"l": l, "r": r}, constant,
-                   Convention.SHIFTED)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,7 @@ def image_norm_conditions(params: ParameterSet, tf: "TestFunctionFR") -> dict:
     a, b, c = params.vec("a"), params.vec("b"), params.vec("c")
     be = params.vec("beta")
     l, r = tf.l_plain(), tf.r_plain()
+    image = _image_norm_params(params, tf)
     stated, derived = [], []
     for j in range(n):
         off_lo = (n + 1.0) / 2.0 if j < n - 1 else 1.0
@@ -208,8 +209,7 @@ def image_norm_conditions(params: ParameterSet, tf: "TestFunctionFR") -> dict:
                - be[j] / q - off_hi / q)
         stated.append((f"stated:lower[{j + 1}]", bool(m1 > 0), float(m1)))
         stated.append((f"stated:gap[{j + 1}]", bool(m2s > 0), float(m2s)))
-        l_eff = q * a[j] + be[j]
-        r_eff = q * (r[j] + c[j] - l[j] - b[j] - (n + 1.0))
+        l_eff, r_eff = image["l"][j], image["r"][j]
         d1 = l_eff + off_lo
         d2 = r_eff - l_eff - off_hi
         derived.append((f"derived:lower[{j + 1}]", bool(d1 > 0), float(d1)))
@@ -275,6 +275,15 @@ def _f_R_norm_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
             "r": params.p * tf.r_plain()}
 
 
+def _image_norm_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
+    """Plain kernel-modulus (L27) parameters of the image's q-norm:
+    (q a + beta, q (r + c - l - b - (n+1)))."""
+    q = params.q
+    return {"l": q * params.vec("a") + params.vec("beta"),
+            "r": q * (tf.r_plain() + params.vec("c") - tf.l_plain()
+                      - params.vec("b") - (params.n + 1.0))}
+
+
 def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
                    constant: float | None = None) -> complex:
     """Closed-form image of f_R under T: delta^a(Im z) times the two-kernel
@@ -324,13 +333,10 @@ def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
     finite: f_R's (L27 at (p l + alpha, p r)), the closed image's (L26 at
     the image parameters) and the image's q-norm (L27 at the derived pair
     of :func:`image_norm_conditions`)."""
-    n, q = params.n, params.q
+    n = params.n
     check_params("L27", n, _f_R_norm_params(params, tf))
     check_params("L26", n, _image_params(params, tf))
-    check_params("L27", n, {
-        "l": q * params.vec("a") + params.vec("beta"),
-        "r": q * (tf.r_plain() + params.vec("c") - tf.l_plain()
-                  - params.vec("b") - (n + 1.0))})
+    check_params("L27", n, _image_norm_params(params, tf))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from scipy.special import gammainccinv, gammaincinv
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
 from .geometry import canonical_to_coords, schur_complement
 from .identities import (get_identity, check_params,
-                         kernel_region_integrand, _params_arrays)
+                         kernel_region_integrand, read_inputs, read_params)
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
 
 CHUNK = 1 << 16
@@ -325,15 +325,13 @@ def _lhs_integrand(identity_id: str, n: int, p: dict, point, region):
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
                   region: str | None = None) -> IntegralEstimate:
     """Nested adaptive quadrature of one identity LHS in canonical coordinates."""
-    ident = get_identity(identity_id)
-    n = ident.point.order(point)
+    ident, n, p = read_inputs(identity_id, params, point)
     if not quad_supported(identity_id, n):
         raise InvalidInputError(
             f"quadrature supports cone/slice domains at n <= 2 and tube at n = 1; "
             f"{identity_id} at n = {n} is out of reach")
     # a divergent integral has no quadrature; Monte Carlo takes any params
-    check_params(identity_id, n, params)
-    p = _params_arrays(n, params)
+    check_params(identity_id, n, p)
     f = _lhs_integrand(identity_id, n, p, point, region)
 
     if n == 1:
@@ -398,8 +396,7 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
     "auto" is quadrature at n = 1, which it reaches on every domain, and
     Monte Carlo above.
     """
-    ident = get_identity(identity_id)
-    n = ident.point.order(point)
+    ident, n, p = read_inputs(identity_id, params, point)
     if method == "auto":
         method = "quad" if n == 1 else "mc"
     if method == "quad":
@@ -407,7 +404,6 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
                              region=region)
     if method != "mc":
         raise InvalidInputError(f"unknown oracle method {method!r}")
-    p = _params_arrays(n, params)
     f = _lhs_integrand(identity_id, n, p, point, region)
     # built per call, so the entry points are looked up when it runs
     mc = {"cone": mc_integrate_cone, "slice": mc_integrate_slice,
@@ -428,7 +424,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
     outside the convergence range raises and is not cached.
     """
     ident = get_identity(identity_id)
-    p = _params_arrays(n, params)
+    p = read_params(identity_id, n, params)
     key = (identity_id, n, tuple(sorted((k, tuple(v.tolist()))
                                         for k, v in p.items())))
     if key in _CALIBRATION_CACHE:
@@ -490,11 +486,9 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
     quarter of the value scale, nothing can be concluded).  ``region`` is
     one of the identity's ``regions``, its domain by default.
     """
-    ident = get_identity(identity_id)
-    n = ident.point.order(point)
+    ident, n, p = read_inputs(identity_id, params, point)
     region = region or ident.domain
-    check_params(identity_id, n, params)
-    p = _params_arrays(n, params)
+    check_params(identity_id, n, p)
 
     lhs = oracle_estimate(identity_id, p, point, budget, seed, method=method,
                           region=region)
@@ -527,12 +521,19 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
         if not always_scaling:
             return record
 
+    def nonzero(est):  # the lambda-test divides by every estimate
+        if est.value == 0:
+            raise OracleRejectedError(0.0, f"{identity_id}: a left-hand side "
+                                      "estimate is 0; the lambda-test has no ratio")
+        return est
+
+    nonzero(lhs)
     checks = []
     for lam in SCALING_LAMS:
         scaled = ident.point.scale(point, lam)
-        est = oracle_estimate(identity_id, p, scaled, budget,
-                              _scaling_seed(seed, lam), method=method,
-                              region=region)
+        est = nonzero(oracle_estimate(identity_id, p, scaled, budget,
+                                      _scaling_seed(seed, lam), method=method,
+                                      region=region))
         predicted = ident.structure(n, p, scaled) / struct
         ratio = est.value / lhs.value
         rel = math.sqrt((est.std_error / abs(est.value)) ** 2

@@ -198,6 +198,19 @@ class TestAudit:
         assert "error:" not in capsys.readouterr().err
 
 
+    def test_zero_lhs_ends_in_one_error_line(self, tmp_path, capsys):
+        # at r = 1e300 the L24 estimate underflows to 0, which the
+        # lambda-test would divide by
+        cfg = write_cfg(tmp_path, "z.json", {"n": 1, "budget": 2000, "cases": [
+            {"identity": "L24", "params": {"r": [1e300], "eta": [0]},
+             "point": {"b": [1.0]}}]})
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "L24" in err and "Traceback" not in err
+
+
 class TestPointRoundTrip:
     @pytest.mark.parametrize("ident", IDENTITY_IDS)
     def test_random_point_survives_report_and_parse(self, rng, ident):

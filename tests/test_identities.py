@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,17 +9,15 @@ import pytest
 import conetube
 from conetube import constants as C
 from conetube.errors import (ConeDomainError, ConvergenceDomainError,
-                             ConventionError)
+                             ConventionError, InvalidInputError)
 from conetube.geometry import (TubePoint, complex_minors,
                                complex_power_from_minors, delta_power)
-from conetube.identities import (IDENTITY_IDS, closed_value, cone_shift_closed,
-                                 cor1_kernel_closed, cor1_laplace_closed,
-                                 get_identity, horizontal_abs_closed,
-                                 kernel_closed, laplace_power_closed,
-                                 random_cone_vector, random_params,
-                                 random_point, structure_value,
-                                 tube_abs_closed, tube_product_closed)
+from conetube.identities import (IDENTITY_IDS, IdentityDef, check_params,
+                                 closed_form, closed_value, get_identity,
+                                 kernel_region_integrand, random_cone_vector,
+                                 random_params, random_point, structure_value)
 from conetube.indices import Convention, MultiIndex, bold_values, shift_index
+from conetube.oracle import oracle_estimate, quad_iterated, verify_identity
 from conetube.sampling import sample_cone
 
 
@@ -57,34 +56,34 @@ def tube_modulus_constant(l, r):
 
 class TestLaplaceClosed:
     def test_n1_gamma_integral(self):
-        assert laplace_power_closed(np.array([1.0]), [0.0]) == pytest.approx(
+        assert closed_form("L23_1", np.array([1.0]), {"s": [0.0]}) == pytest.approx(
             1.0 / (4 * math.pi), rel=1e-14)
 
     def test_n2_unit_point(self):
         # 1/(128 pi^2), from the constant times the 4^{-3/2} transform factor
-        val = laplace_power_closed(np.array([1.0, 1, 0]), [0.0, 0.0])
+        val = closed_form("L23_1", np.array([1.0, 1, 0]), {"s": [0.0, 0.0]})
         assert val == pytest.approx(1.0 / (128 * math.pi ** 2), rel=1e-14)
 
     def test_scaling_is_exponent_bookkeeping(self, rng):
         for n in (1, 2, 3):
             s = rng.uniform(-0.8, 1.5, size=n)
             t = random_cone_vector(n, rng)
-            base = laplace_power_closed(t, s)
+            base = closed_form("L23_1", t, {"s": s})
             expo = -np.sum(s) - (2 * n - 1)
             for lam in (0.5, 1.0, 2.0, 4.0):
-                assert laplace_power_closed(lam * t, s) == pytest.approx(
+                assert closed_form("L23_1", lam * t, {"s": s}) == pytest.approx(
                     lam ** expo * base, rel=1e-12)
 
     def test_range_and_domain_errors(self):
         with pytest.raises(ConvergenceDomainError):
-            laplace_power_closed(np.array([1.0]), [-1.0])
+            closed_form("L23_1", np.array([1.0]), {"s": [-1.0]})
         with pytest.raises(ConeDomainError):
-            laplace_power_closed(np.array([1.0, 1, 1.5]), [0.0, 0.0])
+            closed_form("L23_1", np.array([1.0, 1, 1.5]), {"s": [0.0, 0.0]})
 
     def test_rejects_shifted_index(self):
         s = shift_index(MultiIndex((0.0, 0.0, 0.0)))
         with pytest.raises(ConventionError):
-            laplace_power_closed(np.array([1.0, 1, 1, 0, 0]), s)
+            closed_form("L23_1", np.array([1.0, 1, 1, 0, 0]), {"s": s})
 
 
 class TestKernelClosed:
@@ -97,11 +96,12 @@ class TestKernelClosed:
             d = y[1] - y[2] ** 2 / y[0]
             explicit = (C.c2(2, s) * y[0] ** (-s[0] - 3.0)
                         * d ** (-s[1] - 3.0))
-            assert kernel_closed(z, s) == pytest.approx(explicit, rel=1e-12)
+            assert closed_form("L23_2", z, {"s": s}) == pytest.approx(
+                explicit, rel=1e-12)
 
     def test_worked_point(self):
         z = TubePoint.make([0.0, 0, 0], [2.0, 3, 1])
-        val = kernel_closed(z, [0.0, 0.0])
+        val = closed_form("L23_2", z, {"s": [0.0, 0.0]})
         assert val == pytest.approx(
             C.c2(2, [0.0, 0.0]) * 2.0 ** -3 * 2.5 ** -3, rel=1e-13)
 
@@ -113,7 +113,8 @@ class TestKernelClosed:
         mins = np.array([y[0], y[0] * (y[1] - y[2] ** 2 / y[0])])
         regrouped = (C.c2(2, s) * delta_power(y, -s)
                      * mins[1] ** -3.0 * mins[0] ** 0.0)
-        assert kernel_closed(z, s) == pytest.approx(regrouped, rel=1e-12)
+        assert closed_form("L23_2", z, {"s": s}) == pytest.approx(
+            regrouped, rel=1e-12)
 
 
 class TestCorollaryForms:
@@ -121,22 +122,23 @@ class TestCorollaryForms:
         for _ in range(50):
             t = random_cone_vector(2, rng)
             s = rng.uniform(-0.5, 1.5, size=2)
-            assert cor1_laplace_closed(t, s) == laplace_power_closed(t, s)
+            assert closed_form("COR1_1", t, {"s": s}) == \
+                closed_form("L23_1", t, {"s": s})
             z = TubePoint.make(rng.uniform(-0.3, 0.3, size=3),
                                random_cone_vector(2, rng))
-            assert cor1_kernel_closed(z, s) == pytest.approx(
-                kernel_closed(z, s), rel=1e-14)
+            assert closed_form("COR1_2", z, {"s": s}) == pytest.approx(
+                closed_form("L23_2", z, {"s": s}), rel=1e-14)
 
     def test_n1_gamma_reduction(self, rng):
         for _ in range(20):
             s = rng.uniform(-0.8, 2.0)
             t = rng.uniform(0.3, 2.5)
-            assert cor1_laplace_closed(np.array([t]), [s]) == pytest.approx(
+            assert closed_form("COR1_1", np.array([t]), {"s": [s]}) == pytest.approx(
                 math.gamma(s + 1) / (4 * math.pi * t) ** (s + 1), rel=1e-12)
 
     def test_n3_structure(self):
         t = np.array([1.0, 1, 1, 0, 0])
-        val = cor1_laplace_closed(t, [0.0, 0.0, 0.0])
+        val = closed_form("COR1_1", t, {"s": [0.0, 0.0, 0.0]})
         assert val == pytest.approx(C.c3(3, [0.0] * 3) * 4.0 ** -4, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -187,12 +189,13 @@ class TestConeShiftClosed:
         b = np.array([1.0])
         for r, eta, expect in ((2.0, 0.0, 1.0), (3.0, 1.0, 0.5)):
             cal = beta_translate_constant(r, eta)
-            assert cone_shift_closed(b, [r], [eta], constant=cal) == \
+            assert closed_form("L24", b, {"r": [r], "eta": [eta]},
+                               constant=cal) == \
                 pytest.approx(expect, rel=1e-14)
 
     def test_stated_constant_recorded_value(self):
         # verbatim composite constant disagrees with the elementary value
-        assert cone_shift_closed(np.array([1.0]), [2.0], [0.0]) == \
+        assert closed_form("L24", np.array([1.0]), {"r": [2.0], "eta": [0.0]}) == \
             pytest.approx(1.0 / math.pi, rel=1e-13)
 
     def test_scaling_two_evaluation_equality(self, rng):
@@ -209,35 +212,36 @@ class TestConeShiftClosed:
     def test_convention_enforcement(self):
         r_plain = MultiIndex((3.0,))
         with pytest.raises(ConventionError):
-            cone_shift_closed(np.array([1.0]), r_plain, shift_index(MultiIndex((1.0,))))
+            closed_form("L24", np.array([1.0]),
+                        {"r": r_plain, "eta": shift_index(MultiIndex((1.0,)))})
 
     def test_range_error_lists_violations(self):
         with pytest.raises(ConvergenceDomainError) as err:
-            cone_shift_closed(np.array([1.0]), [0.5], [0.0])
+            closed_form("L24", np.array([1.0]), {"r": [0.5], "eta": [0.0]})
         assert any("r[1]" in v for v in err.value.violations)
 
 
 class TestHorizontalAbsClosed:
     def test_n1_arctangent_and_trig(self):
         v = np.array([1.0])
-        assert horizontal_abs_closed(v, [2.0],
-                                     constant=slice_modulus_constant(2.0)) == \
+        assert closed_form("L25", v, {"r": [2.0]},
+                           constant=slice_modulus_constant(2.0)) == \
             pytest.approx(math.pi, rel=1e-14)
-        assert horizontal_abs_closed(v, [3.0],
-                                     constant=slice_modulus_constant(3.0)) == \
+        assert closed_form("L25", v, {"r": [3.0]},
+                           constant=slice_modulus_constant(3.0)) == \
             pytest.approx(2.0, rel=1e-14)
 
     def test_positive_and_scaling(self, rng):
         for n in (1, 2):
             params = random_params("L25", n, rng)
             v = random_cone_vector(n, rng)
-            base = horizontal_abs_closed(v, params["r"])
+            base = closed_form("L25", v, {"r": params["r"]})
             assert base > 0
             rb = params["r"].copy()
             rb[:-1] += (n - 2) / 2.0
             expo = -np.sum(rb) + n * (n + 1) / 2.0
             for lam in (0.5, 2.0, 4.0):
-                assert horizontal_abs_closed(lam * v, params["r"]) == \
+                assert closed_form("L25", lam * v, {"r": params["r"]}) == \
                     pytest.approx(lam ** expo * base, rel=1e-12)
 
 
@@ -358,28 +362,28 @@ class TestTubeProductClosed:
 
     def test_calibrated_value_halfplane(self):
         z = TubePoint.make([0.0], [1.0])
-        val = tube_product_closed(z, z, [0.0], [2.0], [3.0],
-                                  constant=tube_product_constant(0, 2, 3))
+        val = closed_form("L26", (z, z), {"l": [0.0], "r": [2.0], "eta": [3.0]},
+                          constant=tube_product_constant(0, 2, 3))
         assert val.real == pytest.approx(math.pi / 8, rel=1e-13)
 
 
 class TestTubeAbsClosed:
     def test_halfplane_value_with_calibration(self):
         z = TubePoint.make([0.0], [1.0])
-        val = tube_abs_closed(z, [0.0], [4.0],
-                              constant=tube_modulus_constant(0.0, 4.0))
+        val = closed_form("L27", z, {"l": [0.0], "r": [4.0]},
+                          constant=tube_modulus_constant(0.0, 4.0))
         assert val == pytest.approx(math.pi / 4, rel=1e-14)
 
     def test_x_independence(self, rng):
         for n in (1, 2):
             params = random_params("L27", n, rng)
             y = random_cone_vector(n, rng)
-            base = tube_abs_closed(TubePoint.make(np.zeros(2 * n - 1), y),
-                                   params["l"], params["r"])
+            base = closed_form("L27", TubePoint.make(np.zeros(2 * n - 1), y),
+                               {"l": params["l"], "r": params["r"]})
             for _ in range(5):
                 x = rng.uniform(-3, 3, size=2 * n - 1)
-                assert tube_abs_closed(TubePoint.make(x, y), params["l"],
-                                       params["r"]) == base
+                assert closed_form("L27", TubePoint.make(x, y),
+                                   {"l": params["l"], "r": params["r"]}) == base
 
     def test_scaling(self, rng):
         params = random_params("L27", 2, rng)
@@ -392,40 +396,84 @@ class TestTubeAbsClosed:
                 lam ** expo * base, rel=1e-12)
 
 
-# each public closed form and the convention its indices are declared in
-PUBLIC_CLOSED = {
-    "L23_1": (laplace_power_closed, Convention.PLAIN),
-    "L23_2": (kernel_closed, Convention.PLAIN),
-    "COR1_1": (cor1_laplace_closed, Convention.PLAIN),
-    "COR1_2": (cor1_kernel_closed, Convention.PLAIN),
-    "L24": (cone_shift_closed, Convention.SHIFTED),
-    "L25": (horizontal_abs_closed, Convention.SHIFTED),
-    "L26": (tube_product_closed, Convention.SHIFTED),
-    "L27": (tube_abs_closed, Convention.SHIFTED)}
+# the convention the paper states each identity's indices in: plain for
+# Lemma 2.3 and Corollary 1, shifted (bold) for Lemmas 2.4-2.7
+CONVENTIONS = {
+    "L23_1": Convention.PLAIN, "L23_2": Convention.PLAIN,
+    "COR1_1": Convention.PLAIN, "COR1_2": Convention.PLAIN,
+    "L24": Convention.SHIFTED, "L25": Convention.SHIFTED,
+    "L26": Convention.SHIFTED, "L27": Convention.SHIFTED}
 
 
 @pytest.mark.parametrize("ident", IDENTITY_IDS)
 def test_public_closed_form_is_closed_value(rng, ident):
     # bit for bit, for bare and tagged indices; the wrong tag is refused
-    fn, convention = PUBLIC_CLOSED[ident]
-    wrong = next(c for c in Convention if c is not convention)
     ddef = get_identity(ident)
+    convention = CONVENTIONS[ident]
+    assert ddef.convention is convention
+    wrong = next(c for c in Convention if c is not convention)
     for n in (1, 2, 3):
         params = random_params(ident, n, rng)
         point = random_point(ident, n, rng)
-        args = point if ident == "L26" else (point,)
-        declared = [params[k] if convention is Convention.PLAIN
-                    else bold_values(params[k], n) for k in ddef.param_names]
-        expect = closed_value(ident, {k: MultiIndex(v, convention) for k, v
-                                      in zip(ddef.param_names, declared)},
-                              point)
-        for indices in (declared, [MultiIndex(v, convention)
-                                   for v in declared]):
-            got = fn(*args, *indices)
+        declared = {k: params[k] if convention is Convention.PLAIN
+                    else bold_values(params[k], n) for k in ddef.param_names}
+        expect = closed_value(ident, {k: MultiIndex(v, convention)
+                                      for k, v in declared.items()}, point)
+        for indices in (declared, {k: MultiIndex(v, convention)
+                                   for k, v in declared.items()}):
+            got = closed_form(ident, point, indices)
             assert type(got) is (complex if ddef.complex_valued else float)
             assert got == expect, (n, indices)
         with pytest.raises(ConventionError):
-            fn(*args, *[MultiIndex(v, wrong) for v in declared])
+            closed_form(ident, point, {k: MultiIndex(v, wrong)
+                                       for k, v in declared.items()})
+
+
+TUBE_1, TUBE_2 = TubePoint.make([0.0], [1.0]), TubePoint.make([0.0] * 3,
+                                                              [1.0, 1, 0])
+L26_PARAMS = {"l": [0.0], "r": [2.0], "eta": [3.0]}
+# every library entry that reads an identity's point
+POINT_READERS = {
+    "closed_form": lambda i, p, pt: closed_form(i, pt, p),
+    "closed_value": lambda i, p, pt: closed_value(i, p, pt),
+    "structure_value": lambda i, p, pt: structure_value(i, p, pt),
+    "kernel_region_integrand":
+        lambda i, p, pt: kernel_region_integrand(i, p, pt, "dual"),
+    "quad_iterated": lambda i, p, pt: quad_iterated(i, p, pt),
+    "oracle_estimate": lambda i, p, pt: oracle_estimate(i, p, pt, 1000, 0),
+    "verify_identity": lambda i, p, pt: verify_identity(i, p, pt, budget=1000)}
+
+
+class TestInputChecks:
+    """Every library entry checks that its point is of the identity's kind
+    and that its params have exactly the identity's keys, before any work."""
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize("ident, params, point, error", [
+        ("L23_1", {"s": [0.0, 0.0]}, np.array([1.0, 1, 1.5]), ConeDomainError),
+        ("L25", {"r": [3.0]}, np.array([-1.0]), ConeDomainError),
+        ("L23_2", {"s": [0.0]}, np.array([1.0]), InvalidInputError),
+        ("L27", {"l": [0.0], "r": [4.0]}, np.array([1.0]), InvalidInputError),
+        ("L26", L26_PARAMS, np.array([1.0]), InvalidInputError),
+        ("L26", L26_PARAMS, TUBE_1, InvalidInputError),
+        ("L26", L26_PARAMS, (TUBE_1, TUBE_2), InvalidInputError)],
+        ids=["non-cone-n2", "non-cone-slice", "bare-kernel", "bare-tube",
+             "bare-pair", "single-for-pair", "pair-orders"])
+    def test_bad_point_raises(self, reader, ident, params, point, error):
+        with pytest.raises(error):
+            POINT_READERS[reader](ident, params, point)
+
+    @pytest.mark.parametrize("reader", POINT_READERS)
+    @pytest.mark.parametrize("params", [
+        {"r": [2.0]}, {"r": [2.0], "eta": [0.0], "l": [0.0]},
+        {"s": [2.0], "eta": [0.0]}])
+    def test_wrong_keys_raise(self, reader, params):
+        with pytest.raises(InvalidInputError, match="L24 takes exactly"):
+            POINT_READERS[reader]("L24", params, np.array([1.0]))
+
+    def test_wrong_keys_raise_in_check_params(self):
+        with pytest.raises(InvalidInputError, match="L24 takes exactly"):
+            check_params("L24", 1, {"r": [2.0]})
 
 
 class TestRegistry:
@@ -479,6 +527,14 @@ class TestRegistry:
                     assert "identities" not in names, name
             bad = [x for x in imported if x.startswith("_")]
             assert imported and bad == [], (name, bad)
+
+    def test_readme_documents_every_registry_field(self):
+        # a registry field cannot be added without documenting it
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Adding an identity", 1)[1].split("\n## ", 1)[0]
+        missing = [f.name for f in dataclasses.fields(IdentityDef)
+                   if f"`{f.name}`" not in section]
+        assert missing == []
 
     def test_structure_positive_for_modulus_identities(self, rng):
         for ident in ("L23_1", "COR1_1", "L24", "L25", "L27"):

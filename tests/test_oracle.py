@@ -11,7 +11,7 @@ from conetube.errors import (AccuracyError, ConvergenceDomainError,
                              InvalidInputError, OracleRejectedError)
 from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
-                                 structure_value, _params_arrays)
+                                 read_params, structure_value)
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              MISMATCH, _CALIBRATION_CACHE, _axis_nodes,
                              _pos_window, _tensor_pass, _thread_count,
@@ -75,7 +75,7 @@ class TestSamplers:
                 params = random_params(ident, n, rng)
                 point = random_point(ident, n, rng)
                 ddef = get_identity(ident)
-                spec = ddef.sampler(n, _params_arrays(n, params), point)
+                spec = ddef.sampler(n, read_params(ident, n, params), point)
                 coords, d, logpdf = sample_cone(spec, 2000, rng)
                 assert np.all(is_in_cone(coords))
                 assert np.all(d > 0) and np.all(np.isfinite(logpdf))
