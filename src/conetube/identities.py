@@ -253,6 +253,15 @@ def _pair_order(pt) -> int:
     return z.n
 
 
+def _cone_order(pt) -> int:
+    try:
+        coords = np.asarray(getattr(pt, "coords", pt), dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"expected a cone coordinate vector, got {pt!r}") from None
+    return order_from_dim(require_cone(coords).shape[-1])
+
+
 def cone_vector(key: str) -> PointKind:
     """A cone coordinate vector, given in a config under ``key`` or "point"."""
     return PointKind(
@@ -262,7 +271,7 @@ def cone_vector(key: str) -> PointKind:
         scale=lambda pt, lam: np.asarray(pt, dtype=float) * lam,
         random=random_cone_vector,
         reference=unit_cone_vector,
-        order=lambda pt: order_from_dim(require_cone(pt).shape[-1]))
+        order=_cone_order)
 
 
 def tube_point(x_scale: float = 0.25) -> PointKind:

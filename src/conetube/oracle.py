@@ -10,18 +10,23 @@ Two oracle families:
   outermost independent unit: the records of an audit, else the chunks of
   an estimate made on its own (the scaling lab, the Schur check, library
   calls); at one thread it is a plain loop.  No value depends on that
-  schedule, so reports are byte-identical for every worker count.
+  schedule, so reports are byte-identical for every worker count.  A chunk
+  is weighted in row blocks of BLOCK draws, which bounds the integrand's
+  temporaries; every value is elementwise and the chunk is reduced over
+  the whole buffer, so the blocks change no bit.
 
 * Quadrature in the same canonical coordinates.  Every n = 1 integral is
   one scalar adaptive ``quad``: over d on the cone, over u on the slice and
-  over v on the tube, whose ``reduction`` integrates u in closed form.  At
-  n = 2 a trapezoid tensor on exponentially transformed axes integrates
-  the cone (3-D) and the slice (2-D over (u_1, u_3); its ``reduction``
-  integrates u_2), whose windows reach as far as the reduced integrand's
-  tail index asks, the mass left outside added to the error.  The tube at
-  n >= 2 and everything at n >= 3 is Monte Carlo only.  This is the
-  high-precision path behind the analytic acceptance suite and constant
-  calibration.
+  over v on the tube, whose ``reduction`` integrates u in closed form; a
+  complex integrand is evaluated once per node for both its real and its
+  imaginary pass.  At n = 2 a trapezoid tensor on exponentially
+  transformed axes integrates the cone (3-D) and the slice (2-D over
+  (u_1, u_3); its ``reduction`` integrates u_2), whose windows reach as
+  far as the reduced integrand's tail index asks, the mass left outside
+  added to the error; each tensor plane is evaluated in row blocks of
+  about BLOCK nodes.  The tube at n >= 2 and everything at n >= 3 is
+  Monte Carlo only.  This is the high-precision path behind the analytic
+  acceptance suite and constant calibration.
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
@@ -33,6 +38,7 @@ off" (EXPONENT_CONFIRMED_CONSTANT_MISMATCH, fitted ratio recorded) from
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -50,6 +56,7 @@ from .identities import (get_identity, check_params,
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
 
 CHUNK = 1 << 16
+BLOCK = 1 << 13  # values per integrand call; bounds its temporaries
 TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
 SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
 SLICE_MAX_HALF = 80.0  # slice windows reach at most ~e^80 axis scales
@@ -140,6 +147,24 @@ def _mc_reduce(partials, count, method):
                             method=method, nonfinite=bad)
 
 
+def _in_blocks(evaluate, rows: int, width: int = 1) -> np.ndarray:
+    """``evaluate(s)`` over consecutive row slices ``s`` of ``range(rows)``,
+    stacked into one buffer.
+
+    A slice holds ``max(1, BLOCK // width)`` rows of ``width`` values each,
+    which bounds the temporaries of one call.  Every value is elementwise,
+    so the buffer equals ``evaluate(slice(0, rows))`` bit for bit.
+    """
+    step = max(1, BLOCK // width)
+    buf = None
+    for i in range(0, rows, step):
+        vals = evaluate(slice(i, i + step))
+        if buf is None:
+            buf = np.empty((rows,) + vals.shape[1:], dtype=vals.dtype)
+        buf[i:i + step] = vals
+    return buf
+
+
 def _mc_run(sample, integrand, spec: SamplerSpec, count: int, seed: int,
             method: str) -> IntegralEstimate:
     """Draw ``count`` points by ``sample``, weight the integrand at them."""
@@ -152,7 +177,8 @@ def _mc_run(sample, integrand, spec: SamplerSpec, count: int, seed: int,
     def weighted(size, rng):
         # the draws are freed on return, before the chunk is reduced
         *args, logpdf = sample(spec, size, rng)
-        return integrand(*args) * np.exp(-logpdf)
+        return _in_blocks(lambda b: integrand(*(a[b] for a in args))
+                          * np.exp(-logpdf[b]), size)
 
     def work(k):
         rng = _chunk_rng(seed, k)
@@ -263,16 +289,10 @@ def _tensor_pass(f_axes, axes, h):
                 np.full((a.shape[0], b.shape[1]), x), a, b), axes[1:], h)
         return total
     (x0, w0), (x1, w1) = (_axis_nodes(axis, h) for axis in axes)
-    # row blocks of about CHUNK nodes bound the integrand's temporaries;
-    # one sum over the whole buffer keeps the unblocked summation order
-    rows = max(1, CHUNK // x1.shape[0])
-    buf = None
-    for i in range(0, x0.shape[0], rows):
-        vals = f_axes(x0[i:i + rows, None], x1[None, :])
-        if buf is None:
-            buf = np.empty((x0.shape[0], x1.shape[0]), dtype=vals.dtype)
-        buf[i:i + rows] = vals * (w0[i:i + rows, None] * w1[None, :])
-    return complex(np.sum(buf))
+    # one sum over the whole plane keeps the unblocked summation order
+    return complex(np.sum(_in_blocks(
+        lambda b: f_axes(x0[b, None], x1[None, :]) * (w0[b, None] * w1[None, :]),
+        x0.shape[0], x1.shape[0])))
 
 
 def tensor_quad(f_axes, axes, rel_tol=1e-8):
@@ -304,8 +324,11 @@ def tensor_quad(f_axes, axes, rel_tol=1e-8):
 
 
 def _quad_complex(f, a, b, epsabs, epsrel):
-    re, ere = _quad(lambda x: f(x).real, a, b, epsabs, epsrel)
-    im, eim = _quad(lambda x: f(x).imag, a, b, epsabs, epsrel)
+    """The real and the imaginary pass of ``_quad``; a node the real pass
+    evaluated is looked up, not evaluated again, by the imaginary pass."""
+    at = functools.cache(f)  # keyed on the abscissa QUADPACK passes
+    re, ere = _quad(lambda x: at(x).real, a, b, epsabs, epsrel)
+    im, eim = _quad(lambda x: at(x).imag, a, b, epsabs, epsrel)
     return re + 1j * im, ere + eim
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestValues:
         assert C.c2(1, [-1.5]) < 0
         assert C.c2(1, [-1.5]) == pytest.approx(
             2.0 ** -1.5 * (-0.5) / math.pi, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_past_the_double_range_is_inf_without_warning(self, n):
+        # the rising factorial and the exponential both overflow at n = 2
+        huge = [1e300] * n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C.c1(n, huge) == C.c2(n, huge) == math.inf
+            assert C.c3(n, huge) == C.c4(n, huge) == math.inf
 
     def test_positive_inside_primary_ranges(self, rng):
         for n in (1, 2, 3):

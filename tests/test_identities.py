@@ -456,9 +456,12 @@ class TestInputChecks:
         ("L27", {"l": [0.0], "r": [4.0]}, np.array([1.0]), InvalidInputError),
         ("L26", L26_PARAMS, np.array([1.0]), InvalidInputError),
         ("L26", L26_PARAMS, TUBE_1, InvalidInputError),
-        ("L26", L26_PARAMS, (TUBE_1, TUBE_2), InvalidInputError)],
+        ("L26", L26_PARAMS, (TUBE_1, TUBE_2), InvalidInputError),
+        ("L25", {"r": [3.0]}, TUBE_1, InvalidInputError),
+        ("L23_1", {"s": [0.5]}, "abc", InvalidInputError)],
         ids=["non-cone-n2", "non-cone-slice", "bare-kernel", "bare-tube",
-             "bare-pair", "single-for-pair", "pair-orders"])
+             "bare-pair", "single-for-pair", "pair-orders", "tube-for-slice",
+             "non-numeric"])
     def test_bad_point_raises(self, reader, ident, params, point, error):
         with pytest.raises(error):
             POINT_READERS[reader](ident, params, point)

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ from conetube.errors import (AccuracyError, ConvergenceDomainError,
 from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (get_identity, random_params, random_point,
                                  read_params, structure_value)
+from conetube import oracle
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              MISMATCH, _CALIBRATION_CACHE, _axis_nodes,
-                             _pos_window, _tensor_pass, _thread_count,
+                             _pos_window, _quad, _quad_complex,
+                             _tensor_pass, _thread_count,
                              calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, parallel_map, quad_iterated,
@@ -181,17 +184,21 @@ class TestMonteCarlo:
     def test_nonfinite_counted_without_warning(self):
         # inf * 0 raises "invalid value" inside the integrand; the driver
         # counts and zeroes the NaNs instead of leaking the warning
+        calls = []
+
         def integrand(coords, d=None):
+            calls.append(coords.shape[0])
             vals = np.ones(coords.shape[0])
-            vals[:10] = np.inf
+            vals[:5] = np.inf
             zero = np.ones(coords.shape[0])
-            zero[:10] = 0.0
+            zero[:5] = 0.0
             return vals * zero
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = mc_integrate_cone(integrand, GAMMA_SPEC_1D, 100_000, seed=3)
-        assert est.nonfinite == 20  # 10 in each of the two chunks
+        assert sum(calls) == 100_000 and len(calls) > 2
+        assert est.nonfinite == 5 * len(calls)  # 5 in each row block
 
     def test_thread_count_is_a_positive_integer(self, monkeypatch):
         monkeypatch.delenv("CONETUBE_THREADS", raising=False)
@@ -379,6 +386,65 @@ class TestQuadrature:
 
 
 PLANE_AXES = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
+
+
+class TestBlocks:
+    """A chunk weighted in row blocks, and a complex n = 1 quadrature node
+    evaluated once, give the bits of the unblocked, twice-evaluated runs."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ident", ["L24", "L23_2", "L25", "L26"],
+                             ids=["cone-real", "cone-complex", "slice", "tube"])
+    def test_blocked_chunks_are_bit_identical(self, monkeypatch, ident, n):
+        rng = np.random.default_rng(11)
+        params, point = random_params(ident, n, rng), random_point(ident, n, rng)
+        count = CHUNK + 3392  # a partial chunk, and in it a partial block
+
+        def estimate():
+            return oracle_estimate(ident, params, point, count, 7, method="mc")
+
+        blocked = estimate()
+        monkeypatch.setattr(oracle, "BLOCK", CHUNK)
+        assert estimate() == blocked
+
+    def test_blocks_bound_the_chunk_peak(self, monkeypatch):
+        ddef = get_identity("L26")
+        rng = np.random.default_rng(3)
+        params, point = random_params("L26", 2, rng), random_point("L26", 2, rng)
+        f = ddef.integrand(2, params, point)
+        spec = ddef.sampler(2, params, point)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                mc_integrate_tube(f, spec, CHUNK, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked = peak()
+        monkeypatch.setattr(oracle, "BLOCK", CHUNK)
+        assert blocked < 0.6 * peak()
+
+    @pytest.mark.parametrize("ident", ["L23_2", "L26"])
+    def test_complex_quad_evaluates_each_node_once(self, ident):
+        ddef = get_identity(ident)
+        rng = np.random.default_rng(4)
+        params, point = random_params(ident, 1, rng), random_point(ident, 1, rng)
+        f = (ddef.reduction(1, params, point).integrand if ddef.domain == "tube"
+             else ddef.integrand(1, params, point))
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return f(np.array([[x]]))[0]
+
+        re, ere = _quad(lambda x: g(x).real, 0.0, np.inf, 1e-300, 1e-9)
+        im, eim = _quad(lambda x: g(x).imag, 0.0, np.inf, 1e-300, 1e-9)
+        twice, calls[0] = calls[0], 0
+        assert _quad_complex(g, 0.0, np.inf, 1e-300, 1e-9) \
+            == (re + 1j * im, ere + eim)
+        assert calls[0] < twice
 
 
 class TestTensorPass:
