@@ -30,6 +30,7 @@ the same integrand and matched proposal the identity audit uses.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -306,11 +307,8 @@ def schur_numeric_check(params: ParameterSet, witness: SchurWitness,
     pp = params.p_conj
     t = witness.t
     rng = np.random.default_rng(seed)
-    al_b = bold_values(params.vec("alpha"), n)
-    be_b = bold_values(params.vec("beta"), n)
-    a_b = bold_values(params.vec("a"), n)
-    b_b = bold_values(params.vec("b"), n)
-    c_b = bold_values(params.vec("c"), n)
+    al_b, be_b, a_b, b_b, c_b = (bold_values(params.vec(k), n)
+                                 for k in ("alpha", "beta", "a", "b", "c"))
     r_b = bold_values(np.asarray(witness.r), n)
     l_b = bold_values(np.asarray(witness.l), n)
 
@@ -363,10 +361,8 @@ def random_sufficient_params(n: int, rng: np.random.Generator) -> ParameterSet:
         params = ParameterSet(n=n, p=p, q=q, alpha=tuple(alpha),
                               beta=tuple(beta), a=tuple(a), b=tuple(b),
                               c=(1.0,) * n)
-        c = necessary_exponent_condition(params)
-        params = ParameterSet(n=n, p=p, q=q, alpha=tuple(alpha),
-                              beta=tuple(beta), a=tuple(a), b=tuple(b),
-                              c=tuple(c))
+        params = dataclasses.replace(
+            params, c=tuple(necessary_exponent_condition(params)))
         if theorem2_sufficient(params).passed:
             return params
     raise InvalidInputError("could not draw a sufficient parameter set")

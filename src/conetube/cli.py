@@ -3,7 +3,8 @@
 All four subcommands read one declarative JSON config (no prompts), compute,
 and write machine-readable reports: CSV for tabular sweeps, JSON for
 verdicts and witnesses, plus a run_meta.json carrying the timestamp, the
-worker count, the versions and the echoed config.  Reports are
+worker count, the command's wall time and peak memory, the versions and
+the echoed config.  Reports are
 byte-identical across reruns with the same config and seed, at any worker
 count; only the metadata file varies.
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -260,11 +263,8 @@ def _breakdown_payload(breakdown):
 
 def cmd_classify(cfg: dict, out_dir: Path) -> int:
     verdicts = []
-    conflicts = 0
     for params in _parameter_sets(cfg):
         result = classify(params)
-        if result.verdict == "CONFLICT":
-            conflicts += 1
         verdicts.append({
             "params": params.__dict__,
             "verdict": result.verdict,
@@ -275,7 +275,7 @@ def cmd_classify(cfg: dict, out_dir: Path) -> int:
     print(f"classify: {len(verdicts)} set(s) -> {out_dir / 'verdicts.json'}")
     for v in verdicts:
         print(f"  {v['verdict']}")
-    return 1 if conflicts else 0
+    return 1 if any(v["verdict"] == "CONFLICT" for v in verdicts) else 0
 
 
 def cmd_witness(cfg: dict, out_dir: Path) -> int:
@@ -402,6 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = _build_parser().parse_args(argv)
     fn, flags, keys = COMMANDS[args.command]
     try:
@@ -417,8 +418,11 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = fn(cfg, out_dir)
-        write_metadata(out_dir / "run_meta.json", cfg,
-                       {"command": args.command, "threads": threads})
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; B on macOS
+        write_metadata(out_dir / "run_meta.json", cfg, {
+            "command": args.command, "threads": threads,
+            "wall_s": time.perf_counter() - start,
+            "peak_rss_mb": peak / (2**20 if sys.platform == "darwin" else 2**10)})
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

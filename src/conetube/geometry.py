@@ -235,20 +235,14 @@ def schur_real_part(v, u) -> np.ndarray:
     return out + np.sum(cross * cross / (vd * (vd * vd + ud * ud)), axis=-1)
 
 
-def assert_off_branch_cut(minors: np.ndarray) -> None:
-    """Reject minors on the closed negative real axis (index is 1-based)."""
+def complex_power_from_minors(minors: np.ndarray, e) -> np.ndarray:
+    """prod_k minor_k^{e_k} with the principal branch per minor; a minor on
+    the closed negative real axis raises BranchCutError (1-based index)."""
+    ex = np.atleast_1d(np.asarray(e, dtype=float))
     on_cut = (minors.real <= 0.0) & (minors.imag == 0.0)
     if np.any(on_cut):
-        flat = np.argwhere(on_cut)
-        k = int(flat[0][-1])
-        bad = minors[tuple(flat[0])]
-        raise BranchCutError(k + 1, bad)
-
-
-def complex_power_from_minors(minors: np.ndarray, e) -> np.ndarray:
-    """prod_k minor_k^{e_k} with the principal branch per minor."""
-    ex = np.atleast_1d(np.asarray(e, dtype=float))
-    assert_off_branch_cut(minors)
+        first = tuple(np.argwhere(on_cut)[0])
+        raise BranchCutError(first[-1] + 1, minors[first])
     return np.exp(np.sum(ex * np.log(minors), axis=-1))
 
 

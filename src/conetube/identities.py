@@ -29,6 +29,7 @@ numeric oracle can audit it without identity-specific code.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,6 +296,11 @@ TUBE_PAIR = PointKind(
     order=_pair_order)
 
 
+# the n = 1 quadrature integrand's mass beyond R scales falls like R^-tail_index,
+# within 1/R scales of 0 like R^-zero_index (None on the slice's real axis)
+Decay = namedtuple("Decay", "scale zero_index tail_index")
+
+
 @dataclass(frozen=True)
 class IdentityDef:
     """One registered identity: everything identity-specific lives here."""
@@ -312,6 +318,7 @@ class IdentityDef:
     sampler: callable            # (n, params, point) -> SamplerSpec
     point: PointKind
     random_params: callable      # (n, rng) -> in-range params
+    decay: callable              # (params, point) -> Decay at n = 1
     dual_region: callable | None = None  # integrand over the dual cone, if any
     reduction: callable | None = None  # (n, params, point) -> Reduction | None
 
@@ -355,6 +362,7 @@ def _laplace_identity(id, label, shifted) -> IdentityDef:
                                    p["s"][-1:] + 1.0]), FOUR_PI),
         point=cone_vector("t"),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, shifted)},
+        decay=lambda p, pt: Decay(1.0 / (FOUR_PI * pt[0]), p["s"][0] + 1.0, math.inf),
     )
 
 
@@ -402,6 +410,7 @@ def _kernel_identity(id, label, shifted) -> IdentityDef:
              p["s"][-1:] + (n + 3.0) / 2.0]), TWO_PI),
         point=tube_point(x_scale=0.15),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, shifted)},
+        decay=lambda p, pt: Decay(1.0 / (TWO_PI * pt.y[0]), p["s"][0] + 2.0, math.inf),
         dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted,
                                                        dual=True),
     )
@@ -451,6 +460,8 @@ def _mk_L24():
         sampler=lambda n, p, pt: _L24_sampler(n, p["r"], p["eta"], pt),
         point=cone_vector("b"),
         random_params=_random_L24,
+        decay=lambda p, pt: Decay(pt[0], p["eta"][0] + 1.0,
+                                  p["r"][0] - p["eta"][0] - 1.0),
     )
 
 
@@ -511,10 +522,8 @@ def _L25_reduction(n, r, v) -> Reduction:
             out = out + np.sum(lead * np.cumsum(log_mod, axis=-1), axis=-1)
         return np.exp(out)
 
-    tail = math.inf if n == 1 else None  # at n = 1 no coordinate is left
-    if n == 2:
-        tail = min(rb[0] - 2.0, 2.0 * rho - 3.0)
-    return Reduction(f, tail)
+    # the tail index: no coordinate is left at n = 1; not derived for n >= 3
+    return Reduction(f, {1: math.inf, 2: min(rb[0] - 2.0, 2.0 * rho - 3.0)}.get(n))
 
 
 def _L25_sampler(n, r, v):
@@ -544,6 +553,7 @@ def _mk_L25():
         sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
         point=cone_vector("v"),
         random_params=_random_L25,
+        decay=lambda p, pt: Decay(pt[0], None, p["r"][0] - 1.0),
         reduction=lambda n, p, pt: _L25_reduction(n, p["r"], pt),
     )
 
@@ -652,6 +662,8 @@ def _mk_L26():
         sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
         point=TUBE_PAIR,
         random_params=_random_L26,
+        decay=lambda p, pt: Decay(0.5 * (pt[0].y[0] + pt[1].y[0]), p["l"][0] + 1.0,
+                                  p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),
         reduction=lambda n, p, pt: (  # derived at n = 1 only
             _L26_reduction(p["l"], p["r"], p["eta"], *pt) if n == 1 else None),
     )
@@ -706,6 +718,8 @@ def _mk_L27():
         sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
         point=tube_point(),
         random_params=_random_L27,
+        decay=lambda p, pt: Decay(pt.y[0], p["l"][0] + 1.0,
+                                  p["r"][0] - p["l"][0] - 2.0),
         reduction=lambda n, p, pt: (  # derived at n = 1 only
             _L27_reduction(p["l"], p["r"], pt) if n == 1 else None),
     )

@@ -15,18 +15,14 @@ Two oracle families:
   temporaries; every value is elementwise and the chunk is reduced over
   the whole buffer, so the blocks change no bit.
 
-* Quadrature in the same canonical coordinates.  Every n = 1 integral is
-  one scalar adaptive ``quad``: over d on the cone, over u on the slice and
-  over v on the tube, whose ``reduction`` integrates u in closed form; a
-  complex integrand is evaluated once per node for both its real and its
-  imaginary pass.  At n = 2 a trapezoid tensor on exponentially
-  transformed axes integrates the cone (3-D) and the slice (2-D over
-  (u_1, u_3); its ``reduction`` integrates u_2), whose windows reach as
-  far as the reduced integrand's tail index asks, the mass left outside
-  added to the error; each tensor plane is evaluated in row blocks of
-  about BLOCK nodes.  The tube at n >= 2 and everything at n >= 3 is
-  Monte Carlo only.  This is the high-precision path behind the analytic
-  acceptance suite and constant calibration.
+* Quadrature in the same canonical coordinates: one trapezoid driver,
+  blocked like the chunks.  Every n = 1 integral is a one-axis pass (over
+  d on the cone, u on the slice, v on the tube, whose ``reduction``
+  integrates u in closed form); at n = 2 a tensor integrates the cone
+  (3-D) and the slice (2-D; its ``reduction`` integrates u_2).  The tube
+  at n >= 2 and everything at n >= 3 is Monte Carlo only.  This is the
+  high-precision path behind the analytic acceptance suite and constant
+  calibration.
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
@@ -38,7 +34,6 @@ off" (EXPONENT_CONFIRMED_CONSTANT_MISMATCH, fitted ratio recorded) from
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -46,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainccinv, gammaincinv
 
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
@@ -59,7 +53,7 @@ CHUNK = 1 << 16
 BLOCK = 1 << 13  # values per integrand call; bounds its temporaries
 TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
 SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
-SLICE_MAX_HALF = 80.0  # slice windows reach at most ~e^80 axis scales
+MAX_HALF = 80.0  # a window end reaches at most ~e^80 axis scales
 REAL_HALF = math.asinh(1.0e10) + 1.0  # a sinh axis reaching 1e10 scales
 NONFINITE_LIMIT = 1e-3
 
@@ -213,23 +207,17 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
 
 
 # ---------------------------------------------------------------------------
-# nested adaptive quadrature
+# vectorized trapezoid quadrature (n <= 2)
 # ---------------------------------------------------------------------------
-
-def _quad(f, a, b, epsabs, epsrel):
-    return integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=400)
-
-
-# -- vectorized tensor quadrature (n = 2 domains) ---------------------------
 #
 # Each axis is transformed to make the integrand smooth and rapidly decaying:
 # positive coordinates via x = e^u (handles the integrable x^s singularity at
 # 0 and exponential or polynomial decay at infinity), real coordinates via
 # x = scale * sinh(u).  The transformed integrand is then double-exponentially
 # flat at the window ends, where the trapezoid rule converges geometrically in
-# the step; the error estimate is the change under step halving.  Axis windows
-# come from extreme quantiles of the identity's importance laws: the laws
-# dominate the integrand by design, so their 1e-14 quantiles bound its mass.
+# the step; the error estimate is the change under step halving.  Windows
+# follow the integrand's decay (``_half_width``), but at the n = 2 cone they
+# are the importance laws' 1e-14 quantiles: the laws dominate the integrand.
 
 def _pos_window(law) -> tuple:
     if law.kind == "gamma":  # the 1e-14 lower and upper quantiles
@@ -244,22 +232,21 @@ def _pos_window(law) -> tuple:
     return max(math.log(lo) - 1.5, -90.0), min(math.log(hi) + 1.5, 50.0)
 
 
-def _slice_half_width(tail_index: float, rel_tol: float) -> tuple:
-    """Half-width of a sinh-mapped slice window, and the relative mass left
-    outside it.
+def _half_width(index: float, rel_tol: float) -> tuple:
+    """Half-width H of a window end whose outside mass falls like R^-index
+    at R axis scales, and the relative mass left outside.
 
-    The mass beyond R axis scales falls like R^-tail_index, and a window of
-    half-width H reaches R = sinh(H) > e^(H - 1) scales.  The window reaches
-    until that mass is below rel_tol / 100: at least to 1e10 scales, at
-    most to half-width SLICE_MAX_HALF, where what is left over is reported.
+    H reaches R > e^(H - 1) scales (sinh H on a real axis, e^H or e^-H on a
+    positive one), until the mass is below rel_tol / 100: at least 1e10
+    scales, at most half-width MAX_HALF, where the leftover is reported.
     """
-    if not tail_index > 0.0:
+    if not index > 0.0:
         raise AccuracyError(
-            f"the slice integral diverges (tail index {tail_index:.3g} <= 0)",
+            f"the integral diverges (decay index {index:.3g} <= 0)",
             achieved=math.inf)
-    half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / tail_index),
-               SLICE_MAX_HALF)
-    return half, math.exp(-tail_index * (half - 1.0))
+    half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / index),
+               MAX_HALF)
+    return half, math.exp(-index * (half - 1.0))
 
 
 def _axis_nodes(axis, h):
@@ -288,33 +275,37 @@ def _tensor_pass(f_axes, axes, h):
             total += w * _tensor_pass(lambda a, b: f_axes(
                 np.full((a.shape[0], b.shape[1]), x), a, b), axes[1:], h)
         return total
-    (x0, w0), (x1, w1) = (_axis_nodes(axis, h) for axis in axes)
+    (x0, w0), *rest = (_axis_nodes(axis, h) for axis in axes)
+    if not rest:
+        return complex(np.sum(_in_blocks(lambda b: f_axes(x0[b]) * w0[b],
+                                         x0.shape[0])))
+    (x1, w1), = rest
     # one sum over the whole plane keeps the unblocked summation order
     return complex(np.sum(_in_blocks(
         lambda b: f_axes(x0[b, None], x1[None, :]) * (w0[b, None] * w1[None, :]),
         x0.shape[0], x1.shape[0])))
 
 
-def tensor_quad(f_axes, axes, rel_tol=1e-8):
+def _trapezoid(f_axes, axes, rel_tol):
     """Iterated trapezoid on transformed axes with step-halving control.
 
     ``axes`` entries are ("pos", log_lo, log_hi), ("lin", lo, hi) or
     ("real", scale, lo, hi); ``f_axes`` takes one broadcastable array per
-    axis.  Returns (complex value, error estimate); steps whose tensor
-    would exceed TENSOR_MAX_EVALS nodes are skipped.
+    axis and may be complex-valued.  Returns (complex value, error
+    estimate); steps whose tensor would exceed TENSOR_MAX_EVALS nodes are
+    skipped.
     """
     prev = None
     value = None
     err = math.inf
     for h in (0.25, 0.125, 0.0625):
-        cost = 1.0
-        for axis in axes:
-            cost *= (axis[-1] - axis[-2]) / h  # every axis kind ends (lo, hi)
+        # every axis kind ends (lo, hi)
+        cost = math.prod((axis[-1] - axis[-2]) / h for axis in axes)
         if cost > TENSOR_MAX_EVALS and prev is not None:
             break
         value = _tensor_pass(f_axes, axes, h)
         if not np.isfinite(value):
-            raise AccuracyError("tensor quadrature produced a non-finite value")
+            raise AccuracyError("quadrature produced a non-finite value")
         if prev is not None:
             err = abs(value - prev)
             if err <= rel_tol * max(abs(value), 1e-300):
@@ -323,13 +314,9 @@ def tensor_quad(f_axes, axes, rel_tol=1e-8):
     return value, err
 
 
-def _quad_complex(f, a, b, epsabs, epsrel):
-    """The real and the imaginary pass of ``_quad``; a node the real pass
-    evaluated is looked up, not evaluated again, by the imaginary pass."""
-    at = functools.cache(f)  # keyed on the abscissa QUADPACK passes
-    re, ere = _quad(lambda x: at(x).real, a, b, epsabs, epsrel)
-    im, eim = _quad(lambda x: at(x).imag, a, b, epsabs, epsrel)
-    return re + 1j * im, ere + eim
+def tensor_quad(f_axes, axes, rel_tol):
+    """``_trapezoid`` on an n = 2 tensor: a profile tells it from n = 1."""
+    return _trapezoid(f_axes, axes, rel_tol)
 
 
 def quad_supported(identity_id: str, n: int) -> bool:
@@ -347,7 +334,7 @@ def _lhs_integrand(identity_id: str, n: int, p: dict, point, region):
 
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
                   region: str | None = None) -> IntegralEstimate:
-    """Nested adaptive quadrature of one identity LHS in canonical coordinates."""
+    """Trapezoid quadrature of one identity LHS in canonical coordinates."""
     ident, n, p = read_inputs(identity_id, params, point)
     if not quad_supported(identity_id, n):
         raise InvalidInputError(
@@ -357,14 +344,20 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
     check_params(identity_id, n, p)
     f = _lhs_integrand(identity_id, n, p, point, region)
 
-    if n == 1:
+    if n == 1:  # one axis: u on the slice, d (cone) or v (tube) elsewhere
         if ident.domain == "tube":  # u in closed form: a cone integral over v
             f = ident.reduction(n, p, point).integrand
-        g = lambda x: f(np.array([[x]]))[0]
-        lo = -np.inf if ident.domain == "slice" else 0.0
-        q1 = _quad_complex if ident.complex_valued else _quad
-        val, err = q1(g, lo, np.inf, 1e-300, rel_tol)
+        dec = ident.decay(p, point)
+        hi, left = _half_width(dec.tail_index, rel_tol)
+        if ident.domain == "slice":
+            axis = ("real", dec.scale, -hi, hi)
+        else:
+            lo, low_left = _half_width(dec.zero_index, rel_tol)
+            mid, left = math.log(dec.scale), left + low_left
+            axis = ("pos", mid - lo, mid + hi)
+        val, err = _trapezoid(lambda x: f(x[:, None]), [axis], rel_tol)
     elif ident.domain == "cone":
+        left = 0.0  # the windows are the laws' quantiles
         # standardize the border coordinate by its conditional law so one
         # grid resolves the ridge at every radial value
         spec = ident.sampler(n, p, point)
@@ -390,15 +383,14 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
         v = np.asarray(point, dtype=float)
         d = max(float(schur_complement(v)), 0.25 * v[1])
         scales = (float(v[0]), math.sqrt(float(v[0]) * d))
-        half, tail = _slice_half_width(red.tail_index, rel_tol)
+        half, left = _half_width(red.tail_index, rel_tol)
 
         def f_axes(u1, u3):
             return red.integrand(np.stack(np.broadcast_arrays(u1, u3), axis=-1))
 
         val, err = tensor_quad(f_axes, [("real", s, -half, half) for s in scales],
                                rel_tol)
-        err += tail * abs(val)
-
+    err += left * abs(val)
     if abs(val) > 0 and err > 100 * rel_tol * abs(val):
         raise AccuracyError(
             f"quadrature reached only relative error {err / abs(val):.2e} "

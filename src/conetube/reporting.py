@@ -81,8 +81,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
     """run_meta.json: what may vary between runs without moving a data byte
-    (the time, the versions, and in ``extra`` the worker count), plus the
-    echoed config."""
+    (the time, the versions, and in ``extra`` the worker count, the wall
+    time and the peak memory), plus the echoed config."""
     from . import __version__  # at call time: __init__ loads this module
 
     meta = {"schema_version": SCHEMA_VERSION,

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conetube
 from conetube.cli import _audit_case, main
 from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
                                  random_point)
@@ -19,6 +24,17 @@ def write_cfg(tmp_path, name, payload):
 
 def run(args):
     return main(args)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # start-up time: no integral needs scipy.integrate, which alone pulls
+    # in scipy.optimize and scipy.linalg
+    src = str(Path(conetube.__file__).resolve().parents[1])
+    code = "import sys, conetube.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestAudit:
@@ -50,6 +66,7 @@ class TestAudit:
             | {("L23_2", "dual"), ("COR1_2", "dual")}
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
         assert meta["command"] == "audit" and meta["threads"] >= 1
+        assert 0.0 < meta["wall_s"] < 600.0 and meta["peak_rss_mb"] > 1.0
         assert set(meta["versions"]) == {"conetube", "python", "numpy",
                                          "scipy"}
 

@@ -8,7 +8,8 @@ scaling coordinates, empty case and identity lists among them), plus
 unknown keys.  Classify and witness parameter sets also draw finite
 entries of +-1e308, whose products overflow.  Whatever the config,
 ``main`` must return 0, 1 or 2 without raising, and a rejected config
-(exit 2) must name the field it rejects.  Budgets stay at or below 2,000,
+(exit 2) must name the field it rejects.  A run that writes its reports
+records its wall time and peak memory in run_meta.json.  Budgets stay at or below 2,000,
 so every run is cheap.
 """
 
@@ -225,7 +226,8 @@ def scaling_config(draw):
     return with_unknown(draw, drop_some(draw, cfg))
 
 
-def run_main(command: str, cfg) -> tuple[int, str]:
+def run_main(command: str, cfg) -> tuple[int, str, dict | None]:
+    """Exit code, stderr and run_meta.json (None if not written) of a run."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
@@ -234,7 +236,9 @@ def run_main(command: str, cfg) -> tuple[int, str]:
                 contextlib.redirect_stderr(err):
             rc = main([command, "--config", str(path),
                        "--out", str(Path(tmp) / "out")])
-    return rc, err.getvalue()
+        meta = Path(tmp) / "out" / "run_meta.json"
+        meta = json.loads(meta.read_text()) if meta.exists() else None
+    return rc, err.getvalue(), meta
 
 
 CONFIGS = st.one_of(
@@ -255,8 +259,11 @@ CONFIGS = st.one_of(
 @given(CONFIGS)
 def test_any_config_exits_0_1_or_2_and_names_a_rejected_field(command_cfg):
     command, cfg = command_cfg
-    rc, err = run_main(command, cfg)
+    rc, err, meta = run_main(command, cfg)
     event(f"{command} exit {rc}")
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.startswith("error: config field '"), err
+    if meta is not None:
+        assert meta["command"] == command and meta["wall_s"] >= 0.0
+        assert meta["peak_rss_mb"] > 0.0

@@ -303,6 +303,35 @@ class TestSliceReduction:
         assert red.tail_index == pytest.approx(0.6)
 
 
+class TestDecay:
+    """The registry's n = 1 decay indices are the log-slopes of the
+    quadrature integrand's mass density x f(x) at its two ends."""
+
+    @pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+    def test_indices_are_the_log_slopes(self, ident_id, rng):
+        ident = get_identity(ident_id)
+        for _ in range(5):
+            params = random_params(ident_id, 1, rng)
+            point = random_point(ident_id, 1, rng)
+            f = (ident.reduction(1, params, point).integrand
+                 if ident.domain == "tube" else ident.integrand(1, params, point))
+            decay = ident.decay(params, point)
+
+            def slope(k):  # d log|x f(x)| / d log x at x = scale e^k
+                x = decay.scale * np.exp([k - 0.5, k + 0.5])
+                g = np.log(x * np.abs(f(x[:, None])))
+                return g[1] - g[0]
+
+            if math.isinf(decay.tail_index):  # exponential decay
+                assert slope(5.0) < -50.0
+            else:
+                assert slope(30.0) == pytest.approx(-decay.tail_index, abs=1e-6)
+            if decay.zero_index is None:
+                assert ident.domain == "slice"
+            else:
+                assert slope(-30.0) == pytest.approx(decay.zero_index, abs=1e-6)
+
+
 class TestTubeReduction:
     """L26 and L27 at n = 1 with u integrated in closed form (the quadrature
     oracle's integrand over v)."""

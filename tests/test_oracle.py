@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import threading
@@ -11,13 +12,12 @@ import pytest
 from conetube.errors import (AccuracyError, ConvergenceDomainError,
                              InvalidInputError, OracleRejectedError)
 from conetube.geometry import TubePoint, is_in_cone
-from conetube.identities import (get_identity, random_params, random_point,
-                                 read_params, structure_value)
-from conetube import oracle
+from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
+                                 random_point, read_params, structure_value)
+from conetube import identities, oracle
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              MISMATCH, _CALIBRATION_CACHE, _axis_nodes,
-                             _pos_window, _quad, _quad_complex,
-                             _tensor_pass, _thread_count,
+                             BLOCK, _pos_window, _tensor_pass, _thread_count,
                              calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, parallel_map, quad_iterated,
@@ -389,8 +389,8 @@ PLANE_AXES = [("real", 1.3, -6.0, 6.0), ("pos", -5.0, 3.0)]
 
 
 class TestBlocks:
-    """A chunk weighted in row blocks, and a complex n = 1 quadrature node
-    evaluated once, give the bits of the unblocked, twice-evaluated runs."""
+    """A chunk weighted in row blocks gives the bits of the unblocked run,
+    and an n = 1 quadrature calls its integrand once per block of nodes."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("ident", ["L24", "L23_2", "L25", "L26"],
@@ -426,25 +426,92 @@ class TestBlocks:
         monkeypatch.setattr(oracle, "BLOCK", CHUNK)
         assert blocked < 0.6 * peak()
 
-    @pytest.mark.parametrize("ident", ["L23_2", "L26"])
-    def test_complex_quad_evaluates_each_node_once(self, ident):
+    @pytest.mark.parametrize("block", [BLOCK, 100])
+    @pytest.mark.parametrize("ident", ["L27", "L26"], ids=["real", "complex"])
+    def test_n1_quad_calls_its_integrand_once_per_block(self, monkeypatch,
+                                                        ident, block):
+        # at most (step levels) x ceil(nodes / BLOCK) calls, nodes being the
+        # finest pass's; a complex integrand gets no second pass
         ddef = get_identity(ident)
+        calls, passes = [], []
+
+        def reduction(n, p, pt):
+            red = ddef.reduction(n, p, pt)
+
+            def counted(v):
+                calls.append(v.shape[0])
+                return red.integrand(v)
+            return dataclasses.replace(red, integrand=counted)
+
+        def nodes(axis, h):
+            x, w = _axis_nodes(axis, h)
+            passes.append(x.size)
+            return x, w
+
+        monkeypatch.setitem(identities.IDENTITIES, ident,
+                            dataclasses.replace(ddef, reduction=reduction))
+        monkeypatch.setattr(oracle, "_axis_nodes", nodes)
+        monkeypatch.setattr(oracle, "BLOCK", block)
         rng = np.random.default_rng(4)
         params, point = random_params(ident, 1, rng), random_point(ident, 1, rng)
-        f = (ddef.reduction(1, params, point).integrand if ddef.domain == "tube"
-             else ddef.integrand(1, params, point))
-        calls = [0]
+        est = quad_iterated(ident, params, point, rel_tol=1e-9)
+        assert isinstance(est.value, complex) == ddef.complex_valued
+        assert 1 <= len(passes) <= 3 and max(calls) <= block
+        assert len(calls) <= 3 * math.ceil(max(passes) / block)
+        assert sum(calls) == sum(passes)
 
-        def g(x):
-            calls[0] += 1
-            return f(np.array([[x]]))[0]
 
-        re, ere = _quad(lambda x: g(x).real, 0.0, np.inf, 1e-300, 1e-9)
-        im, eim = _quad(lambda x: g(x).imag, 0.0, np.inf, 1e-300, 1e-9)
-        twice, calls[0] = calls[0], 0
-        assert _quad_complex(g, 0.0, np.inf, 1e-300, 1e-9) \
-            == (re + 1j * im, ere + eim)
-        assert calls[0] < twice
+class TestQuadpackReference:
+    """The n = 1 trapezoid agrees with scipy's QUADPACK within the two error
+    bars combined, on random draws of every identity and region."""
+
+    @staticmethod
+    def quadpack(ident, params, point, region):
+        from scipy import integrate
+        n = 1
+        if ident.domain == "tube":
+            f = ident.reduction(n, params, point).integrand
+        elif region == ident.domain:
+            f = ident.integrand(n, params, point)
+        else:
+            f = ident.dual_region(n, params, point)
+        lo = -np.inf if ident.domain == "slice" else 0.0
+
+        def part(take):
+            return integrate.quad(lambda x: take(f(np.array([[x]]))[0]),
+                                  lo, np.inf, epsabs=1e-300, epsrel=1e-8,
+                                  limit=400)
+
+        (re, ere), (im, eim) = part(np.real), part(np.imag)
+        return complex(re, im), ere + eim
+
+    def check(self, ident_id, params, point, region):
+        ident = get_identity(ident_id)
+        est = quad_iterated(ident_id, params, point, region=region)
+        ref, err_ref = self.quadpack(ident, read_params(ident_id, 1, params),
+                                     point, region)
+        assert abs(est.value - ref) <= est.std_error + err_ref, \
+            (ident_id, region, params, point, est, ref, err_ref)
+
+    @pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+    def test_random_draws_every_region(self, ident_id):
+        rng = np.random.default_rng(2024)
+        for region in get_identity(ident_id).regions(1):
+            for _ in range(10):
+                self.check(ident_id, random_params(ident_id, 1, rng),
+                           random_point(ident_id, 1, rng), region)
+
+    def test_l24_heavy_tail_draws(self):
+        # draws of default_rng(123) with tail index r - eta - 1 near 0.4,
+        # which windows from the proposal's quantiles cut short by more
+        # than both error bars
+        rng = np.random.default_rng(123)
+        draws = [(random_params("L24", 1, rng), random_point("L24", 1, rng))
+                 for _ in range(18)]
+        for i in (0, 8, 13, 15, 17):
+            params, point = draws[i]
+            assert params["r"][0] - params["eta"][0] - 1.0 < 0.5
+            self.check("L24", params, point, "cone")
 
 
 class TestTensorPass:
