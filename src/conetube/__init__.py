@@ -14,11 +14,8 @@ from .geometry import (ConePoint, TubePoint, assemble_arrowhead,
                        complex_power_P, delta_power, is_in_cone, minors)
 from .identities import IDENTITY_IDS, closed_form
 from .indices import Convention, MultiIndex, shift_index, unshift_index
-from .operators import (ParameterSet, TestFunctionFR, admissible_lr,
-                        apply_T_closed, apply_T_numeric, dual_operator_eval,
-                        f_R_eval, f_R_norm_closed, f_R_norm_exponents,
-                        image_norm_conditions, make_test_function,
-                        necessary_exponent_condition,
+from .operators import (ParameterSet, TestFunctionFR, f_R_norm_exponents,
+                        make_test_function, necessary_exponent_condition,
                         scaling_experiment, Tf_R_norm_exponents)
 from .oracle import (AuditRecord, IntegralEstimate, calibrated_constant,
                      mc_integrate_cone, mc_integrate_slice, mc_integrate_tube,

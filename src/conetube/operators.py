@@ -8,10 +8,10 @@ The operator under study maps f to
 with all exponent vectors taken in the shifted convention.  The laboratory
 builds the rational test family
 
-    f_R(w) = delta^l(Im w) / P^r(w + iR),
+    f_R(w) = delta^l(Im w) / P^r(w + iR).
 
-whose weighted p-norm and whose image under T have closed forms that are
-pure powers of the R_j.  Fitting log-norm against log R_j by Monte Carlo
+The weighted p-norm of f_R and the weighted q-norm of its image under T
+are pure powers of the R_j.  Fitting log-norm against log R_j by Monte Carlo
 recovers those exponents empirically; the difference of the f_R and T f_R
 slopes vanishes exactly when the parameter vector c sits on the forced
 linear relation returned by :func:`necessary_exponent_condition`, and the
@@ -21,29 +21,28 @@ R is embedded into the cone on the diagonal coordinates with zero borders,
 the only embedding under which the per-R_j power structure of the norms
 emerges.
 
-Every integral lemma is taken from its entry in the identity registry:
-the image T f_R and its Monte Carlo proposal are the two-kernel identity
-(L26) at xi = iR, the norm ranges are the kernel-modulus identity's (L27),
-and the norm estimates are the translate identity's (L24) left-hand side
-after the slice identity (L25) has integrated out the real part.
+Every integral lemma is taken from its entry in the identity registry, and
+this module keeps only what the registry does not state.  The image T f_R
+is delta^a(Im z) times the two-kernel identity (L26) at xi = iR and the
+parameters :func:`_image_params`, so its closed form and its Monte Carlo
+estimate are that identity's ``closed_value`` and ``oracle_estimate``.
+The norm ranges are the kernel-modulus identity's (L27), and the norm
+estimates are the translate identity's (L24) left-hand side after the
+slice identity (L25) has integrated out the real part.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError, OracleRejectedError
-from .geometry import (TubePoint, complex_minors, complex_power_from_minors,
-                       log_delta_power, minor_exponents)
-from .identities import check_params, closed_value, get_identity
+from .identities import check_params, get_identity
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
-                      read_index)
-from .oracle import (IntegralEstimate, mc_integrate_cone,
-                     mc_integrate_tube)
+                      read_index, shift_index)
+from .oracle import calibrated_constant, mc_integrate_cone
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class TestFunctionFR:
 
 
 def make_test_function(n: int, l_plain, r_plain, R) -> TestFunctionFR:
-    from .indices import shift_index
     if any(np.shape(np.atleast_1d(v)) != (n,) for v in (l_plain, r_plain, R)):
         raise InvalidInputError(f"l, r and R must have length n = {n}")
     return TestFunctionFR(shift_index(MultiIndex(tuple(np.atleast_1d(l_plain)))),
@@ -129,94 +127,8 @@ def embed_R(R, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# admissibility and exponent bookkeeping
+# exponent bookkeeping and norm ranges
 # ---------------------------------------------------------------------------
-
-def _lr_lower_bounds(params: ParameterSet):
-    """Lower bounds of the test-family admissibility system, per coordinate.
-
-    Returns (l_low, r_low, gap_low): l_j > l_low_j, r_j > r_low_j and
-    r_j - l_j > gap_low_j.
-    """
-    n, p = params.n, params.p
-    al, b, c = params.vec("alpha"), params.vec("b"), params.vec("c")
-    l_low = np.empty(n)
-    r_low = np.empty(n)
-    gap = np.empty(n)
-    for j in range(n - 1):
-        l_low[j] = max(-(n + 1.0) / (2.0 * p) - al[j] / p, -b[j] - 0.5)
-        r_low[j] = float(n)
-        gap[j] = max(al[j] / p + (3.0 * n + 1.0) / (2.0 * p),
-                     (3.0 * n + 1.0) / 2.0 + b[j] - c[j])
-    l_low[n - 1] = max(-1.0 / p - al[n - 1] / p, -b[n - 1] - 1.0)
-    r_low[n - 1] = (n + 1.0) / 2.0
-    gap[n - 1] = max((al[n - 1] + n + 1.0) / p, n + 1.0 + b[n - 1] - c[n - 1])
-    return l_low, r_low, gap
-
-
-def check_admissible(params: ParameterSet, l_plain, r_plain) -> list:
-    l = plain_values(l_plain, params.n)
-    r = plain_values(r_plain, params.n)
-    l_low, r_low, gap = _lr_lower_bounds(params)
-    bad = []
-    for j in range(params.n):
-        if not l[j] > l_low[j]:
-            bad.append(f"l[{j + 1}] > {l_low[j]:.6g} (got {l[j]:.6g})")
-        if not r[j] > r_low[j]:
-            bad.append(f"r[{j + 1}] > {r_low[j]:.6g} (got {r[j]:.6g})")
-        if not r[j] - l[j] > gap[j]:
-            bad.append(f"r[{j + 1}] - l[{j + 1}] > {gap[j]:.6g} "
-                       f"(got {r[j] - l[j]:.6g})")
-    return bad
-
-
-def admissible_lr(params: ParameterSet) -> tuple[MultiIndex, MultiIndex]:
-    """Deterministic admissible pair: every lower bound + 1, every gap + 1."""
-    from .indices import shift_index
-    l_low, r_low, gap = _lr_lower_bounds(params)
-    if not np.all(np.isfinite(l_low) & np.isfinite(r_low) & np.isfinite(gap)):
-        raise InfeasibleError("non-finite admissibility bounds",
-                              binding=[str(l_low), str(r_low), str(gap)])
-    l = l_low + 1.0
-    r = np.maximum(r_low, l + gap) + 1.0
-    bad = check_admissible(params, l, r)
-    if bad:
-        raise InfeasibleError("constructed pair violates its own system",
-                              binding=bad)
-    return (shift_index(MultiIndex(tuple(l))), shift_index(MultiIndex(tuple(r))))
-
-
-def image_norm_conditions(params: ParameterSet, tf: "TestFunctionFR") -> dict:
-    """Finiteness conditions for the image norm: stated vs derived forms.
-
-    The stated display subtracts b_j twice in its second inequality; the
-    derived form applies the kernel-modulus identity's preconditions to the
-    actual image exponents (q a + beta against q (r + c - l - b - (n+1))).
-    Both are evaluated verbatim and any satisfaction gap is reported, not
-    patched.
-    """
-    n, q = params.n, params.q
-    a, b, c = params.vec("a"), params.vec("b"), params.vec("c")
-    be = params.vec("beta")
-    l, r = tf.l_plain(), tf.r_plain()
-    image = _image_norm_params(params, tf)
-    stated, derived = [], []
-    for j in range(n):
-        off_lo = (n + 1.0) / 2.0 if j < n - 1 else 1.0
-        off_hi = (3.0 * n + 1.0) / 2.0 if j < n - 1 else n + 1.0
-        m1 = q * a[j] + be[j] + off_lo
-        m2s = (c[j] - b[j] - a[j] - (n + 1.0) + r[j] - b[j] - l[j]
-               - be[j] / q - off_hi / q)
-        stated.append((f"stated:lower[{j + 1}]", bool(m1 > 0), float(m1)))
-        stated.append((f"stated:gap[{j + 1}]", bool(m2s > 0), float(m2s)))
-        l_eff, r_eff = image["l"][j], image["r"][j]
-        d1 = l_eff + off_lo
-        d2 = r_eff - l_eff - off_hi
-        derived.append((f"derived:lower[{j + 1}]", bool(d1 > 0), float(d1)))
-        derived.append((f"derived:gap[{j + 1}]", bool(d2 > 0), float(d2)))
-    gaps = [s[0] for s, d in zip(stated, derived) if s[1] != d[1]]
-    return {"stated": stated, "derived": derived, "gaps": gaps}
-
 
 def necessary_exponent_condition(params: ParameterSet) -> np.ndarray:
     """The forced c: a + b + (n+1) + (beta + n + 1)/q - (alpha + n + 1)/p."""
@@ -241,28 +153,6 @@ def Tf_R_norm_exponents(params: ParameterSet, tf: TestFunctionFR) -> np.ndarray:
             + (params.vec("beta") + n + 1.0) / params.q)
 
 
-# ---------------------------------------------------------------------------
-# pointwise evaluation
-# ---------------------------------------------------------------------------
-
-def f_R_eval(w: TubePoint, tf: TestFunctionFR) -> complex:
-    """f_R(w) = delta^l(Im w) / P^r(w + iR), shifted exponents."""
-    return complex(_f_R_batch(tf)(w.x, w.y))
-
-
-def _f_R_batch(tf: TestFunctionFR):
-    n = tf.n
-    lb, rb = tf.l.values, tf.r.values
-    Remb = embed_R(tf.R, n)
-
-    def f(x, v):
-        zeta = (v + Remb) - 1j * x
-        return (np.exp(log_delta_power(v, lb))
-                / complex_power_from_minors(complex_minors(zeta),
-                                            minor_exponents(rb)))
-    return f
-
-
 def _image_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
     """Plain two-kernel (L26) parameters of T f_R: (l, r, eta) = (b + l, c, r)."""
     return {"l": params.vec("b") + tf.l_plain(), "r": params.vec("c"),
@@ -284,55 +174,12 @@ def _image_norm_params(params: ParameterSet, tf: TestFunctionFR) -> dict:
                       - params.vec("b") - (params.n + 1.0))}
 
 
-def apply_T_closed(z: TubePoint, params: ParameterSet, tf: TestFunctionFR,
-                   constant: float | None = None) -> complex:
-    """Closed-form image of f_R under T: delta^a(Im z) times the two-kernel
-    tube identity at xi = iR."""
-    n = params.n
-    xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
-    a_part = math.exp(float(log_delta_power(
-        z.y, bold_values(params.vec("a"), n))))
-    return complex(a_part * closed_value("L26", _image_params(params, tf),
-                                         (z, xi), constant))
-
-
-@dataclass(frozen=True)
-class FRNormClosed:
-    exponents: tuple
-    log_constant_p: float     # log of the p-th power stated constant
-    constant_stated: float     # the closed-form norm constant C'
-
-    def log_norm(self, R) -> float:
-        return (self.log_constant_p
-                + float(np.sum(np.asarray(self.exponents)
-                               * np.log(np.atleast_1d(R)))))
-
-    def value(self, R) -> float:
-        return math.exp(self.log_norm(R))
-
-
-def f_R_norm_closed(params: ParameterSet, tf: TestFunctionFR,
-                    constant: float | None = None) -> FRNormClosed:
-    """Exponent vector and closed-form value of the weighted p-norm of f_R.
-
-    The finiteness condition is the kernel-modulus identity's range at the
-    weighted pair (p*l + alpha, p*r).
-    """
-    n, p = params.n, params.p
-    weighted = _f_R_norm_params(params, tf)
-    check_params("L27", n, weighted)
-    cst = get_identity("L27").stated_constant(n, weighted) \
-        if constant is None else constant
-    e = f_R_norm_exponents(params, tf)
-    return FRNormClosed(exponents=tuple(e), log_constant_p=math.log(cst) / p,
-                        constant_stated=cst ** (1.0 / p))
-
-
 def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
-    """Raise ConvergenceDomainError unless both norms of the experiment are
-    finite: f_R's (L27 at (p l + alpha, p r)), the closed image's (L26 at
-    the image parameters) and the image's q-norm (L27 at the derived pair
-    of :func:`image_norm_conditions`)."""
+    """Raise ConvergenceDomainError unless every integral of the experiment
+    is finite: f_R's p-norm (L27 at (p l + alpha, p r)), the image T f_R
+    (L26 at :func:`_image_params`) and the image's q-norm (L27 at
+    :func:`_image_norm_params`, the pair derived from the actual image
+    exponents rather than the stated display, which subtracts b twice)."""
     n = params.n
     check_params("L27", n, _f_R_norm_params(params, tf))
     check_params("L26", n, _image_params(params, tf))
@@ -340,7 +187,7 @@ def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo application and norms
+# Monte Carlo norms
 # ---------------------------------------------------------------------------
 
 def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
@@ -351,7 +198,6 @@ def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
     stated composite is off) and cached, so it is one fixed number across
     an R-grid and cancels from every slope fit.
     """
-    from .oracle import calibrated_constant
     return float(np.real(calibrated_constant(
         "L25", n, {"r": read_index(bold_kernel, Convention.SHIFTED)})))
 
@@ -405,51 +251,6 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
     kernel = q * (M - (n + 1.0))
     return _reduced_norm_mc(n, weight, kernel, np.asarray(tf.R), q, budget,
                             seed)
-
-
-def _kernel_transform_mc(z: TubePoint, params: ParameterSet, f, outer_bold,
-                         inner_bold, budget: int, seed: int,
-                         tf: TestFunctionFR) -> IntegralEstimate:
-    """MC of delta^outer(Im z) * integral of delta^inner(Im w) f(w) / P^c(z - conj w).
-
-    ``f`` is a batch callable f(x, v); the proposal is the two-kernel
-    identity's (L26) at the image parameters of the test function ``tf``,
-    with xi = iR.
-    """
-    n = params.n
-    xi = TubePoint.make(np.zeros(2 * n - 1), embed_R(tf.R, n))
-    spec = get_identity("L26").sampler(n, _image_params(params, tf), (z, xi))
-    outer = math.exp(float(log_delta_power(z.y, outer_bold)))
-    ec = minor_exponents(bold_values(params.vec("c"), n))
-    xz, yz = z.x, z.y
-
-    def integrand(x, v):
-        zeta = (yz + v) - 1j * (xz - x)
-        kern = complex_power_from_minors(complex_minors(zeta), ec)
-        return np.exp(log_delta_power(v, inner_bold)) * f(x, v) / kern
-
-    est = mc_integrate_tube(integrand, spec, budget, seed)
-    return dataclasses.replace(est, value=outer * est.value,
-                               std_error=outer * est.std_error)
-
-
-def apply_T_numeric(z: TubePoint, params: ParameterSet, f, budget: int,
-                    seed: int, tf: TestFunctionFR) -> IntegralEstimate:
-    """MC image: delta^a(Im z) * integral of delta^b(Im w) f(w) / P^c(z - conj w)."""
-    n = params.n
-    return _kernel_transform_mc(z, params, f, bold_values(params.vec("a"), n),
-                                bold_values(params.vec("b"), n), budget, seed,
-                                tf)
-
-
-def dual_operator_eval(z: TubePoint, params: ParameterSet, f, budget: int,
-                       seed: int, tf: TestFunctionFR) -> IntegralEstimate:
-    """MC value of the dual image: delta^(b-alpha) weight outside,
-    delta^(a+beta) inside, same kernel."""
-    n = params.n
-    outer = bold_values(params.vec("b"), n) - bold_values(params.vec("alpha"), n)
-    inner = bold_values(params.vec("a"), n) + bold_values(params.vec("beta"), n)
-    return _kernel_transform_mc(z, params, f, outer, inner, budget, seed, tf)
 
 
 # ---------------------------------------------------------------------------

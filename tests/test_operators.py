@@ -5,25 +5,26 @@ import pytest
 
 from conetube.errors import (ConvergenceDomainError, InfeasibleError,
                              InvalidInputError)
-from conetube.geometry import TubePoint, delta_power
-from conetube.identities import random_cone_vector
-from conetube.indices import bold_values
+from conetube.geometry import TubePoint
+from conetube.identities import check_params, closed_value, random_cone_vector
 from conetube.operators import (ParameterSet, Tf_R_norm_exponents,
-                                _f_R_batch, admissible_lr, apply_T_closed,
-                                apply_T_numeric, check_admissible,
-                                dual_operator_eval, embed_R, f_R_eval,
-                                f_R_norm_closed, f_R_norm_exponents,
-                                f_R_norm_mc, fit_loglog,
-                                image_norm_conditions,
+                                _image_norm_params, _image_params,
+                                check_norm_ranges, embed_R,
+                                f_R_norm_exponents, f_R_norm_mc, fit_loglog,
                                 make_test_function,
                                 necessary_exponent_condition,
                                 scaling_experiment)
-from conetube.oracle import calibrated_constant
+from conetube.oracle import calibrated_constant, oracle_estimate
 
 
 def tf_for(params, l, r, R=None):
     return make_test_function(params.n, l, r,
                               R if R is not None else [1.0] * params.n)
+
+
+def xi_of(tf):
+    """xi = iR, the point at which T f_R is the two-kernel identity (L26)."""
+    return TubePoint.make(np.zeros(2 * tf.n - 1), embed_R(tf.R, tf.n))
 
 
 class TestParameterSet:
@@ -47,75 +48,16 @@ class TestParameterSet:
         assert make_test_function(1, 2, 4, 1).n == 1
 
 
-class TestAdmissibleLR:
-    def test_worked_set_all_strict(self, worked_params):
-        l, r = admissible_lr(worked_params)
-        assert check_admissible(worked_params, l, r) == []
-
-    def test_monotone_in_b(self, worked_params):
-        # enlarging b_j never shrinks the feasible set: the previous pair
-        # stays admissible after the bump
-        l, r = admissible_lr(worked_params)
-        bumped = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0), beta=(0, 0),
-                              a=(0, 0), b=(1.0, 1.0), c=(3.0, 3.0))
-        assert check_admissible(bumped, l, r) == []
-
-    def test_n1_only_last_block(self):
-        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
-                              a=(0,), b=(0,), c=(2,))
-        l, r = admissible_lr(params)
-        assert l.n == 1 and check_admissible(params, l, r) == []
-
-
-class TestPointwise:
-    def test_diagonal_real_positive(self, rng):
-        params = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0), beta=(0, 0),
-                              a=(0, 0), b=(0, 0), c=(3, 3))
-        tf = tf_for(params, [2, 2], [4, 4])
-        y = np.array([1.3, 0.9, 0.0])  # diagonal imaginary part
-        w = TubePoint.make(np.zeros(3), y)
-        val = f_R_eval(w, tf)
-        assert abs(val.imag) < 1e-15 and val.real > 0
-
-    def test_n1_value(self):
-        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
-                              a=(0,), b=(0,), c=(2,))
-        tf = tf_for(params, [0], [2])
-        assert f_R_eval(TubePoint.make([0.0], [1.0]), tf) == pytest.approx(0.25)
-
-    def test_modulus_bound(self, rng):
-        # |f_R(w)| <= delta^l(Im w) delta^{-r}(Im w + R)
-        params = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0), beta=(0, 0),
-                              a=(0, 0), b=(0, 0), c=(3, 3))
-        tf = tf_for(params, [2, 2], [4, 4])
-        Remb = embed_R(tf.R, 2)
-        for _ in range(100):
-            y = random_cone_vector(2, rng)
-            x = rng.uniform(-2, 2, size=3)
-            w = TubePoint.make(x, y)
-            bound = (delta_power(y, tf.l.values)
-                     * delta_power(y + Remb, -tf.r.values))
-            assert abs(f_R_eval(w, tf)) <= bound * (1 + 1e-12)
-
-
 class TestNormExponents:
     def test_worked_exponents(self, worked_params):
         tf = tf_for(worked_params, [2, 2], [4, 4])
         assert np.allclose(f_R_norm_exponents(worked_params, tf), [-0.5, -0.5])
         assert np.allclose(Tf_R_norm_exponents(worked_params, tf), [-0.5, -0.5])
 
-    def test_norm_closed_power_law(self, worked_params):
-        tf = tf_for(worked_params, [2, 2], [4, 4])
-        closed = f_R_norm_closed(worked_params, tf)
-        # R = 1 kills all powers: norm equals the constant alone
-        assert closed.value([1.0, 1.0]) == pytest.approx(closed.constant_stated)
-        assert closed.value([2.0, 1.0]) == pytest.approx(
-            closed.constant_stated * 2.0 ** -0.5)
-
     def test_norm_closed_range_check(self, worked_params):
         tf = tf_for(worked_params, [2, 2], [2.5, 2.5])  # p r - p l too small
         with pytest.raises(ConvergenceDomainError):
-            f_R_norm_closed(worked_params, tf)
+            check_norm_ranges(worked_params, tf)
 
     def test_exponent_matching_under_forced_c(self, rng):
         # substituting the forced c makes the two exponent vectors equal
@@ -152,11 +94,14 @@ class TestNormExponents:
 
 
 class TestApplyT:
+    """T f_R(z) is delta^a(Im z) times L26 at the image parameters, xi = iR."""
+
     def test_image_real_positive_on_diagonal(self, worked_params):
         tf = tf_for(worked_params, [2, 2], [4, 4])
         z = TubePoint.make(np.zeros(3), np.array([1.2, 0.8, 0.0]))
         # structural factor is exactly real and positive on the diagonal
-        val = apply_T_closed(z, worked_params, tf, constant=1.0)
+        val = complex(closed_value("L26", _image_params(worked_params, tf),
+                                   (z, xi_of(tf)), constant=1.0))
         assert val.real > 0 and abs(val.imag) < 1e-13 * val.real
         # the MC-calibrated constant carries only statistical imaginary dust
         cal = calibrated_constant("L26", 2, {"l": [2.0, 2.0], "r": [3.0, 3.0],
@@ -164,119 +109,45 @@ class TestApplyT:
                                   budget=400_000)
         assert abs(complex(cal).imag) < 1e-2 * abs(complex(cal).real)
 
-    def test_zero_function_maps_to_zero(self, worked_params):
-        tf = tf_for(worked_params, [2, 2], [4, 4])
-        z = TubePoint.make([0.1, 0, 0], [1.0, 1, 0])
-
-        def zero(x, v):
-            return np.zeros(x.shape[0], dtype=complex)
-
-        est = apply_T_numeric(z, worked_params, zero, budget=20_000, seed=1,
-                              tf=tf)
-        assert est.value == 0
-
-    def test_linearity_under_common_randoms(self, worked_params):
-        tf = tf_for(worked_params, [2, 2], [4, 4])
-        z = TubePoint.make([0.1, 0, 0], [1.0, 1, 0])
-        f = _f_R_batch(tf)
-
-        def f2(x, v):
-            return 2.0 * f(x, v)
-
-        a = apply_T_numeric(z, worked_params, f, budget=50_000, seed=7, tf=tf)
-        b = apply_T_numeric(z, worked_params, f2, budget=50_000, seed=7, tf=tf)
-        assert b.value == pytest.approx(2.0 * a.value, rel=1e-12)
-
-    def test_closed_matches_numeric_n1(self):
-        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
-                              a=(0,), b=(0,), c=(2,))
-        tf = tf_for(params, [0.5], [3])
-        z = TubePoint.make([0.2], [1.3])
-        cal = calibrated_constant("L26", 1, {"l": [0.5], "r": [2.0],
-                                             "eta": [3.0]})
-        closed = apply_T_closed(z, params, tf, constant=cal)
-        est = apply_T_numeric(z, params, _f_R_batch(tf), budget=400_000,
-                              seed=3, tf=tf)
-        assert abs(est.value - closed) <= 3 * est.std_error
-
     def test_image_range_check(self, worked_params):
         tf = tf_for(worked_params, [2, 2], [2.0, 2.0])  # eta role too small
-        z = TubePoint.make([0.0, 0, 0], [1.0, 1, 0])
-        with pytest.raises(ConvergenceDomainError):
-            apply_T_closed(z, worked_params, tf)
+        with pytest.raises(ConvergenceDomainError, match=r"eta\[1\] > n"):
+            check_params("L26", 2, _image_params(worked_params, tf))
 
-
-class TestDual:
-    def test_zero_function(self, worked_params):
-        tf = tf_for(worked_params, [2, 2], [4, 4])
-        z = TubePoint.make([0.1, 0, 0], [1.0, 1, 0])
-
-        def zero(x, v):
-            return np.zeros(x.shape[0], dtype=complex)
-
-        est = dual_operator_eval(z, worked_params, zero, budget=20_000,
-                                 seed=1, tf=tf)
-        assert est.value == 0
-
-    def test_self_dual_structure(self):
-        # a = b, alpha = beta = 0, p = q: the dual weights collapse onto the
-        # primal ones, so the two estimators agree sample for sample
-        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0.0,), beta=(0.0,),
-                              a=(0.4,), b=(0.4,), c=(2.8,))
-        tf = tf_for(params, [0.5], [3])
-        z = TubePoint.make([0.1], [1.2])
-        f = _f_R_batch(tf)
-        a = apply_T_numeric(z, params, f, budget=40_000, seed=9, tf=tf)
-        b = dual_operator_eval(z, params, f, budget=40_000, seed=9, tf=tf)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
-
-    def test_duality_pairing_two_estimates(self):
-        # <Tf, g>_beta and <f, T*g>_alpha as two independently seeded MC
-        # estimates of the same bilinear form
-        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0.2,), beta=(0.5,),
-                              a=(0.3,), b=(0.6,), c=(3.0,))
-        tff = tf_for(params, [0.5], [3.2])
-        tfg = tf_for(params, [0.8], [3.6])
-        n = params.n
-        ff, gg = _f_R_batch(tff), _f_R_batch(tfg)
-        a_b = bold_values(params.vec("a"), n)
-        b_b = bold_values(params.vec("b"), n)
-        al_b = bold_values(params.vec("alpha"), n)
-        be_b = bold_values(params.vec("beta"), n)
-        c_b = bold_values(params.vec("c"), n)
-        from conetube.geometry import (complex_minors,
-                                       complex_power_from_minors,
-                                       log_delta_power, minor_exponents)
-        from conetube.oracle import mc_integrate_tube
-        from conetube.identities import tube_proposal
-        w_b = b_b + tff.l.values
-        spec = tube_proposal(n, w_b, c_b + tff.r.values - w_b - (n + 1.0) / 2.0,
-                             np.maximum(0.5 * (1.0 + np.asarray(tff.R)), 0.3),
-                             np.zeros(1))
-        ec = minor_exponents(c_b)
-
-        def make_form(swap):
-            def form(x, v):
-                # split the pair stream into z-part and w-part
-                half = x.shape[0] // 2
-                xz, yz = x[:half], v[:half]
-                xw, vw = x[half:2 * half], v[half:2 * half]
-                zeta = (yz + vw) - 1j * (xz - xw)
-                kern = complex_power_from_minors(complex_minors(zeta), ec)
-                val = (np.exp(log_delta_power(yz, a_b + be_b)
-                              + log_delta_power(vw, b_b))
-                       * ff(xw, vw) * np.conj(gg(xz, yz)) / kern)
-                out = np.zeros(x.shape[0], dtype=complex)
-                # compensate the doubled density of the pair (z, w)
-                out[:half] = 2.0 * val
-                return out
-            return form
-
-        # both orders estimate the same pairing; different seeds
-        est1 = mc_integrate_tube(make_form(False), spec, 400_000, seed=21)
-        est2 = mc_integrate_tube(make_form(True), spec, 400_000, seed=87)
-        sigma = math.hypot(est1.std_error, est2.std_error)
-        assert abs(est1.value - est2.value) <= 3 * sigma
+    def test_closed_matches_mc(self, rng):
+        # calibrated closed image vs the Monte Carlo left-hand side, within
+        # 3 sigma: one fixed n = 1 configuration and five random ones at
+        # n in {1, 2}; delta^a(Im z) multiplies both sides and is left out
+        cases = [(ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
+                               a=(0,), b=(0,), c=(2,)),
+                  [0.5], [3], TubePoint.make([0.2], [1.3]), 400_000, 3)]
+        for k in range(5):
+            n = 1 if k < 3 else 2
+            b = tuple(rng.uniform(0.0, 0.6, size=n))
+            c = tuple(rng.uniform(n + 0.6, n + 1.6, size=n))
+            params = ParameterSet(n=n, p=2.0, q=2.0, alpha=(0.0,) * n,
+                                  beta=(0.0,) * n, a=tuple(rng.uniform(0, 0.5, size=n)),
+                                  b=b, c=c)
+            l = rng.uniform(0.2, 0.8, size=n)
+            r = np.concatenate([
+                rng.uniform(n + 1.0, n + 2.0, size=n - 1),
+                rng.uniform((n + 1) / 2.0 + 0.8, (n + 1) / 2.0 + 1.8, size=1)])
+            gap = (np.asarray(c) + r - np.asarray(b) - l
+                   - np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0),
+                                     [n + 1.0]]))
+            r += np.maximum(0.5 - gap, 0.0)
+            z = TubePoint.make(rng.uniform(-0.2, 0.2, size=2 * n - 1),
+                               random_cone_vector(n, rng))
+            cases.append((params, l, r, z, 800_000, 100 + k))
+        for k, (params, l, r, z, budget, seed) in enumerate(cases):
+            tf = tf_for(params, l, r)
+            ip = _image_params(params, tf)
+            cal = calibrated_constant("L26", params.n, ip, budget=1_500_000)
+            closed = closed_value("L26", ip, (z, xi_of(tf)), cal)
+            est = oracle_estimate("L26", ip, (z, xi_of(tf)), budget, seed,
+                                  method="mc")
+            assert abs(est.value - closed) <= 3 * est.std_error, \
+                (k, params.n, est.value, closed, est.std_error)
 
 
 class TestScalingExperiment:
@@ -329,57 +200,18 @@ class TestMembershipBoundary:
 
 
 class TestImageNormConditions:
-    def test_no_gap_on_worked_set(self, worked_params):
-        tf = tf_for(worked_params, [2, 2], [4, 4])
-        report = image_norm_conditions(worked_params, tf)
-        assert report["gaps"] == []
-        assert all(ok for _, ok, _ in report["stated"])
-        assert all(ok for _, ok, _ in report["derived"])
-
-    def test_double_subtraction_gap_is_reported(self):
-        # the stated display subtracts b twice; with b > 0 there are pairs
-        # where the derived condition holds but the stated one does not, and
-        # the report surfaces exactly that
+    def test_derived_pair_is_in_range(self, worked_params):
+        # the image q-norm range is L27 at the pair derived from the image
+        # exponents, (q a + beta, q (r + c - l - b - (n+1))).  At b = 1.2 the
+        # stated display, which subtracts b twice, gives gaps -0.55 and
+        # -0.30; the derived pair (0, 4.8) clears L27's (3n+1)/2 and n+1 by
+        # 1.30 and 1.80, and the experiment accepts the set
         params = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0), beta=(0, 0),
                               a=(0, 0), b=(1.2, 1.2), c=(3, 3))
         tf = tf_for(params, [2.0, 2.0], [5.6, 5.6])
-        report = image_norm_conditions(params, tf)
-        assert report["gaps"] == ["stated:gap[1]", "stated:gap[2]"]
-        assert all(ok for _, ok, _ in report["derived"])
-
-
-class TestClosedVsNumericSweep:
-    def test_five_random_configurations(self, rng):
-        # closed image (calibrated constant) vs direct MC application,
-        # within 3 sigma, across five random configurations at n in {1, 2}
-        from conetube.geometry import TubePoint
-        from conetube.identities import random_cone_vector
-        checked = 0
-        for k in range(5):
-            n = 1 if k < 3 else 2
-            b = tuple(rng.uniform(0.0, 0.6, size=n))
-            c = tuple(rng.uniform(n + 0.6, n + 1.6, size=n))
-            params = ParameterSet(n=n, p=2.0, q=2.0, alpha=(0.0,) * n,
-                                  beta=(0.0,) * n, a=tuple(rng.uniform(0, 0.5, size=n)),
-                                  b=b, c=c)
-            l = rng.uniform(0.2, 0.8, size=n)
-            r = np.concatenate([
-                rng.uniform(n + 1.0, n + 2.0, size=n - 1),
-                rng.uniform((n + 1) / 2.0 + 0.8, (n + 1) / 2.0 + 1.8, size=1)])
-            gap = (np.asarray(c) + r - np.asarray(b) - l
-                   - np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0),
-                                     [n + 1.0]]))
-            r += np.maximum(0.5 - gap, 0.0)
-            tf = tf_for(params, l, r)
-            z = TubePoint.make(rng.uniform(-0.2, 0.2, size=2 * n - 1),
-                               random_cone_vector(n, rng))
-            cal = calibrated_constant(
-                "L26", n, {"l": params.vec("b") + l, "r": params.vec("c"),
-                           "eta": r}, budget=1_500_000)
-            closed = apply_T_closed(z, params, tf, constant=cal)
-            est = apply_T_numeric(z, params, _f_R_batch(tf),
-                                  budget=800_000, seed=100 + k, tf=tf)
-            assert abs(est.value - closed) <= 3 * est.std_error, \
-                (k, n, est.value, closed, est.std_error)
-            checked += 1
-        assert checked == 5
+        pair = _image_norm_params(params, tf)
+        assert np.allclose(pair["l"], [0.0, 0.0])
+        assert np.allclose(pair["r"], [4.8, 4.8])
+        assert check_norm_ranges(params, tf) is None
+        assert check_norm_ranges(worked_params,
+                                 tf_for(worked_params, [2, 2], [4, 4])) is None
