@@ -27,6 +27,38 @@ def xi_of(tf):
     return TubePoint.make(np.zeros(2 * tf.n - 1), embed_R(tf.R, tf.n))
 
 
+def _assert_closed_matches_mc(params, tf, z, budget, seed, cal_budget=None):
+    """L26 at the image parameters: calibrated closed value vs the Monte
+    Carlo left-hand side at (z, iR), within 3 sigma."""
+    ip = _image_params(params, tf)
+    kw = {} if cal_budget is None else {"budget": cal_budget}
+    cal = calibrated_constant("L26", params.n, ip, **kw)
+    closed = closed_value("L26", ip, (z, xi_of(tf)), cal)
+    est = oracle_estimate("L26", ip, (z, xi_of(tf)), budget, seed,
+                          method="mc")
+    assert abs(est.value - closed) <= 3 * est.std_error, \
+        (params.n, est.value, closed, est.std_error)
+
+
+def _stated_image_norm_gaps(params, tf):
+    """Second-inequality margins of the stated image-norm display, which
+    subtracts b twice: c - b - a - (n+1) + r - b - l - beta/q - off/q."""
+    n, q = params.n, params.q
+    off = np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0), [n + 1.0]])
+    b = params.vec("b")
+    return (params.vec("c") - b - params.vec("a") - (n + 1.0)
+            + tf.r_plain() - b - tf.l_plain() - params.vec("beta") / q
+            - off / q)
+
+
+def _derived_image_norm_gaps(params, tf):
+    """L27's r - l - off margins at the image's weighted pair."""
+    n = params.n
+    off = np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0), [n + 1.0]])
+    pair = _image_norm_params(params, tf)
+    return pair["r"] - pair["l"] - off
+
+
 class TestParameterSet:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -114,40 +146,14 @@ class TestApplyT:
         with pytest.raises(ConvergenceDomainError, match=r"eta\[1\] > n"):
             check_params("L26", 2, _image_params(worked_params, tf))
 
-    def test_closed_matches_mc(self, rng):
+    def test_closed_matches_numeric_n1(self):
         # calibrated closed image vs the Monte Carlo left-hand side, within
-        # 3 sigma: one fixed n = 1 configuration and five random ones at
-        # n in {1, 2}; delta^a(Im z) multiplies both sides and is left out
-        cases = [(ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
-                               a=(0,), b=(0,), c=(2,)),
-                  [0.5], [3], TubePoint.make([0.2], [1.3]), 400_000, 3)]
-        for k in range(5):
-            n = 1 if k < 3 else 2
-            b = tuple(rng.uniform(0.0, 0.6, size=n))
-            c = tuple(rng.uniform(n + 0.6, n + 1.6, size=n))
-            params = ParameterSet(n=n, p=2.0, q=2.0, alpha=(0.0,) * n,
-                                  beta=(0.0,) * n, a=tuple(rng.uniform(0, 0.5, size=n)),
-                                  b=b, c=c)
-            l = rng.uniform(0.2, 0.8, size=n)
-            r = np.concatenate([
-                rng.uniform(n + 1.0, n + 2.0, size=n - 1),
-                rng.uniform((n + 1) / 2.0 + 0.8, (n + 1) / 2.0 + 1.8, size=1)])
-            gap = (np.asarray(c) + r - np.asarray(b) - l
-                   - np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0),
-                                     [n + 1.0]]))
-            r += np.maximum(0.5 - gap, 0.0)
-            z = TubePoint.make(rng.uniform(-0.2, 0.2, size=2 * n - 1),
-                               random_cone_vector(n, rng))
-            cases.append((params, l, r, z, 800_000, 100 + k))
-        for k, (params, l, r, z, budget, seed) in enumerate(cases):
-            tf = tf_for(params, l, r)
-            ip = _image_params(params, tf)
-            cal = calibrated_constant("L26", params.n, ip, budget=1_500_000)
-            closed = closed_value("L26", ip, (z, xi_of(tf)), cal)
-            est = oracle_estimate("L26", ip, (z, xi_of(tf)), budget, seed,
-                                  method="mc")
-            assert abs(est.value - closed) <= 3 * est.std_error, \
-                (k, params.n, est.value, closed, est.std_error)
+        # 3 sigma; delta^a(Im z) multiplies both sides and is left out
+        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
+                              a=(0,), b=(0,), c=(2,))
+        tf = tf_for(params, [0.5], [3])
+        _assert_closed_matches_mc(params, tf, TubePoint.make([0.2], [1.3]),
+                                  budget=400_000, seed=3)
 
 
 class TestScalingExperiment:
@@ -200,18 +206,48 @@ class TestMembershipBoundary:
 
 
 class TestImageNormConditions:
-    def test_derived_pair_is_in_range(self, worked_params):
-        # the image q-norm range is L27 at the pair derived from the image
-        # exponents, (q a + beta, q (r + c - l - b - (n+1))).  At b = 1.2 the
-        # stated display, which subtracts b twice, gives gaps -0.55 and
-        # -0.30; the derived pair (0, 4.8) clears L27's (3n+1)/2 and n+1 by
-        # 1.30 and 1.80, and the experiment accepts the set
+    def test_no_gap_on_worked_set(self, worked_params):
+        tf = tf_for(worked_params, [2, 2], [4, 4])
+        assert all(m > 0 for m in _stated_image_norm_gaps(worked_params, tf))
+        assert all(m > 0 for m in _derived_image_norm_gaps(worked_params, tf))
+        assert check_norm_ranges(worked_params, tf) is None
+
+    def test_double_subtraction_gap_is_reported(self):
+        # the stated display subtracts b twice; at b = 1.2 it refuses a set
+        # whose derived pair (0, 4.8) clears L27's (3n+1)/2 and n+1, and
+        # the experiment accepts that set
         params = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0), beta=(0, 0),
                               a=(0, 0), b=(1.2, 1.2), c=(3, 3))
         tf = tf_for(params, [2.0, 2.0], [5.6, 5.6])
+        assert np.allclose(_stated_image_norm_gaps(params, tf), [-0.55, -0.30])
         pair = _image_norm_params(params, tf)
         assert np.allclose(pair["l"], [0.0, 0.0])
         assert np.allclose(pair["r"], [4.8, 4.8])
+        assert np.allclose(_derived_image_norm_gaps(params, tf), [1.30, 1.80])
         assert check_norm_ranges(params, tf) is None
-        assert check_norm_ranges(worked_params,
-                                 tf_for(worked_params, [2, 2], [4, 4])) is None
+
+
+class TestClosedVsNumericSweep:
+    def test_five_random_configurations(self, rng):
+        # the closed-vs-MC image check across five random configurations at
+        # n in {1, 2}
+        for k in range(5):
+            n = 1 if k < 3 else 2
+            b = tuple(rng.uniform(0.0, 0.6, size=n))
+            c = tuple(rng.uniform(n + 0.6, n + 1.6, size=n))
+            params = ParameterSet(n=n, p=2.0, q=2.0, alpha=(0.0,) * n,
+                                  beta=(0.0,) * n, a=tuple(rng.uniform(0, 0.5, size=n)),
+                                  b=b, c=c)
+            l = rng.uniform(0.2, 0.8, size=n)
+            r = np.concatenate([
+                rng.uniform(n + 1.0, n + 2.0, size=n - 1),
+                rng.uniform((n + 1) / 2.0 + 0.8, (n + 1) / 2.0 + 1.8, size=1)])
+            gap = (np.asarray(c) + r - np.asarray(b) - l
+                   - np.concatenate([np.full(n - 1, (3 * n + 1) / 2.0),
+                                     [n + 1.0]]))
+            r += np.maximum(0.5 - gap, 0.0)
+            z = TubePoint.make(rng.uniform(-0.2, 0.2, size=2 * n - 1),
+                               random_cone_vector(n, rng))
+            _assert_closed_matches_mc(params, tf_for(params, l, r), z,
+                                      budget=800_000, seed=100 + k,
+                                      cal_budget=1_500_000)
