@@ -30,7 +30,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceDomainError
 from .indices import plain_values
@@ -55,6 +54,15 @@ def _poch_ratio(x: float, k: int) -> float:
     for i in range(k):
         out *= x + i
     return out
+
+
+def log_gamma(x: float) -> float:
+    """log|Gamma(x)| for x > 0, inf past the double range (where
+    math.lgamma raises OverflowError)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def _inf_past_range(formula):
@@ -84,7 +92,9 @@ def c1(n: int, s) -> float:
     """Normalizer of the cone Laplace transform of a plain minor power."""
     v = plain_values(s, n)
     _check(c1_range(n, s))
-    logval = gammaln(v[-1] + 1.0) + np.sum(gammaln(v[:-1] + 1.5))
+    logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + 1.5) for x in v[:-1])
+    if logval == math.inf:  # log-gamma outgrows the linear terms below
+        return math.inf
     logval -= (2.0 * v[-1] + n + 1.0) * LOG2
     logval -= (np.sum(v) + (3.0 * n - 1.0) / 2.0) * LOGPI
     return float(np.exp(logval))
@@ -122,7 +132,10 @@ def c3(n: int, s) -> float:
     """Shifted-index analogue of c1."""
     v = plain_values(s, n)
     _check(c3_range(n, s))
-    logval = gammaln(v[-1] + 1.0) + np.sum(gammaln(v[:-1] + (n + 1.0) / 2.0))
+    logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + (n + 1.0) / 2.0)
+                                          for x in v[:-1])
+    if logval == math.inf:  # log-gamma outgrows the linear terms below
+        return math.inf
     logval -= (2.0 * v[-1] + n + 1.0) * LOG2
     logval -= (np.sum(v) + (n * n + 1.0) / 2.0) * LOGPI
     return float(np.exp(logval))

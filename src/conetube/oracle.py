@@ -41,8 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv
 
+from .constants import log_gamma
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
 from .geometry import canonical_to_coords, schur_complement
 from .identities import (get_identity, check_params,
@@ -217,19 +217,45 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
 # flat at the window ends, where the trapezoid rule converges geometrically in
 # the step; the error estimate is the change under step halving.  Windows
 # follow the integrand's decay (``_half_width``), but at the n = 2 cone they
-# are the importance laws' 1e-14 quantiles: the laws dominate the integrand.
+# reach past the importance laws' 1e-14 quantiles: the laws dominate the
+# integrand.
+
+TAIL = 1e-14  # mass of an n = 2 cone law left outside each window end
+
+
+def _gamma_tail_bounds(a: float) -> tuple:
+    """Logs of a lower bound on the TAIL quantile of Gamma(a, 1) and an
+    upper bound on its 1 - TAIL quantile.
+
+    Lower: P(X < y) <= y^a / (a Gamma(a)), so y = (TAIL a Gamma(a))^(1/a)
+    has at most TAIL below it.  Upper: the Chernoff bound P(X > y) <=
+    exp(-a (x - log(1 + x))) at y = a (1 + x), x > 0; that exponent is
+    convex and increasing in x, so after the first Newton step every
+    iterate lies past the root.
+    """
+    c = -math.log(TAIL) / a
+    x = 3.0 * c  # y = a + 3 log(1/TAIL)
+    for _ in range(60):
+        step = (x - math.log1p(x) - c) * (1.0 + x) / x
+        x -= step
+        if abs(step) <= 1e-12 * x:
+            break
+    log_hi = math.log(a) + math.log1p(x)
+    # the min is still a lower bound, and finite where log-gamma overflows
+    return min((math.log(TAIL) + log_gamma(a + 1.0)) / a, log_hi), log_hi
+
 
 def _pos_window(law) -> tuple:
-    if law.kind == "gamma":  # the 1e-14 lower and upper quantiles
-        lo = gammaincinv(law.a, 1e-14) / law.b
-        hi = gammainccinv(law.a, 1e-14) / law.b
+    if law.kind == "gamma":
+        log_lo, log_hi = _gamma_tail_bounds(law.a)
+        lo_end, hi_end = log_lo - math.log(law.b), log_hi - math.log(law.b)
     else:
         # the law fattens the integrand tail by 1.25; the integrand marginal
         # decays like y^-(b + 2.25), so its mass beyond Y falls like
         # Y^-(b + 1.25): window from that
-        lo = law.scale * (1e-13) ** (1.0 / law.a)
-        hi = law.scale * (1e-13) ** (-1.0 / (law.b + 0.25))
-    return max(math.log(lo) - 1.5, -90.0), min(math.log(hi) + 1.5, 50.0)
+        lo_end = math.log(law.scale * (1e-13) ** (1.0 / law.a))
+        hi_end = math.log(law.scale * (1e-13) ** (-1.0 / (law.b + 0.25)))
+    return max(lo_end - 1.5, -90.0), min(hi_end + 1.5, 50.0)
 
 
 def _half_width(index: float, rel_tol: float) -> tuple:

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .identities import get_identity
 
@@ -89,7 +88,7 @@ def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "versions": {"conetube": __version__,
                          "python": platform.python_version(),
-                         "numpy": np.__version__, "scipy": scipy.__version__},
+                         "numpy": np.__version__},
             "config": _jsonable(config)}
     if extra:
         meta.update(_jsonable(extra))

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
+from .constants import log_gamma
 from .errors import InvalidInputError
 from .geometry import canonical_to_coords
 
@@ -61,10 +61,12 @@ class RadialLaw:
     def logpdf(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "gamma":
             return ((self.a - 1.0) * np.log(y) - self.b * y
-                    + self.a * math.log(self.b) - gammaln(self.a))
+                    + self.a * math.log(self.b) - log_gamma(self.a))
         t = y / self.scale
+        log_beta = (log_gamma(self.a) + log_gamma(self.b)
+                    - log_gamma(self.a + self.b))
         return ((self.a - 1.0) * np.log(t) - (self.a + self.b) * np.log1p(t)
-                - math.log(self.scale) - betaln(self.a, self.b))
+                - math.log(self.scale) - log_beta)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -26,15 +27,44 @@ def run(args):
     return main(args)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # start-up time: no integral needs scipy.integrate, which alone pulls
-    # in scipy.optimize and scipy.linalg
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # start-up time: no command and no quadrature needs scipy, whose
+    # import alone costs more than a small run; it is a test dependency
+    param_set = {"n": 2, "p": 2, "q": 2, "alpha": [0, 0], "beta": [0, 0],
+                 "a": [0, 0], "b": [0, 0], "c": [3, 3]}
+    configs = {
+        "audit": [{"n": 1, "seed": 1, "configs_per_identity": 1},
+                  {"n": 2, "seed": 1, "budget": 2000, "oracle": "mc",
+                   "configs_per_identity": 1}],
+        "scaling": [{"params": param_set, "l": [2, 2], "r": [4, 4],
+                     "R_grid": [1, 2], "budget": 2000, "seed": 1}],
+        "classify": [{"parameter_sets": [param_set]}],
+        "witness": [{"parameter_sets": [param_set]}]}
+    runs = []
+    for command, cfgs in configs.items():
+        for k, cfg in enumerate(cfgs):
+            out = str(tmp_path / f"{command}{k}")
+            runs.append([command, "--config",
+                         write_cfg(tmp_path, f"{command}{k}.json", cfg),
+                         "--out", out])
+    code = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from conetube.cli import main
+        from conetube.oracle import quad_iterated
+        codes = [main(args) for args in json.loads(sys.argv[1])]
+        quad_iterated("L23_1", {"s": [0.5, 0.5]}, np.array([1.0, 1.0, 0.0]))
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print(json.dumps([codes, loaded]))
+        """)
     src = str(Path(conetube.__file__).resolve().parents[1])
-    code = "import sys, conetube.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "CONETUBE_THREADS": "1"})
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert all(c in (0, 1) for c in codes), (codes, out.stderr)
+    assert loaded == []
 
 
 class TestAudit:
@@ -67,8 +97,7 @@ class TestAudit:
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
         assert meta["command"] == "audit" and meta["threads"] >= 1
         assert 0.0 < meta["wall_s"] < 600.0 and meta["peak_rss_mb"] > 1.0
-        assert set(meta["versions"]) == {"conetube", "python", "numpy",
-                                         "scipy"}
+        assert set(meta["versions"]) == {"conetube", "python", "numpy"}
 
     @pytest.mark.parametrize("config", [{}, {"n": 1, "seed": 1}],
                              ids=["default", "seed-1"])
@@ -226,6 +255,21 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "L24" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_log_gamma_ends_in_one_error_line(self, tmp_path,
+                                                          capsys):
+        # at s = 1e308 the proposal's log-gamma normalizer overflows: every
+        # weight is non-finite and the estimate is rejected
+        cfg = write_cfg(tmp_path, "h.json", {
+            "n": 2, "seed": 1, "budget": 1000, "cases": [
+                {"identity": "L23_1", "params": {"s": [1e308, 1e308]},
+                 "point": {"t": [1, 1, 0]}}]})
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err and "Traceback" not in err
 
 
 class TestPointRoundTrip:

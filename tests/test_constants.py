@@ -90,12 +90,14 @@ class TestValues:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_past_the_double_range_is_inf_without_warning(self, n):
-        # the rising factorial and the exponential both overflow at n = 2
-        huge = [1e300] * n
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert C.c1(n, huge) == C.c2(n, huge) == math.inf
-            assert C.c3(n, huge) == C.c4(n, huge) == math.inf
+        # the rising factorial and the exponential both overflow at n = 2;
+        # at 1e308 so does log-gamma, and so would the linear log terms
+        for value in (1e300, 1e308):
+            huge = [value] * n
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert C.c1(n, huge) == C.c2(n, huge) == math.inf
+                assert C.c3(n, huge) == C.c4(n, huge) == math.inf
 
     def test_positive_inside_primary_ranges(self, rng):
         for n in (1, 2, 3):

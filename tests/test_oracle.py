@@ -516,14 +516,25 @@ class TestQuadpackReference:
 
 class TestTensorPass:
     def test_gamma_window_matches_scipy_stats_quantiles(self):
+        # the window is built on bounds of the 1e-14 quantiles: it contains
+        # the one built on the exact quantiles, at most 0.25 e-folds wider
         from scipy.stats import gamma
         for a in np.linspace(0.35, 12.0, 241):
             law = RadialLaw("gamma", float(a), 2.7)
             lo = gamma.ppf(1e-14, law.a) / law.b
             hi = gamma.isf(1e-14, law.a) / law.b
-            expect = (max(math.log(lo) - 1.5, -90.0),
-                      min(math.log(hi) + 1.5, 50.0))
-            assert _pos_window(law) == expect, a
+            exact = (max(math.log(lo) - 1.5, -90.0),
+                     min(math.log(hi) + 1.5, 50.0))
+            window = _pos_window(law)
+            assert -1e-12 <= exact[0] - window[0] <= 0.25, a
+            assert -1e-12 <= window[1] - exact[1] <= 0.25, a
+
+    def test_gamma_window_is_finite_past_the_log_gamma_range(self):
+        # log Gamma(a + 1) overflows above a ~ 2.5e305; the window stays
+        # finite, and empty, rather than reaching to inf
+        for a in (1e300, 1e308):
+            lo, hi = _pos_window(RadialLaw("gamma", a, 1.0))
+            assert math.isfinite(lo) and math.isfinite(hi) and lo > hi
 
     @pytest.mark.parametrize("axes, complex_valued", [
         (PLANE_AXES, False), (PLANE_AXES, True),
