@@ -130,14 +130,20 @@ def _clip(x, lo):
     return float(max(x, lo))
 
 
+def _laplace_rates(n, t, c):
+    """Rates of exp(-c y.t) along the canonical axes (y_1..y_{n-1}, D), the
+    border coordinates completed to a square: c q_j / 4, then c t_n."""
+    q, tn = delta_transform_parts(np.asarray(t, dtype=float))
+    return [float(c / 4.0 * q[j]) for j in range(n - 1)] + [float(c * tn)]
+
+
 def _cone_laplace_preset(n, t, shapes, c):
     """Gamma/Gaussian law exactly matched to exp(-c y.t) on the cone."""
     t = np.asarray(t, dtype=float)
-    q, tn = delta_transform_parts(t)
+    tn = t[n - 1]
     u = t[n:][::-1] if n > 1 else np.empty(0)
-    radial = [RadialLaw("gamma", _clip(shapes[j], 0.35), float(c / 4.0 * q[j]))
-              for j in range(n - 1)]
-    radial.append(RadialLaw("gamma", _clip(shapes[n - 1], 0.35), float(c * tn)))
+    radial = [RadialLaw("gamma", _clip(a, 0.35), b)
+              for a, b in zip(shapes, _laplace_rates(n, t, c))]
     border = [BorderLaw("gaussian", mu1=float(-u[j] / (2.0 * tn)),
                         s1=float(math.sqrt(1.0 / (2.0 * c * tn))))
               for j in range(n - 1)]
@@ -296,8 +302,9 @@ TUBE_PAIR = PointKind(
     order=_pair_order)
 
 
-# the n = 1 quadrature integrand's mass beyond R scales falls like R^-tail_index,
-# within 1/R scales of 0 like R^-zero_index (None on the slice's real axis)
+# along one quadrature axis, the integrand's marginal mass beyond R axis scales
+# falls like R^-tail_index, within 1/R scales of 0 like R^-zero_index (None on
+# a real axis); an index for several regions is the smallest of theirs
 Decay = namedtuple("Decay", "scale zero_index tail_index")
 
 
@@ -318,9 +325,9 @@ class IdentityDef:
     sampler: callable            # (n, params, point) -> SamplerSpec
     point: PointKind
     random_params: callable      # (n, rng) -> in-range params
-    decay: callable              # (params, point) -> Decay at n = 1
+    decay: callable              # (n, params, point) -> one Decay per window
     dual_region: callable | None = None  # integrand over the dual cone, if any
-    reduction: callable | None = None  # (n, params, point) -> Reduction | None
+    reduction: callable | None = None  # (n, params, point) -> callable | None
 
     def regions(self, n: int) -> tuple:
         """The regions the left-hand side is integrated over at order n: the
@@ -349,6 +356,16 @@ def _laplace_integrand(n, s, t, shifted):
     return f
 
 
+def _laplace_decay(n, t, zero_indices, c):
+    """Exponential tails on the scales 1 / _laplace_rates of the cone axes."""
+    return tuple(Decay(1.0 / b, a, math.inf)
+                 for a, b in zip(zero_indices, _laplace_rates(n, t, c)))
+
+
+def _laplace_shapes(n, s, shifted):  # the gamma shapes: s_j + border, s_n + 1
+    return np.concatenate([s[:-1] + _border(n, shifted), s[-1:] + 1.0])
+
+
 def _laplace_identity(id, label, shifted) -> IdentityDef:
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
@@ -358,11 +375,11 @@ def _laplace_identity(id, label, shifted) -> IdentityDef:
         stated_constant=lambda n, p: (C.c3 if shifted else C.c1)(n, p["s"]),
         integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, shifted),
         sampler=lambda n, p, pt: _cone_laplace_preset(
-            n, pt, np.concatenate([p["s"][:-1] + _border(n, shifted),
-                                   p["s"][-1:] + 1.0]), FOUR_PI),
+            n, pt, _laplace_shapes(n, p["s"], shifted), FOUR_PI),
         point=cone_vector("t"),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, shifted)},
-        decay=lambda p, pt: Decay(1.0 / (FOUR_PI * pt[0]), p["s"][0] + 1.0, math.inf),
+        decay=lambda n, p, pt: _laplace_decay(
+            n, pt, _laplace_shapes(n, p["s"], shifted), FOUR_PI),
     )
 
 
@@ -376,6 +393,8 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     coordinates, so it is reached from cone samples by that substitution
     (Jacobian 2^(n-1)); at n = 1 the two regions coincide.  At n = 3 the
     doubled cone is not the dual cone, so ``regions`` lists no dual there.
+    On the doubled cone q = 4 t_1 - (2u)^2 / t_n cancels where t_1 is large
+    and D small; exactly, it is 4 t_1 D / t_n, computed from D.
     """
     border_exp = s[: n - 1] + _border(n, shifted)
     top_exp = s[-1] + (n + 1.0) / 2.0
@@ -388,13 +407,26 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
         if dual:
             t = tcoords.copy()
             t[..., n:] *= 2.0
-        q, tn = delta_transform_parts(t)
+            tn = t[..., n - 1]
+            d = schur_complement(tcoords) if d is None else d
+            q = 4.0 * t[..., : n - 1] * (d / tn)[..., None]
+        else:
+            q, tn = delta_transform_parts(t)
         logmag = top_exp * np.log(tn) - TWO_PI * _dot(t, y)
         if n > 1:
             logmag = logmag + np.sum(border_exp * np.log(q), axis=-1)
         phase = TWO_PI * _dot(t, x)
         return jac * inv_const * np.exp(logmag) * np.exp(1j * phase)
     return f
+
+
+def _kernel_decay(n, s, y):
+    """The modulus is exp(-2 pi t.y) t_n^(s_n + (n+1)/2) q^(s_1 + 3/2).  At
+    n = 2, near D = 0 it does not vanish on the cone (index 1, or s_2 + 3
+    if less) and has index min(s_1 + 5/2, s_2 + 3) on the dual cone."""
+    zero = [s[0] + 2.0] if n == 1 else [s[0] + 3.0,
+                                        min(1.0, s[0] + 2.5, s[1] + 3.0)]
+    return _laplace_decay(n, y, zero, TWO_PI)
 
 
 def _kernel_identity(id, label, shifted) -> IdentityDef:
@@ -410,7 +442,7 @@ def _kernel_identity(id, label, shifted) -> IdentityDef:
              p["s"][-1:] + (n + 3.0) / 2.0]), TWO_PI),
         point=tube_point(x_scale=0.15),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, shifted)},
-        decay=lambda p, pt: Decay(1.0 / (TWO_PI * pt.y[0]), p["s"][0] + 2.0, math.inf),
+        decay=lambda n, p, pt: _kernel_decay(n, p["s"], pt.y),
         dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted,
                                                        dual=True),
     )
@@ -441,6 +473,16 @@ def _L24_sampler(n, r, eta, b):
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
 
 
+def _L24_decay(n, r, eta, b):
+    """At n = 2, D(y + b) = A + k (u / y_1 - b_3 / b_1)^2 with A = D + D(b),
+    k = y_1 b_1 / (y_1 + b_1); u integrates out to the (y_1, D) density
+    (y_1 + b_1)^(1/2 - r_1) y_1^(eta_1 + 1/2) D^eta_2 A^(1/2 - r_2)."""
+    if n == 1:
+        return (Decay(b[0], eta[0] + 1.0, r[0] - eta[0] - 1.0),)
+    return (Decay(b[0], eta[0] + 1.5, r[0] - eta[0] - 2.0),
+            Decay(float(schur_complement(b)), eta[1] + 1.0, r[1] - eta[1] - 1.5))
+
+
 def _random_L24(n, rng):
     eta = _low_index(n, rng, 1.0)
     r = eta.copy()
@@ -460,8 +502,7 @@ def _mk_L24():
         sampler=lambda n, p, pt: _L24_sampler(n, p["r"], p["eta"], pt),
         point=cone_vector("b"),
         random_params=_random_L24,
-        decay=lambda p, pt: Decay(pt[0], p["eta"][0] + 1.0,
-                                  p["r"][0] - p["eta"][0] - 1.0),
+        decay=lambda n, p, pt: _L24_decay(n, p["r"], p["eta"], pt),
     )
 
 
@@ -476,14 +517,6 @@ def _L25_integrand(n, r, v):
     return f
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """An integrand with the last diagonal real coordinate integrated out."""
-
-    integrand: callable   # batch callable over the coordinates left
-    tail_index: float | None  # mass beyond R axis scales falls like R^-tail_index
-
-
 def _log_slice_fact(rho, a):
     """log of the n = 1 slice fact
     int |a - it|^-rho dt = sqrt(pi) Gamma((rho-1)/2) / Gamma(rho/2) a^(1-rho)."""
@@ -492,19 +525,14 @@ def _log_slice_fact(rho, a):
     return log_c + (1.0 - rho) * np.log(a)
 
 
-def _L25_reduction(n, r, v) -> Reduction:
-    """L25 with u_n integrated in closed form.
+def _L25_reduction(n, r, v):
+    """L25 with u_n integrated in closed form: a batch callable over the
+    real coordinates left.
 
     M_n = M_{n-1} S, and the complex Schur complement S is affine in u_n
     with slope -i while A = Re S > 0 does not depend on it.  With e =
     minor_exponents(-bold r) and rho = -e_n, the n = 1 slice fact at A
     leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times it, at u_n = 0.
-
-    At n = 2 the reduced integrand falls like |u|^-(bold r_1) along every
-    ray of the (u_1, u_3) plane, and like |u_3|^(2 - 2 rho) along the u_3
-    axis, so the mass outside a window reaching R axis scales falls like
-    R^-tail_index with tail_index = min(bold r_1 - 2, 2 rho - 3); the
-    integral diverges when it is not positive.  Not derived for n >= 3.
     """
     v = np.asarray(v, dtype=float)
     rb = bold_values(r, n)
@@ -521,9 +549,19 @@ def _L25_reduction(n, r, v) -> Reduction:
             log_mod = np.log(np.hypot(v[: n - 1], u[..., : n - 1]))
             out = out + np.sum(lead * np.cumsum(log_mod, axis=-1), axis=-1)
         return np.exp(out)
+    return f
 
-    # the tail index: no coordinate is left at n = 1; not derived for n >= 3
-    return Reduction(f, {1: math.inf, 2: min(rb[0] - 2.0, 2.0 * rho - 3.0)}.get(n))
+
+def _L25_decay(n, r, v):
+    """At n = 2 the reduced integrand over (u_1, u_3) falls like |u|^-r_1
+    along every ray and like |u_3|^(2 - 2 r_2) along the u_3 axis: on
+    either axis the mass beyond R falls like R^-min(r_1 - 2, 2 r_2 - 3)."""
+    if n == 1:
+        return (Decay(v[0], None, r[0] - 1.0),)
+    d = max(float(schur_complement(v)), 0.25 * v[1])
+    tail = min(r[0] - 2.0, 2.0 * r[1] - 3.0)
+    return tuple(Decay(s, None, tail)
+                 for s in (float(v[0]), math.sqrt(float(v[0]) * d)))
 
 
 def _L25_sampler(n, r, v):
@@ -553,7 +591,7 @@ def _mk_L25():
         sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
         point=cone_vector("v"),
         random_params=_random_L25,
-        decay=lambda p, pt: Decay(pt[0], None, p["r"][0] - 1.0),
+        decay=lambda n, p, pt: _L25_decay(n, p["r"], np.asarray(pt, dtype=float)),
         reduction=lambda n, p, pt: _L25_reduction(n, p["r"], pt),
     )
 
@@ -575,7 +613,7 @@ def _L26_integrand(n, l, r, eta, point):
     return f
 
 
-def _L26_reduction(l, r, eta, z: TubePoint, xi: TubePoint) -> Reduction:
+def _L26_reduction(l, r, eta, z: TubePoint, xi: TubePoint):
     """L26 at n = 1 with u integrated in closed form: a cone integrand over v.
 
     The kernels are (b + iu)^-r (a - iu)^-eta, Re a, Re b > 0, and the Beta
@@ -591,7 +629,7 @@ def _L26_reduction(l, r, eta, z: TubePoint, xi: TubePoint) -> Reduction:
     def f(v):
         return np.exp(log_delta_power(v, l) + log_c
                       + (1.0 - rho) * np.log(zeta + 2.0 * v[..., 0]))
-    return Reduction(f, None)
+    return f
 
 
 def _tube_v_real_laws(n, centers, offsets):
@@ -662,8 +700,9 @@ def _mk_L26():
         sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
         point=TUBE_PAIR,
         random_params=_random_L26,
-        decay=lambda p, pt: Decay(0.5 * (pt[0].y[0] + pt[1].y[0]), p["l"][0] + 1.0,
-                                  p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),
+        decay=lambda n, p, pt: (Decay(0.5 * (pt[0].y[0] + pt[1].y[0]),
+                                      p["l"][0] + 1.0,
+                                      p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),),
         reduction=lambda n, p, pt: (  # derived at n = 1 only
             _L26_reduction(p["l"], p["r"], p["eta"], *pt) if n == 1 else None),
     )
@@ -681,7 +720,7 @@ def _L27_integrand(n, l, r, z: TubePoint):
     return f
 
 
-def _L27_reduction(l, r, z: TubePoint) -> Reduction:
+def _L27_reduction(l, r, z: TubePoint):
     """L27 at n = 1 with u integrated in closed form: a cone integrand over v.
 
     The kernel modulus is |A - i(x - u)|^-r with A = y + v, so the n = 1
@@ -690,7 +729,7 @@ def _L27_reduction(l, r, z: TubePoint) -> Reduction:
     def f(v):
         return np.exp(log_delta_power(v, l)
                       + _log_slice_fact(r[0], z.y[0] + v[..., 0]))
-    return Reduction(f, None)
+    return f
 
 
 def _L27_sampler(n, l, r, z: TubePoint):
@@ -718,8 +757,8 @@ def _mk_L27():
         sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
         point=tube_point(),
         random_params=_random_L27,
-        decay=lambda p, pt: Decay(pt.y[0], p["l"][0] + 1.0,
-                                  p["r"][0] - p["l"][0] - 2.0),
+        decay=lambda n, p, pt: (Decay(pt.y[0], p["l"][0] + 1.0,
+                                      p["r"][0] - p["l"][0] - 2.0),),
         reduction=lambda n, p, pt: (  # derived at n = 1 only
             _L27_reduction(p["l"], p["r"], pt) if n == 1 else None),
     )

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import log_gamma
 from .errors import AccuracyError, InvalidInputError, OracleRejectedError
-from .geometry import canonical_to_coords, schur_complement
+from .geometry import canonical_to_coords
 from .identities import (get_identity, check_params,
                          kernel_region_integrand, read_inputs, read_params)
 from .sampling import SamplerSpec, sample_cone, sample_slice, sample_tube
@@ -215,47 +214,10 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
 # 0 and exponential or polynomial decay at infinity), real coordinates via
 # x = scale * sinh(u).  The transformed integrand is then double-exponentially
 # flat at the window ends, where the trapezoid rule converges geometrically in
-# the step; the error estimate is the change under step halving.  Windows
-# follow the integrand's decay (``_half_width``), but at the n = 2 cone they
-# reach past the importance laws' 1e-14 quantiles: the laws dominate the
-# integrand.
-
-TAIL = 1e-14  # mass of an n = 2 cone law left outside each window end
-
-
-def _gamma_tail_bounds(a: float) -> tuple:
-    """Logs of a lower bound on the TAIL quantile of Gamma(a, 1) and an
-    upper bound on its 1 - TAIL quantile.
-
-    Lower: P(X < y) <= y^a / (a Gamma(a)), so y = (TAIL a Gamma(a))^(1/a)
-    has at most TAIL below it.  Upper: the Chernoff bound P(X > y) <=
-    exp(-a (x - log(1 + x))) at y = a (1 + x), x > 0; that exponent is
-    convex and increasing in x, so after the first Newton step every
-    iterate lies past the root.
-    """
-    c = -math.log(TAIL) / a
-    x = 3.0 * c  # y = a + 3 log(1/TAIL)
-    for _ in range(60):
-        step = (x - math.log1p(x) - c) * (1.0 + x) / x
-        x -= step
-        if abs(step) <= 1e-12 * x:
-            break
-    log_hi = math.log(a) + math.log1p(x)
-    # the min is still a lower bound, and finite where log-gamma overflows
-    return min((math.log(TAIL) + log_gamma(a + 1.0)) / a, log_hi), log_hi
-
-
-def _pos_window(law) -> tuple:
-    if law.kind == "gamma":
-        log_lo, log_hi = _gamma_tail_bounds(law.a)
-        lo_end, hi_end = log_lo - math.log(law.b), log_hi - math.log(law.b)
-    else:
-        # the law fattens the integrand tail by 1.25; the integrand marginal
-        # decays like y^-(b + 2.25), so its mass beyond Y falls like
-        # Y^-(b + 1.25): window from that
-        lo_end = math.log(law.scale * (1e-13) ** (1.0 / law.a))
-        hi_end = math.log(law.scale * (1e-13) ** (-1.0 / (law.b + 0.25)))
-    return max(lo_end - 1.5, -90.0), min(hi_end + 1.5, 50.0)
+# the step; the error estimate is the change under step halving.  Every
+# window comes from the registry's ``decay``, one ``Decay`` per windowed
+# axis, through ``_half_width`` at each end; the mass each window leaves
+# outside is added to the error.
 
 
 def _half_width(index: float, rel_tol: float) -> tuple:
@@ -270,9 +232,21 @@ def _half_width(index: float, rel_tol: float) -> tuple:
         raise AccuracyError(
             f"the integral diverges (decay index {index:.3g} <= 0)",
             achieved=math.inf)
+    index = float(index)  # a Python float: an overflow is inf, unwarned
     half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / index),
                MAX_HALF)
     return half, math.exp(-index * (half - 1.0))
+
+
+def _window(dec, rel_tol: float) -> tuple:
+    """The axis of one ``Decay`` and the relative mass it leaves outside:
+    a real axis when ``zero_index`` is None, else a positive one."""
+    hi, left = _half_width(dec.tail_index, rel_tol)
+    if dec.zero_index is None:
+        return ("real", dec.scale, -hi, hi), left
+    lo, low_left = _half_width(dec.zero_index, rel_tol)
+    mid = math.log(dec.scale)
+    return ("pos", mid - lo, mid + hi), left + low_left
 
 
 def _axis_nodes(axis, h):
@@ -319,24 +293,26 @@ def _trapezoid(f_axes, axes, rel_tol):
     ("real", scale, lo, hi); ``f_axes`` takes one broadcastable array per
     axis and may be complex-valued.  Returns (complex value, error
     estimate); steps whose tensor would exceed TENSOR_MAX_EVALS nodes are
-    skipped.
+    skipped.  A non-finite value raises AccuracyError; the overflows and
+    invalid operations that make it are not warned about.
     """
     prev = None
     value = None
     err = math.inf
-    for h in (0.25, 0.125, 0.0625):
-        # every axis kind ends (lo, hi)
-        cost = math.prod((axis[-1] - axis[-2]) / h for axis in axes)
-        if cost > TENSOR_MAX_EVALS and prev is not None:
-            break
-        value = _tensor_pass(f_axes, axes, h)
-        if not np.isfinite(value):
-            raise AccuracyError("quadrature produced a non-finite value")
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= rel_tol * max(abs(value), 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in (0.25, 0.125, 0.0625):
+            # every axis kind ends (lo, hi)
+            cost = math.prod((axis[-1] - axis[-2]) / h for axis in axes)
+            if cost > TENSOR_MAX_EVALS and prev is not None:
                 break
-        prev = value
+            value = _tensor_pass(f_axes, axes, h)
+            if not np.isfinite(value):
+                raise AccuracyError("quadrature produced a non-finite value")
+            if prev is not None:
+                err = abs(value - prev)
+                if err <= rel_tol * max(abs(value), 1e-300):
+                    break
+            prev = value
     return value, err
 
 
@@ -358,6 +334,36 @@ def _lhs_integrand(identity_id: str, n: int, p: dict, point, region):
     return kernel_region_integrand(identity_id, p, point, region)
 
 
+def _quad_problem(ident, n: int, p: dict, point, region, rel_tol: float):
+    """(f_axes, axes, leftover mass) of one LHS: a window per ``decay``.
+
+    The tube and the n = 2 slice integrate their ``reduction``.  The n = 2
+    cone integrates (y_1, tau, D) with u_1 = loc(y_1) + scale(y_1) tau, its
+    border law standardized, so one grid resolves the ridge at every y_1.
+    """
+    f = _lhs_integrand(ident.id, n, p, point, region)  # checks the region
+    if ident.domain == "tube" or (ident.domain == "slice" and n == 2):
+        f = ident.reduction(n, p, point)
+    windows = [_window(dec, rel_tol) for dec in ident.decay(n, p, point)]
+    axes = [axis for axis, _ in windows]
+    left = sum(out for _, out in windows)
+    if n == 1:
+        return (lambda x: f(x[:, None])), axes, left
+    if ident.domain == "slice":
+        return (lambda *us: f(np.stack(np.broadcast_arrays(*us), axis=-1)),
+                axes, left)
+    blaw = ident.sampler(n, p, point).border[0]
+    axes.insert(1, ("lin", -12.0, 12.0) if blaw.kind == "gaussian"
+                else ("real", 1.0, -REAL_HALF, REAL_HALF))
+
+    def f_axes(y1, tau, d):
+        y1b, taub, db = np.broadcast_arrays(y1, tau, d)
+        loc, scl = blaw.loc_scale(y1b)
+        u1b = (loc + scl * taub)[..., None]
+        return f(canonical_to_coords(y1b[..., None], u1b, db), db) * scl
+    return f_axes, axes, left
+
+
 def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
                   region: str | None = None) -> IntegralEstimate:
     """Trapezoid quadrature of one identity LHS in canonical coordinates."""
@@ -368,54 +374,8 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
             f"{identity_id} at n = {n} is out of reach")
     # a divergent integral has no quadrature; Monte Carlo takes any params
     check_params(identity_id, n, p)
-    f = _lhs_integrand(identity_id, n, p, point, region)
-
-    if n == 1:  # one axis: u on the slice, d (cone) or v (tube) elsewhere
-        if ident.domain == "tube":  # u in closed form: a cone integral over v
-            f = ident.reduction(n, p, point).integrand
-        dec = ident.decay(p, point)
-        hi, left = _half_width(dec.tail_index, rel_tol)
-        if ident.domain == "slice":
-            axis = ("real", dec.scale, -hi, hi)
-        else:
-            lo, low_left = _half_width(dec.zero_index, rel_tol)
-            mid, left = math.log(dec.scale), left + low_left
-            axis = ("pos", mid - lo, mid + hi)
-        val, err = _trapezoid(lambda x: f(x[:, None]), [axis], rel_tol)
-    elif ident.domain == "cone":
-        left = 0.0  # the windows are the laws' quantiles
-        # standardize the border coordinate by its conditional law so one
-        # grid resolves the ridge at every radial value
-        spec = ident.sampler(n, p, point)
-        wy = _pos_window(spec.radial[0])
-        wd = _pos_window(spec.radial[1])
-        blaw = spec.border[0]
-        if blaw.kind == "gaussian":
-            tau_axis = ("lin", -12.0, 12.0)
-        else:
-            tau_axis = ("real", 1.0, -REAL_HALF, REAL_HALF)
-
-        def f_axes(y1, tau, d):
-            y1b, taub, db = np.broadcast_arrays(y1, tau, d)
-            loc, scl = blaw.loc_scale(y1b)
-            u1b = loc + scl * taub
-            vals = f(canonical_to_coords(y1b[..., None], u1b[..., None], db), db)
-            return vals * scl
-
-        val, err = tensor_quad(f_axes, [("pos",) + wy, tau_axis, ("pos",) + wd],
-                               rel_tol)
-    else:  # slice, n = 2: u_2 in closed form, 2-D tensor over (u_1, u_3)
-        red = ident.reduction(n, p, point)
-        v = np.asarray(point, dtype=float)
-        d = max(float(schur_complement(v)), 0.25 * v[1])
-        scales = (float(v[0]), math.sqrt(float(v[0]) * d))
-        half, left = _half_width(red.tail_index, rel_tol)
-
-        def f_axes(u1, u3):
-            return red.integrand(np.stack(np.broadcast_arrays(u1, u3), axis=-1))
-
-        val, err = tensor_quad(f_axes, [("real", s, -half, half) for s in scales],
-                               rel_tol)
+    f_axes, axes, left = _quad_problem(ident, n, p, point, region, rel_tol)
+    val, err = (_trapezoid if n == 1 else tensor_quad)(f_axes, axes, rel_tol)
     err += left * abs(val)
     if abs(val) > 0 and err > 100 * rel_tol * abs(val):
         raise AccuracyError(

@@ -271,6 +271,23 @@ class TestAudit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e308, 1e20])
+    def test_huge_params_by_quadrature_end_in_one_error_line(self, tmp_path,
+                                                             capsys, s):
+        # the n = 2 cone quadrature overflows in the integrand; its windows
+        # stay finite (no array past the size limit at s = 1e308, where
+        # log-gamma overflows) and the non-finite value is rejected
+        cfg = write_cfg(tmp_path, "q.json", {
+            "n": 2, "seed": 1, "budget": 1000, "oracle": "quad", "cases": [
+                {"identity": "L23_1", "params": {"s": [s, s]},
+                 "point": {"t": [1, 1, 0]}}]})
+        assert run(["audit", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err and "Traceback" not in err
+
 
 class TestPointRoundTrip:
     @pytest.mark.parametrize("ident", IDENTITY_IDS)
