@@ -354,7 +354,8 @@ def cmd_scaling(cfg: dict, out_dir: Path) -> int:
         "slope_difference": c.slope_difference,
         "difference_analytic": c.Tf_analytic - c.f_analytic,
     } for c in report.coordinates]
-    write_json(out_dir / "scaling.json", {"slopes": slopes})
+    write_json(out_dir / "scaling.json", {"method": report.method,
+                                          "slopes": slopes})
     print(f"scaling: {len(rows)} rows -> {out_dir / 'scaling.csv'}")
     bad = 0
     for s in slopes:

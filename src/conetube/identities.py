@@ -473,10 +473,35 @@ def _L24_sampler(n, r, eta, b):
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
 
 
+def _L24_reduction(r, eta, b):
+    """L24 at n = 2 with the border coordinate u integrated in closed form:
+    a batch callable f(y_1, D) over arrays that broadcast together.
+
+    u enters only through D(y + b) = A + k (u - c)^2, with A = D + D(b),
+    k = b_1 / (y_1 (y_1 + b_1)) and c = y_1 b_3 / b_1, and
+    int (A + k t^2)^-rho dt = sqrt(pi) Gamma(rho - 1/2) / Gamma(rho)
+    k^(-1/2) A^(1/2 - rho) at rho = r_2 leaves the density
+    C (y_1 + b_1)^(1/2 - r_1) y_1^(eta_1 + 1/2) D^eta_2 A^(1/2 - r_2),
+    C = sqrt(pi / b_1) Gamma(r_2 - 1/2) / Gamma(r_2).  A is a sum of
+    positive terms, so nothing cancels.  The density is a product of a
+    y_1 factor and a D factor, so each log is taken on its own axis.
+    """
+    b = np.asarray(b, dtype=float)
+    rb, eb = bold_values(r, 2), bold_values(eta, 2)
+    rho = float(rb[1])
+    log_c = (0.5 * math.log(math.pi / b[0]) + math.lgamma(rho - 0.5)
+             - math.lgamma(rho))
+    d_b = float(schur_complement(b))
+
+    def f(y1, d):
+        return np.exp((log_c + (0.5 - rb[0]) * np.log(y1 + b[0])
+                       + (eb[0] + 0.5) * np.log(y1))
+                      + (eb[1] * np.log(d) + (0.5 - rho) * np.log(d + d_b)))
+    return f
+
+
 def _L24_decay(n, r, eta, b):
-    """At n = 2, D(y + b) = A + k (u / y_1 - b_3 / b_1)^2 with A = D + D(b),
-    k = y_1 b_1 / (y_1 + b_1); u integrates out to the (y_1, D) density
-    (y_1 + b_1)^(1/2 - r_1) y_1^(eta_1 + 1/2) D^eta_2 A^(1/2 - r_2)."""
+    """At n = 2 the indices are those of ``_L24_reduction``'s density."""
     if n == 1:
         return (Decay(b[0], eta[0] + 1.0, r[0] - eta[0] - 1.0),)
     return (Decay(b[0], eta[0] + 1.5, r[0] - eta[0] - 2.0),
@@ -503,6 +528,8 @@ def _mk_L24():
         point=cone_vector("b"),
         random_params=_random_L24,
         decay=lambda n, p, pt: _L24_decay(n, p["r"], p["eta"], pt),
+        reduction=lambda n, p, pt: (  # derived at n = 2 only
+            _L24_reduction(p["r"], p["eta"], pt) if n == 2 else None),
     )
 
 

@@ -11,8 +11,9 @@ builds the rational test family
     f_R(w) = delta^l(Im w) / P^r(w + iR).
 
 The weighted p-norm of f_R and the weighted q-norm of its image under T
-are pure powers of the R_j.  Fitting log-norm against log R_j by Monte Carlo
-recovers those exponents empirically; the difference of the f_R and T f_R
+are pure powers of the R_j.  Fitting log-norm against log R_j, with the
+norms by quadrature at n <= 2 and by Monte Carlo at n = 3, recovers those
+exponents empirically; the difference of the f_R and T f_R
 slopes vanishes exactly when the parameter vector c sits on the forced
 linear relation returned by :func:`necessary_exponent_condition`, and the
 experiment measures how far off it is otherwise.
@@ -27,8 +28,9 @@ is delta^a(Im z) times the two-kernel identity (L26) at xi = iR and the
 parameters :func:`_image_params`, so its closed form and its Monte Carlo
 estimate are that identity's ``closed_value`` and ``oracle_estimate``.
 The norm ranges are the kernel-modulus identity's (L27), and the norm
-estimates are the translate identity's (L24) left-hand side after the
-slice identity (L25) has integrated out the real part.
+estimates are the translate identity's (L24) left-hand side, by
+``oracle_estimate``, after the slice identity (L25) has integrated out the
+real part.
 """
 
 from __future__ import annotations
@@ -38,11 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError, OracleRejectedError
-from .identities import check_params, get_identity
+from .errors import (AccuracyError, InfeasibleError, InvalidInputError,
+                     OracleRejectedError)
+from .identities import check_params
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       read_index, shift_index)
-from .oracle import calibrated_constant, mc_integrate_cone
+from .oracle import calibrated_constant, oracle_estimate, quad_supported
+
+NORM_REL_TOL = 1e-8  # the relative tolerance of a norm by quadrature
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo norms
+# weighted norms
 # ---------------------------------------------------------------------------
 
 def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
@@ -202,42 +207,44 @@ def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
         "L25", n, {"r": read_index(bold_kernel, Convention.SHIFTED)})))
 
 
-def _reduced_norm_mc(n, weight_bold, kernel_bold, R, power, budget, seed):
-    """MC of the weighted norm with the real part integrated analytically.
+def _reduced_norm(n, weight_bold, kernel_bold, R, power, budget, seed, method):
+    """The weighted norm with the real part integrated analytically.
 
     The x-integral of |P^{-kernel}| at fixed v is the verified slice
     closed form C * delta^{-kernel}(v+R) * det(v+R)^{(n+1)/2}; what is left
-    is the translate identity's (L24) left-hand side at b = R, estimated
-    with its matched sampler.  Returns (norm, sigma).
+    is the translate identity's (L24) left-hand side at b = R, estimated by
+    ``oracle_estimate`` with ``method`` ("quad" at rel_tol NORM_REL_TOL, or
+    "mc" with ``budget`` draws from ``seed``).  Returns (norm, error): a
+    one-sigma error by Monte Carlo, a bound by quadrature.
     """
-    Remb = embed_R(R, n)
     cst = _slice_constant(n, kernel_bold)
-    ident = get_identity("L24")
     p = {"r": read_index(kernel_bold - (n + 1.0) / 2.0, Convention.SHIFTED),
          "eta": read_index(weight_bold, Convention.SHIFTED)}
-    f = ident.integrand(n, p, Remb)
-    est = mc_integrate_cone(lambda y, d=None: cst * f(y, d),
-                            ident.sampler(n, p, Remb), budget, seed)
-    if not est.value > 0:
+    est = oracle_estimate("L24", p, embed_R(R, n), budget, seed, method=method,
+                          quad_tol=NORM_REL_TOL)
+    value = cst * est.value
+    if not value > 0:
         raise OracleRejectedError(est.nonfinite / est.samples,
-                                  f"norm estimate {est.value} is not positive")
-    norm = est.value ** (1.0 / power)
+                                  f"norm estimate {value} is not positive")
+    norm = value ** (1.0 / power)
     return float(norm), float(norm * est.std_error / (power * est.value))
 
 
 def f_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
-                seed: int) -> tuple[float, float]:
-    """MC estimate (norm, sigma) of the weighted p-norm of f_R."""
+                seed: int, method: str = "mc") -> tuple[float, float]:
+    """(norm, error) of the weighted p-norm of f_R, by Monte Carlo unless
+    ``method`` is "quad"."""
     n, p = params.n, params.p
     weight = p * tf.l.values + bold_values(params.vec("alpha"), n)
     kernel = p * tf.r.values
-    return _reduced_norm_mc(n, weight, kernel, np.asarray(tf.R), p, budget,
-                            seed)
+    return _reduced_norm(n, weight, kernel, np.asarray(tf.R), p, budget, seed,
+                         method)
 
 
 def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
-                 seed: int) -> tuple[float, float]:
-    """MC estimate (norm, sigma) of the weighted q-norm of the closed image.
+                 seed: int, method: str = "mc") -> tuple[float, float]:
+    """(norm, error) of the weighted q-norm of the closed image, by Monte
+    Carlo unless ``method`` is "quad".
 
     Drops the overall image constant; slope fits are invariant under it and
     the constant itself is audited elsewhere.
@@ -249,8 +256,8 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
     M = (bold_values(params.vec("c"), n) + bold_values(tf.r_plain(), n)
          - bold_values(params.vec("b") + tf.l_plain(), n))
     kernel = q * (M - (n + 1.0))
-    return _reduced_norm_mc(n, weight, kernel, np.asarray(tf.R), q, budget,
-                            seed)
+    return _reduced_norm(n, weight, kernel, np.asarray(tf.R), q, budget, seed,
+                         method)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,13 @@ def Tf_R_norm_mc(params: ParameterSet, tf: TestFunctionFR, budget: int,
 # ---------------------------------------------------------------------------
 
 def fit_loglog(xs, ys, sigmas) -> tuple[float, float]:
-    """Weighted least-squares slope of log y against log x, with slope error."""
+    """Weighted least-squares slope of log y against log x, with slope error.
+
+    The slope error is a standard error when ``sigmas`` are one-sigma
+    errors (Monte Carlo norms).  Quadrature norms carry error bounds
+    instead: the fit then weights by those bounds, and its slope error is
+    the same propagation of them, not a standard error.
+    """
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
@@ -296,6 +309,7 @@ class CoordinateScaling:
 
 @dataclass
 class ScalingReport:
+    method: dict  # how the norms were obtained: its name and its setting
     coordinates: list = field(default_factory=list)
 
 
@@ -305,17 +319,35 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
     """Fit f_R and T f_R norm slopes against each R_j over a geometric grid.
 
     One coordinate is varied at a time with the others pinned at the test
-    function's base R.  Requires two distinct grid points.
+    function's base R.  Requires two distinct grid points.  The norms are
+    taken by quadrature where it reaches L24 (n <= 2) and by Monte Carlo
+    elsewhere.  A norm whose quadrature cannot certify NORM_REL_TOL (a
+    tail too slow for its window) is drawn instead, and ``report.method``
+    counts it; ``budget`` and ``seed`` are read only by Monte Carlo.
     """
     R_grid = [float(x) for x in R_grid]
     if len(set(R_grid)) < 2:
         raise InfeasibleError("R grid must contain two distinct points "
                               "(slope fit is under-determined)")
     n = params.n
+    method = "quad" if quad_supported("L24", n) else "mc"
+    drawn = 0  # norms quadrature could not certify, drawn instead
+
+    def norm(norm_fn, tfi, s):
+        nonlocal drawn
+        if method == "quad":
+            try:
+                return norm_fn(params, tfi, budget, s, "quad")
+            except AccuracyError:
+                drawn += 1
+        return norm_fn(params, tfi, budget, s, "mc")
+
     coords = list(range(n)) if coordinates is None else list(coordinates)
     e_f = f_R_norm_exponents(params, tf)
     e_Tf = Tf_R_norm_exponents(params, tf)
-    report = ScalingReport()
+    report = ScalingReport(method=(
+        {"name": "QUAD_ITERATED", "rel_tol": NORM_REL_TOL} if method == "quad"
+        else {"name": "MC_CONE", "budget": int(budget)}))
     base_R = np.asarray(tf.R, dtype=float)
     for ci, j in enumerate(coords):
         fn, fs, tn_, ts = [], [], [], []
@@ -324,8 +356,8 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
             R[j] = val
             tfi = tf.with_R(R)
             s = seed + 7919 * (ci * len(R_grid) + gi)
-            nf, sf = f_R_norm_mc(params, tfi, budget, s)
-            nt, st = Tf_R_norm_mc(params, tfi, budget, s + 3571)
+            nf, sf = norm(f_R_norm_mc, tfi, s)
+            nt, st = norm(Tf_R_norm_mc, tfi, s + 3571)
             fn.append(nf); fs.append(sf); tn_.append(nt); ts.append(st)
         slope_f, se_f = fit_loglog(R_grid, fn, fs)
         slope_t, se_t = fit_loglog(R_grid, tn_, ts)
@@ -336,4 +368,7 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
             f_slope=slope_f, f_slope_se=se_f,
             Tf_slope=slope_t, Tf_slope_se=se_t,
             f_analytic=float(e_f[j]), Tf_analytic=float(e_Tf[j])))
+    if drawn:
+        report.method["fallback"] = {"name": "MC_CONE", "budget": int(budget),
+                                     "norms": drawn}
     return report

@@ -8,21 +8,22 @@ Two oracle families:
   SeedSequence((seed, k)), and partial sums are reduced in chunk order.
   The CONETUBE_THREADS workers go, through ``parallel_map``, to the
   outermost independent unit: the records of an audit, else the chunks of
-  an estimate made on its own (the scaling lab, the Schur check, library
-  calls); at one thread it is a plain loop.  No value depends on that
-  schedule, so reports are byte-identical for every worker count.  A chunk
-  is weighted in row blocks of BLOCK draws, which bounds the integrand's
-  temporaries; every value is elementwise and the chunk is reduced over
-  the whole buffer, so the blocks change no bit.
+  an estimate made on its own (the scaling lab's norms at n = 3, the Schur
+  check, library calls); at one thread it is a plain loop.  No value
+  depends on that schedule, so reports are byte-identical for every worker
+  count.  A chunk is weighted in row blocks of BLOCK draws, which bounds
+  the integrand's temporaries; every value is elementwise and the chunk is
+  reduced over the whole buffer, so the blocks change no bit.
 
 * Quadrature in the same canonical coordinates: one trapezoid driver,
   blocked like the chunks.  Every n = 1 integral is a one-axis pass (over
   d on the cone, u on the slice, v on the tube, whose ``reduction``
   integrates u in closed form); at n = 2 a tensor integrates the cone
-  (3-D) and the slice (2-D; its ``reduction`` integrates u_2).  The tube
-  at n >= 2 and everything at n >= 3 is Monte Carlo only.  This is the
-  high-precision path behind the analytic acceptance suite and constant
-  calibration.
+  (3-D, or 2-D over (y_1, D) where a ``reduction`` integrates u_1, as
+  L24's does) and the slice (2-D; its ``reduction`` integrates u_2).  The
+  tube at n >= 2 and everything at n >= 3 is Monte Carlo only.  This is
+  the high-precision path behind the analytic acceptance suite, constant
+  calibration and the scaling lab's norms at n <= 2.
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -54,6 +56,11 @@ TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
 SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
 MAX_HALF = 80.0  # a window end reaches at most ~e^80 axis scales
 REAL_HALF = math.asinh(1.0e10) + 1.0  # a sinh axis reaching 1e10 scales
+STEPS = (0.25, 0.125, 0.0625)  # the trapezoid steps, halved in turn
+# a window's nodes end less than a step past its end; a positive window
+# ending at LOG_MAX keeps every node e^u below the largest double
+LOG_MAX = math.log(sys.float_info.max) - STEPS[0]
+ROUNDING_ULPS = 4.0  # rounding allowance: this many ulp of sum |f w|
 NONFINITE_LIMIT = 1e-3
 
 CONFIRMED = "CONFIRMED"
@@ -220,6 +227,13 @@ def mc_integrate_slice(integrand, spec: SamplerSpec, count: int,
 # outside is added to the error.
 
 
+def _outside(index: float, half: float) -> float:
+    """The relative mass beyond a window end at half-width ``half``, where
+    the mass beyond R axis scales falls like R^-index: R = e^(half - 1),
+    and all of it for a window end within one e-fold of the scale."""
+    return math.exp(-index * (half - 1.0)) if half > 1.0 else 1.0
+
+
 def _half_width(index: float, rel_tol: float) -> tuple:
     """Half-width H of a window end whose outside mass falls like R^-index
     at R axis scales, and the relative mass left outside.
@@ -235,17 +249,21 @@ def _half_width(index: float, rel_tol: float) -> tuple:
     index = float(index)  # a Python float: an overflow is inf, unwarned
     half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / index),
                MAX_HALF)
-    return half, math.exp(-index * (half - 1.0))
+    return half, _outside(index, half)
 
 
 def _window(dec, rel_tol: float) -> tuple:
     """The axis of one ``Decay`` and the relative mass it leaves outside:
-    a real axis when ``zero_index`` is None, else a positive one."""
+    a real axis when ``zero_index`` is None, else a positive one, whose
+    upper end stops at LOG_MAX, the mass beyond it left outside."""
     hi, left = _half_width(dec.tail_index, rel_tol)
     if dec.zero_index is None:
         return ("real", dec.scale, -hi, hi), left
     lo, low_left = _half_width(dec.zero_index, rel_tol)
     mid = math.log(dec.scale)
+    if mid + hi > LOG_MAX:
+        hi = LOG_MAX - mid
+        left = _outside(float(dec.tail_index), hi)
     return ("pos", mid - lo, mid + hi), left + low_left
 
 
@@ -269,21 +287,25 @@ def _axis_nodes(axis, h):
 
 
 def _tensor_pass(f_axes, axes, h):
+    """(sum of f w, sum of |f w|) over the tensor nodes at step h."""
     if len(axes) == 3:  # a two-axis pass over the last two axes per node
-        total = 0.0 + 0.0j
+        total, size = 0.0 + 0.0j, 0.0
         for x, w in zip(*_axis_nodes(axes[0], h)):
-            total += w * _tensor_pass(lambda a, b: f_axes(
+            plane, plane_size = _tensor_pass(lambda a, b: f_axes(
                 np.full((a.shape[0], b.shape[1]), x), a, b), axes[1:], h)
-        return total
+            total += w * plane
+            size += w * plane_size
+        return total, size
     (x0, w0), *rest = (_axis_nodes(axis, h) for axis in axes)
     if not rest:
-        return complex(np.sum(_in_blocks(lambda b: f_axes(x0[b]) * w0[b],
-                                         x0.shape[0])))
-    (x1, w1), = rest
-    # one sum over the whole plane keeps the unblocked summation order
-    return complex(np.sum(_in_blocks(
-        lambda b: f_axes(x0[b, None], x1[None, :]) * (w0[b, None] * w1[None, :]),
-        x0.shape[0], x1.shape[0])))
+        vals = _in_blocks(lambda b: f_axes(x0[b]) * w0[b], x0.shape[0])
+    else:
+        (x1, w1), = rest
+        # one sum over the whole plane keeps the unblocked summation order
+        vals = _in_blocks(
+            lambda b: f_axes(x0[b, None], x1[None, :]) * (w0[b, None] * w1[None, :]),
+            x0.shape[0], x1.shape[0])
+    return complex(np.sum(vals)), float(np.sum(np.abs(vals)))
 
 
 def _trapezoid(f_axes, axes, rel_tol):
@@ -292,20 +314,22 @@ def _trapezoid(f_axes, axes, rel_tol):
     ``axes`` entries are ("pos", log_lo, log_hi), ("lin", lo, hi) or
     ("real", scale, lo, hi); ``f_axes`` takes one broadcastable array per
     axis and may be complex-valued.  Returns (complex value, error
-    estimate); steps whose tensor would exceed TENSOR_MAX_EVALS nodes are
-    skipped.  A non-finite value raises AccuracyError; the overflows and
-    invalid operations that make it are not warned about.
+    estimate): the change under the last halving plus ROUNDING_ULPS ulp of
+    the sum of |f w|, the rounding the sum can carry.  Steps whose tensor
+    would exceed TENSOR_MAX_EVALS nodes are skipped.  A non-finite value
+    raises AccuracyError; the overflows and invalid operations that make it
+    are not warned about.
     """
     prev = None
     value = None
     err = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for h in (0.25, 0.125, 0.0625):
+        for h in STEPS:
             # every axis kind ends (lo, hi)
             cost = math.prod((axis[-1] - axis[-2]) / h for axis in axes)
             if cost > TENSOR_MAX_EVALS and prev is not None:
                 break
-            value = _tensor_pass(f_axes, axes, h)
+            value, size = _tensor_pass(f_axes, axes, h)
             if not np.isfinite(value):
                 raise AccuracyError("quadrature produced a non-finite value")
             if prev is not None:
@@ -313,7 +337,7 @@ def _trapezoid(f_axes, axes, rel_tol):
                 if err <= rel_tol * max(abs(value), 1e-300):
                     break
             prev = value
-    return value, err
+    return value, err + ROUNDING_ULPS * sys.float_info.epsilon * size
 
 
 def tensor_quad(f_axes, axes, rel_tol):
@@ -337,21 +361,24 @@ def _lhs_integrand(identity_id: str, n: int, p: dict, point, region):
 def _quad_problem(ident, n: int, p: dict, point, region, rel_tol: float):
     """(f_axes, axes, leftover mass) of one LHS: a window per ``decay``.
 
-    The tube and the n = 2 slice integrate their ``reduction``.  The n = 2
-    cone integrates (y_1, tau, D) with u_1 = loc(y_1) + scale(y_1) tau, its
+    A ``reduction`` is integrated wherever it leaves an axis: on the tube
+    at n = 1 and at n = 2, where it leaves the slice (u_1, u_3) and the
+    cone (y_1, D), which it takes as two arrays.  The n = 2 cone without
+    one integrates (y_1, tau, D) with u_1 = loc(y_1) + scale(y_1) tau, its
     border law standardized, so one grid resolves the ridge at every y_1.
     """
     f = _lhs_integrand(ident.id, n, p, point, region)  # checks the region
-    if ident.domain == "tube" or (ident.domain == "slice" and n == 2):
-        f = ident.reduction(n, p, point)
+    reduced = (ident.reduction(n, p, point) if ident.reduction is not None
+               and (n == 2 or ident.domain == "tube") else None)
     windows = [_window(dec, rel_tol) for dec in ident.decay(n, p, point)]
     axes = [axis for axis, _ in windows]
     left = sum(out for _, out in windows)
-    if n == 1:
-        return (lambda x: f(x[:, None])), axes, left
-    if ident.domain == "slice":
-        return (lambda *us: f(np.stack(np.broadcast_arrays(*us), axis=-1)),
+    if ident.domain != "cone" or n == 1:
+        g = f if reduced is None else reduced
+        return (lambda *xs: g(np.stack(np.broadcast_arrays(*xs), axis=-1)),
                 axes, left)
+    if reduced is not None:
+        return reduced, axes, left
     blaw = ident.sampler(n, p, point).border[0]
     axes.insert(1, ("lin", -12.0, 12.0) if blaw.kind == "gaussian"
                 else ("real", 1.0, -REAL_HALF, REAL_HALF))

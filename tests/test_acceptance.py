@@ -22,6 +22,7 @@ from conetube.geometry import (TubePoint, complex_minors, leading_minors,
 from conetube.identities import (closed_value, random_cone_vector,
                                  random_params, random_point)
 from conetube.indices import bold_values
+from conetube import operators
 from conetube.operators import (ParameterSet, make_test_function,
                                 scaling_experiment)
 from conetube.oracle import (CONFIRMED, CONSTANT_MISMATCH, calibrated_constant,
@@ -189,31 +190,48 @@ def test_criterion_4_translate_inequality_fuzz():
             assert violations == 0, f"n={n}: {violations} violations"
 
 
+def _norm_scaling_experiments(worked_params):
+    """Criterion 5's two experiments, at its grid, budget, seeds and bounds:
+    slopes (-1/2, -1/2) and the forced-relation gap within 0.05, and the
+    image slope shift of a c_1 off the relation.  Returns the norms' oracle
+    records."""
+    tf = make_test_function(2, [2, 2], [4, 4], [1, 1])
+    report = scaling_experiment(worked_params, tf, [1.0, 2.0, 4.0, 8.0],
+                                budget=1_000_000, seed=60_481)
+    for c in report.coordinates:
+        assert abs(c.f_slope - (-0.5)) <= 0.05, (c.coordinate, c.f_slope)
+        assert abs(c.slope_difference) <= 0.05, \
+            (c.coordinate, c.slope_difference)
+
+    # perturbing c_1 by +0.5 off the forced relation shifts the image
+    # slope in coordinate 1 by exactly -0.5
+    perturbed = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0),
+                             beta=(0, 0), a=(0, 0), b=(0, 0),
+                             c=(3.5, 3.0))
+    report2 = scaling_experiment(perturbed, tf, [1.0, 2.0, 4.0, 8.0],
+                                 budget=1_000_000, seed=60_487,
+                                 coordinates=[0])
+    diff = report2.coordinates[0].slope_difference
+    assert abs(diff - (-0.5)) <= 0.05, diff
+    return report.method, report2.method
+
+
 def test_criterion_5_norm_scaling_experiment(worked_params):
     """Slopes (-1/2, -1/2) and the forced-relation gap, within 0.05."""
-    label = "norm scaling slopes on R-grid {1,2,4,8}, 1e6 per point, < 10 min"
+    label = "norm scaling slopes on R-grid {1,2,4,8}, norms by quadrature, < 10 min"
     with criterion(5, label):
         start = time.perf_counter()
-        tf = make_test_function(2, [2, 2], [4, 4], [1, 1])
-        report = scaling_experiment(worked_params, tf, [1.0, 2.0, 4.0, 8.0],
-                                    budget=1_000_000, seed=60_481)
-        for c in report.coordinates:
-            assert abs(c.f_slope - (-0.5)) <= 0.05, (c.coordinate, c.f_slope)
-            assert abs(c.slope_difference) <= 0.05, \
-                (c.coordinate, c.slope_difference)
-
-        # perturbing c_1 by +0.5 off the forced relation shifts the image
-        # slope in coordinate 1 by exactly -0.5
-        perturbed = ParameterSet(n=2, p=2.0, q=2.0, alpha=(0, 0),
-                                 beta=(0, 0), a=(0, 0), b=(0, 0),
-                                 c=(3.5, 3.0))
-        report2 = scaling_experiment(perturbed, tf, [1.0, 2.0, 4.0, 8.0],
-                                     budget=1_000_000, seed=60_487,
-                                     coordinates=[0])
-        diff = report2.coordinates[0].slope_difference
-        assert abs(diff - (-0.5)) <= 0.05, diff
+        quad = {"name": "QUAD_ITERATED", "rel_tol": 1e-8}
+        assert _norm_scaling_experiments(worked_params) == (quad, quad)
         elapsed = time.perf_counter() - start
         assert elapsed < 600.0, f"scaling experiment took {elapsed:.1f} s"
+
+
+def test_criterion_5_by_monte_carlo(worked_params, monkeypatch):
+    """Criterion 5 with Monte Carlo norms, 1e6 draws per point."""
+    monkeypatch.setattr(operators, "quad_supported", lambda *a: False)
+    mc = {"name": "MC_CONE", "budget": 1_000_000}
+    assert _norm_scaling_experiments(worked_params) == (mc, mc)
 
 
 def test_criterion_6_witness_suite():

@@ -1,4 +1,5 @@
 import csv
+import math
 import json
 import os
 import subprocess
@@ -407,6 +408,41 @@ class TestScaling:
         assert len(rows) == 1 + 3  # one coordinate, three grid points
         slopes = json.loads((tmp_path / "out" / "scaling.json").read_text())
         assert slopes["slopes"][0]["f_analytic"] == pytest.approx(-1.5)
+
+    def test_norm_method_is_recorded_at_the_top_level(self, tmp_path):
+        # the norms' oracle is named once, outside the slope entries and
+        # the CSV, whose every value stays a number
+        cfg = write_cfg(tmp_path, "s.json", {
+            "params": {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
+                       "a": [0], "b": [0], "c": [2]},
+            "l": [0.5], "r": [3.0], "R_grid": [1, 2, 4], "seed": 5})
+        assert run(["scaling", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "scaling.json").read_text())
+        assert report["method"] == {"name": "QUAD_ITERATED", "rel_tol": 1e-8}
+        lines = (tmp_path / "out" / "scaling.csv").read_text().splitlines()
+        for row in csv.DictReader(lines[1:]):
+            assert all(math.isfinite(float(v)) for v in row.values())
+        for slope in report["slopes"]:
+            assert all(math.isfinite(float(v)) for v in slope.values())
+
+    def test_slow_tail_norms_are_drawn(self, tmp_path):
+        # r = 1.55 leaves the f_R norm a tail index p (r - l) - 2 = 0.1,
+        # too slow for a quadrature window to hold 1e-8 of the mass; those
+        # norms are drawn, the report says so, and the slopes come out
+        cfg = write_cfg(tmp_path, "s.json", {
+            "params": {"n": 1, "p": 2, "q": 2, "alpha": [0], "beta": [0],
+                       "a": [0], "b": [0], "c": [2]},
+            "l": [0.5], "r": [1.55], "R_grid": [1, 2, 4],
+            "budget": 200000, "seed": 5})
+        assert run(["scaling", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "scaling.json").read_text())
+        assert report["method"] == {
+            "name": "QUAD_ITERATED", "rel_tol": 1e-8,
+            "fallback": {"name": "MC_CONE", "budget": 200000, "norms": 6}}
+        (slope,) = report["slopes"]
+        assert slope["f_slope"] == pytest.approx(-0.05, abs=0.05)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_norm_is_a_finding(self, tmp_path, capsys):

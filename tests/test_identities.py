@@ -353,7 +353,7 @@ def _marginal(f, decays, axis, cone):
         other = [("real", 1e-12 * unit, -80.0, 80.0),
                  ("pos", mid - 20.0, mid + 20.0)]
     return lambda xs: np.array([_tensor_pass(lambda *a: g(x, *a), other,
-                                             0.125).real for x in xs])
+                                             0.125)[0].real for x in xs])
 
 
 class TestDecay:
@@ -445,6 +445,40 @@ class TestTubeReduction:
         ident = get_identity(ident_id)
         assert ident.reduction(2, random_params(ident_id, 2, rng),
                                random_point(ident_id, 2, rng)) is None
+
+
+class TestConeReduction:
+    """L24 at n = 2 with the border coordinate u integrated in closed form
+    (the quadrature oracle's integrand over (y_1, D))."""
+
+    def test_reduced_integrand_matches_quad_over_u(self):
+        from scipy import integrate
+        ident = get_identity("L24")
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            params = random_params("L24", 2, rng)
+            b = random_point("L24", 2, rng)
+            full = ident.integrand(2, params, b)
+            reduced = ident.reduction(2, params, b)
+            for y1 in (0.02, 1.0, 300.0):
+                for d in (1e-3, 0.3, 50.0):
+                    def g(u):
+                        coords = canonical_to_coords(np.array([[y1]]),
+                                                     np.array([[u]]),
+                                                     np.array([d]))
+                        return full(coords, np.array([d]))[0]
+                    peak = y1 * b[2] / b[0]  # where D(y + b) is least
+                    total = sum(integrate.quad(g, lo, hi, epsabs=0.0,
+                                               epsrel=1e-13, limit=400)[0]
+                                for lo, hi in ((-np.inf, peak), (peak, np.inf)))
+                    got = reduced(np.array([y1]), np.array([d]))[0]
+                    assert got == pytest.approx(total, rel=1e-10), (params, y1, d)
+
+    def test_derived_at_n2_only(self, rng):
+        ident = get_identity("L24")
+        for n in (1, 3):
+            assert ident.reduction(n, random_params("L24", n, rng),
+                                   random_point("L24", n, rng)) is None
 
 
 class TestTubeProductClosed:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conetube.errors import (ConvergenceDomainError, InfeasibleError,
-                             InvalidInputError)
+from conetube.errors import (AccuracyError, ConvergenceDomainError,
+                             InfeasibleError, InvalidInputError)
 from conetube.geometry import TubePoint
 from conetube.identities import check_params, closed_value, random_cone_vector
 from conetube.operators import (ParameterSet, Tf_R_norm_exponents,
@@ -14,6 +14,7 @@ from conetube.operators import (ParameterSet, Tf_R_norm_exponents,
                                 make_test_function,
                                 necessary_exponent_condition,
                                 scaling_experiment)
+from conetube import operators
 from conetube.oracle import calibrated_constant, oracle_estimate
 
 
@@ -171,6 +172,68 @@ class TestScalingExperiment:
         y = [3.0 * r ** -0.5 for r in R]
         slope, se = fit_loglog(R, y, [1e-6 * v for v in y])
         assert slope == pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("n, reach, how", [
+        (1, True, "quad"), (2, True, "quad"), (3, True, "mc"),
+        (2, False, "mc")])
+    def test_norm_method(self, monkeypatch, n, reach, how):
+        # the norms are taken by quadrature wherever it reaches L24
+        # (n <= 2) and drawn elsewhere; the report says which
+        calls = []
+
+        def norm(params, tf, budget, seed, method):
+            calls.append(method)
+            return tf.R[0] ** -0.5, 1e-3
+
+        monkeypatch.setattr(operators, "f_R_norm_mc", norm)
+        monkeypatch.setattr(operators, "Tf_R_norm_mc", norm)
+        if not reach:  # pins Monte Carlo where quadrature would reach
+            monkeypatch.setattr(operators, "quad_supported", lambda *a: False)
+        params = ParameterSet(n=n, p=2.0, q=2.0, alpha=(0,) * n, beta=(0,) * n,
+                              a=(0,) * n, b=(0,) * n, c=(n + 1.0,) * n)
+        tf = tf_for(params, [0.5] * n, [n + 2.0] * n)
+        report = scaling_experiment(params, tf, [1.0, 2.0], 5000, 1,
+                                    coordinates=[0])
+        assert calls == [how] * 4
+        assert report.method == (
+            {"name": "QUAD_ITERATED", "rel_tol": 1e-8} if how == "quad"
+            else {"name": "MC_CONE", "budget": 5000})
+
+    def test_uncertified_quadrature_norm_is_drawn(self, monkeypatch):
+        # a norm whose quadrature raises AccuracyError is drawn instead,
+        # and the report counts it
+        calls = []
+
+        def norm(params, tf, budget, seed, method):
+            calls.append(method)
+            if method == "quad" and tf.R[0] > 1.0:
+                raise AccuracyError("quadrature reached only 1e-4")
+            return tf.R[0] ** -0.5, 1e-3
+
+        monkeypatch.setattr(operators, "f_R_norm_mc", norm)
+        monkeypatch.setattr(operators, "Tf_R_norm_mc", norm)
+        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
+                              a=(0,), b=(0,), c=(2.0,))
+        report = scaling_experiment(params, tf_for(params, [0.5], [3.0]),
+                                    [1.0, 2.0], 5000, 1)
+        assert calls == ["quad", "quad", "quad", "mc", "quad", "mc"]
+        assert report.method == {
+            "name": "QUAD_ITERATED", "rel_tol": 1e-8,
+            "fallback": {"name": "MC_CONE", "budget": 5000, "norms": 2}}
+        assert report.coordinates[0].f_slope == pytest.approx(-0.5)
+
+    def test_n1_norm_by_quadrature_is_exact(self):
+        # p = 2, l = 1/2, r = 3: the squared norm is the slice fact
+        # sqrt(pi) Gamma(5/2) / Gamma(3) times int v (v + R)^-5 dv
+        # = R^-3 B(2, 3), so pi/32 R^-3
+        params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),
+                              a=(0,), b=(0,), c=(2,))
+        for R in (0.5, 2.0, 8.0):
+            norm, err = f_R_norm_mc(params, tf_for(params, [0.5], [3], [R]),
+                                    budget=2, seed=0, method="quad")
+            exact = math.sqrt(math.pi / 32.0 * R ** -3)
+            assert norm == pytest.approx(exact, rel=1e-8)
+            assert 0.0 < err <= 1e-8 * norm
 
     def test_n1_smoke(self):
         params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),

@@ -384,6 +384,42 @@ class TestQuadrature:
         with pytest.raises(ConvergenceDomainError):
             quad_iterated("L25", {"r": [0.9375]}, np.array([1.0]))
 
+    @pytest.mark.parametrize("seed, draws", [(5, range(4)), (6, range(4)),
+                                             (123, (7, 11))])
+    def test_l24_n2_draws_meet_rel_tol(self, seed, draws):
+        # the reduced (y_1, D) tensor certifies rel_tol 1e-8 on draws where
+        # the 3-D cone tensor raised AccuracyError (halving errors up to
+        # 6.4e-3) or met non-finite nodes where D(y + b) cancelled
+        rng = np.random.default_rng(seed)
+        pairs = [(random_params("L24", 2, rng), random_point("L24", 2, rng))
+                 for _ in range(max(draws) + 1)]
+        for i in draws:
+            est = quad_iterated("L24", *pairs[i], rel_tol=1e-8)
+            assert 0.0 < est.std_error <= 1e-8 * est.value, (seed, i, est)
+
+    def test_bar_holds_the_rounding_of_the_sum(self):
+        # the first L24 row of the README n = 1 audit, whose step-halving
+        # change is 1.2e-16 relative; the bar adds 4 ulp of the sum of
+        # |f w|, which is the value since the integrand is positive.  The
+        # exact b^(eta - r + 1) B(eta + 1, r - eta - 1) at these double
+        # inputs, by mpmath at 40 digits, is 8.9e-17 relative away
+        eta, r, b = 0.5916194494525074, 3.1526311283735597, 0.9909904297657823
+        exact = 0.3482477732180392670679572555344618606701
+        est = quad_iterated("L24", {"r": [r], "eta": [eta]}, np.array([b]))
+        assert est.std_error >= 4.0 * np.finfo(float).eps * est.value
+        assert abs(est.value - exact) <= est.std_error
+
+    def test_positive_window_stops_below_the_double_range(self):
+        # a window around scale 1e300 would put nodes past 1.8e308 (inf);
+        # it stops at LOG_MAX and reports the mass beyond as left outside
+        dec = identities.Decay(1e300, 1.0, 1.0)
+        (kind, lo, hi), left = oracle._window(dec, 1e-8)
+        assert kind == "pos" and hi == pytest.approx(oracle.LOG_MAX)
+        assert left > 1e-10  # 24 e-folds were wanted; fewer than 19 remain
+        for h in oracle.STEPS:
+            x, w = _axis_nodes((kind, lo, hi), h)
+            assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+
     def test_n2_cone_windows_hold_the_mass(self):
         # draws 0 and 1 of default_rng(5), on which windows at the proposal
         # laws' 1e-14 quantiles leave out 4.3e-6 and 1.2e-5 of the value,
@@ -559,7 +595,7 @@ class TestTensorPass:
                 unblocked += w * plane(np.full((x0.size, x1.size), c))
         else:
             unblocked = plane()
-        assert _tensor_pass(f, axes, h) == unblocked
+        assert _tensor_pass(f, axes, h)[0] == unblocked
 
 
 class TestVerifyIdentity:
