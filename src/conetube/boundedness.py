@@ -284,7 +284,8 @@ def _ratio_consistency(ratios, sigmas) -> tuple[float, float, bool]:
     ratios = np.asarray(ratios, dtype=float)
     if np.all(ratios == 0.0):
         return 0.0, 0.0, True
-    sigmas = np.maximum(np.asarray(sigmas, dtype=float), 1e-300)
+    # an exact estimate has sigma 0; the floor squared stays a normal double
+    sigmas = np.maximum(np.asarray(sigmas, dtype=float), 1e-150)
     w = 1.0 / sigmas ** 2
     mean = float(np.sum(w * ratios) / np.sum(w))
     z = float(np.max(np.abs(ratios - mean) / sigmas))

@@ -222,7 +222,8 @@ def schur_real_part(v, u) -> np.ndarray:
     D(v) + sum_j (v_{2n-j} u_j - v_j u_{2n-j})^2 / (v_j (v_j^2 + u_j^2)),
     it is at least D(v) > 0 for v in the open cone, and free of the
     cancellation that Re(zeta_n - sum zeta_{2n-j}^2 / zeta_j) suffers at
-    large |u|.  ``u`` broadcasts against ``v``.
+    large |u|.  ``u`` broadcasts against ``v`` and holds all 2n - 1 real
+    parts, or the 2n - 2 without u_n.
     """
     v = _as_coords(v)
     u = np.asarray(u, dtype=float)
@@ -231,7 +232,8 @@ def schur_real_part(v, u) -> np.ndarray:
     if n == 1:
         return out + np.zeros(u.shape[:-1])
     vd, ud = v[..., : n - 1], u[..., : n - 1]
-    cross = border_reversed(v) * ud - vd * u[..., n:][..., ::-1]
+    # the borders are the last n - 1 entries, with or without u_n
+    cross = border_reversed(v) * ud - vd * u[..., 1 - n:][..., ::-1]
     return out + np.sum(cross * cross / (vd * (vd * vd + ud * ud)), axis=-1)
 
 

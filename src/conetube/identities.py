@@ -36,7 +36,7 @@ import numpy as np
 
 from . import constants as C
 from .errors import InvalidInputError
-from .geometry import (TubePoint, canonical_to_coords,
+from .geometry import (TubePoint, border_reversed, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
                        delta_transform_parts, log_delta_power, minor_exponents,
                        order_from_dim, require_cone, schur_complement,
@@ -451,11 +451,21 @@ def _kernel_identity(id, label, shifted) -> IdentityDef:
 # -- L24 --------------------------------------------------------------------
 
 def _L24_integrand(n, r, eta, b):
+    """Given the exact D = D(y), D(y + b) is taken in its exact form
+    D + D(b) + sum_j k_j (u_j / y_j - b_u_j / b_j)^2, k_j = y_j b_j / (y_j + b_j),
+    a sum of positive terms; assembled from y + b, it cancels at large u."""
     b = np.asarray(b, dtype=float)
     rb, eb = bold_values(r, n), bold_values(eta, n)
+    bd, d_b = b[: n - 1], float(schur_complement(b))
+    b_slope = border_reversed(b) / bd
 
     def f(ycoords, d=None):
-        return np.exp(log_delta_power(ycoords + b, -rb)
+        d_yb = None
+        if d is not None:
+            y = ycoords[..., : n - 1]
+            t = border_reversed(ycoords) / y - b_slope
+            d_yb = d + d_b + np.sum(y * bd / (y + bd) * t * t, axis=-1)
+        return np.exp(log_delta_power(ycoords + b, -rb, d_yb)
                       + log_delta_power(ycoords, eb, d))
     return f
 
@@ -552,31 +562,40 @@ def _log_slice_fact(rho, a):
     return log_c + (1.0 - rho) * np.log(a)
 
 
-def _L25_reduction(n, r, v):
-    """L25 with u_n integrated in closed form: a batch callable over the
-    real coordinates left.
+def _log_L25_reduced(n, r):
+    """(v, u) -> log of L25's integrand |Delta^(-bold r)(v - iu)| with u_n
+    integrated in closed form; u holds the other 2n - 2 real coordinates,
+    and v and u broadcast over batch axes.
 
     M_n = M_{n-1} S, and the complex Schur complement S is affine in u_n
     with slope -i while A = Re S > 0 does not depend on it.  With e =
     minor_exponents(-bold r) and rho = -e_n, the n = 1 slice fact at A
-    leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times it, at u_n = 0.
+    leaves prod_{k<n} |M_k|^e_k |M_{n-1}|^e_n times it, where |M_k| is
+    prod_{j<=k} |v_j - i u_j|.  Moduli only, so no branch is involved.
     """
-    v = np.asarray(v, dtype=float)
-    rb = bold_values(r, n)
-    e = minor_exponents(-rb)
+    e = minor_exponents(-bold_values(r, n))
     rho = -e[-1]
     lead = e[: n - 1].copy()
     if n > 1:
         lead[-1] += e[-1]
+    # sum_k lead_k log|M_k| = sum_j weight_j log|v_j - i u_j|
+    weight = np.cumsum(lead[::-1])[::-1]
 
-    def f(w):
-        u = np.insert(w, n - 1, 0.0, axis=-1)
+    def log_f(v, u):
         out = _log_slice_fact(rho, schur_real_part(v, u))
         if n > 1:
-            log_mod = np.log(np.hypot(v[: n - 1], u[..., : n - 1]))
-            out = out + np.sum(lead * np.cumsum(log_mod, axis=-1), axis=-1)
-        return np.exp(out)
-    return f
+            log_mod = np.log(np.hypot(v[..., : n - 1], u[..., : n - 1]))
+            out = out + np.sum(weight * log_mod, axis=-1)
+        return out
+    return log_f
+
+
+def _L25_reduction(n, r, v):
+    """L25 with u_n integrated in closed form: a batch callable over the
+    other 2n - 2 real coordinates (``_log_L25_reduced`` at v)."""
+    v = np.asarray(v, dtype=float)
+    log_f = _log_L25_reduced(n, r)
+    return lambda u: np.exp(log_f(v, u))
 
 
 def _L25_decay(n, r, v):
@@ -640,22 +659,50 @@ def _L26_integrand(n, l, r, eta, point):
     return f
 
 
-def _L26_reduction(l, r, eta, z: TubePoint, xi: TubePoint):
-    """L26 at n = 1 with u integrated in closed form: a cone integrand over v.
+def _principal_log(re, im):
+    """log(re + i im) on the principal branch from two real passes, a
+    fraction of the cost of numpy's complex log."""
+    return np.log(np.hypot(re, im)) + 1j * np.arctan2(im, re)
 
-    The kernels are (b + iu)^-r (a - iu)^-eta, Re a, Re b > 0, and the Beta
-    convolution int (a - it)^-eta (b + it)^-r dt = 2 pi Gamma(r + eta - 1)
-    / (Gamma(r) Gamma(eta)) (a + b)^(1 - r - eta) (principal branches) leaves
-    that at a + b = (y_z + y_xi + 2v) - i (x_z - x_xi), times v^l.
+
+def _L26_reduction(n, l, r, eta, z: TubePoint, xi: TubePoint):
+    """L26 at n <= 2 with u_n integrated in closed form: f(v, x) over the
+    imaginary parts v and the real parts x other than x_n (none at n = 1).
+
+    With zeta = (z - conj(w))/i and zeta' = (w - conj(xi))/i, M_n = zeta_1 S
+    at n = 2, S the complex Schur complement.  Re zeta_1 > 0 and Re S > 0
+    keep arg zeta_1 + arg S inside (-pi, pi), so on the principal branch
+    M_n^e = zeta_1^e S^e, and the kernel is zeta_1^(e_1 + e_2) S^e_2, e =
+    minor_exponents(-bold r); likewise zeta' with eta.  S = S_1 + i u_n and
+    S' = S_2 - i u_n, S_1 and S_2 at u_n = 0, and the Beta convolution
+    int (a - it)^-eta (b + it)^-r dt = 2 pi Gamma(r + eta - 1)
+    / (Gamma(r) Gamma(eta)) (a + b)^(1 - r - eta) (Re a, Re b > 0,
+    principal branches) at rho = r_n + eta_n, bold, leaves that at
+    a + b = S_1 + S_2 = (y_z + y_xi + 2v - i(x_z - x_xi))_n
+    - sum of zeta_b^2 / zeta_1 over both kernels, times v^l.  At n = 3,
+    M_{n-1} = zeta_1 zeta_2 is a product of two factors whose args with
+    arg S can leave (-pi, pi), so no reduction is derived there.
     """
-    rho = float(r[0] + eta[0])
-    log_c = (math.log(TWO_PI) + math.lgamma(rho - 1.0) - math.lgamma(r[0])
-             - math.lgamma(eta[0]))
-    zeta = _zeta_diff(z, xi)[0]
+    lb, rb, eb = bold_values(l, n), bold_values(r, n), bold_values(eta, n)
+    rho = float(rb[-1] + eb[-1])
+    log_c = (math.log(TWO_PI) + math.lgamma(rho - 1.0) - math.lgamma(rb[-1])
+             - math.lgamma(eb[-1]))
+    zeta = _zeta_diff(z, xi)[n - 1]
+    yz, xz, yx, xx = z.y, z.x, xi.y, xi.x
 
-    def f(v):
-        return np.exp(log_delta_power(v, l) + log_c
-                      + (1.0 - rho) * np.log(zeta + 2.0 * v[..., 0]))
+    def f(v, x=None):
+        s = zeta + 2.0 * v[..., n - 1]
+        out = log_delta_power(v, lb) + log_c
+        if n == 2:  # diagonals a, borders b; e_1 + e_2 = -bold r_1, -bold eta_1
+            v1, vb, u1, ub = v[..., 0], v[..., 2], x[..., 0], x[..., 1]
+            re1, im1 = yz[0] + v1, u1 - xz[0]
+            re2, im2 = v1 + yx[0], xx[0] - u1
+            b1 = (yz[2] + vb) + 1j * (ub - xz[2])
+            b2 = (vb + yx[2]) + 1j * (xx[2] - ub)
+            s = s - (b1 * b1 / (re1 + 1j * im1) + b2 * b2 / (re2 + 1j * im2))
+            out = out - (rb[0] * _principal_log(re1, im1)
+                         + eb[0] * _principal_log(re2, im2))
+        return np.exp(out + (1.0 - rho) * np.log(s))
     return f
 
 
@@ -730,8 +777,8 @@ def _mk_L26():
         decay=lambda n, p, pt: (Decay(0.5 * (pt[0].y[0] + pt[1].y[0]),
                                       p["l"][0] + 1.0,
                                       p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),),
-        reduction=lambda n, p, pt: (  # derived at n = 1 only
-            _L26_reduction(p["l"], p["r"], p["eta"], *pt) if n == 1 else None),
+        reduction=lambda n, p, pt: (  # derived at n <= 2
+            _L26_reduction(n, p["l"], p["r"], p["eta"], *pt) if n <= 2 else None),
     )
 
 
@@ -747,15 +794,19 @@ def _L27_integrand(n, l, r, z: TubePoint):
     return f
 
 
-def _L27_reduction(l, r, z: TubePoint):
-    """L27 at n = 1 with u integrated in closed form: a cone integrand over v.
+def _L25_on_tube(n, l, r, z: TubePoint):
+    """L27's reduction, L25's carried to the tube: f(v, x) = v^l times
+    L25's reduced integrand at A = y_z + v and real parts x_z - x, x the
+    real parts other than x_n (none at n = 1).  The kernel modulus
+    |Delta(A - i(x_z - u))| is L25's integrand at A, and x_n -> x_z,n - x_n
+    keeps the measure."""
+    lb = bold_values(l, n)
+    log_slice = _log_L25_reduced(n, r)
+    yz, xz = z.y, np.concatenate((z.x[: n - 1], z.x[n:]))
 
-    The kernel modulus is |A - i(x - u)|^-r with A = y + v, so the n = 1
-    slice fact leaves its value at A, times the weight v^l.
-    """
-    def f(v):
-        return np.exp(log_delta_power(v, l)
-                      + _log_slice_fact(r[0], z.y[0] + v[..., 0]))
+    def f(v, x=None):
+        u = xz if x is None else xz - x
+        return np.exp(log_delta_power(v, lb) + log_slice(yz + v, u))
     return f
 
 
@@ -786,8 +837,7 @@ def _mk_L27():
         random_params=_random_L27,
         decay=lambda n, p, pt: (Decay(pt.y[0], p["l"][0] + 1.0,
                                       p["r"][0] - p["l"][0] - 2.0),),
-        reduction=lambda n, p, pt: (  # derived at n = 1 only
-            _L27_reduction(p["l"], p["r"], pt) if n == 1 else None),
+        reduction=lambda n, p, pt: _L25_on_tube(n, p["l"], p["r"], pt),
     )
 
 

@@ -9,7 +9,9 @@ Gamma proposal would have catastrophically thin tails).  Border coordinates
 u_j are sampled conditionally on y_j with Gaussian or Cauchy laws whose
 location and scale may depend on y_j.  Tube real parts use Cauchy laws (the
 kernels decay only polynomially in x), one draw and log-density for all
-three; they differ only in the loc and scale read from the context.
+three; they differ only in the loc and scale read from the context.  A
+spec may mark the law of x_n integrated (a ``None`` entry): where an
+identity integrates x_n in closed form, nothing is drawn for it.
 
 Dominance is the preset designer's responsibility: the chosen law must have
 tails at least as heavy as the integrand along every coordinate, which the
@@ -19,7 +21,7 @@ identity presets arrange from the closed-form exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,7 +182,9 @@ class SamplerSpec:
     """Complete importance law: cone part plus optional tube real part.
 
     radial has length n (the y_j laws followed by the D law); border has
-    length n-1; real, when present, has length m = 2n-1.
+    length n-1; real, when present, has length m = 2n-1.  A real law reads
+    only the diagonals before x_n, so x_n's may be ``None``: integrated,
+    neither drawn nor weighted (``integrating_last_real``).
     """
 
     n: int
@@ -193,6 +197,12 @@ class SamplerSpec:
             raise InvalidInputError("sampler law counts do not match the order n")
         if self.real is not None and len(self.real) != 2 * self.n - 1:
             raise InvalidInputError("real-part law count must equal 2n-1")
+
+    def integrating_last_real(self) -> "SamplerSpec":
+        """This spec with the law of x_n marked integrated."""
+        real = list(self.real)
+        real[self.n - 1] = None
+        return replace(self, real=tuple(real))
 
 
 def sample_cone(spec: SamplerSpec, count: int, rng: np.random.Generator):
@@ -220,23 +230,28 @@ def sample_cone(spec: SamplerSpec, count: int, rng: np.random.Generator):
 
 def _sample_real(spec: SamplerSpec, count: int, rng: np.random.Generator,
                  vcoords: np.ndarray | None = None):
+    """(x, logpdf) of the real parts; an integrated law has no column, and
+    no law reads a column past it, so the rest shift down by one."""
     if spec.real is None:
         raise InvalidInputError("sampler spec has no real-part laws")
-    x = np.empty((count, 2 * spec.n - 1))
+    laws = [law for law in spec.real if law is not None]
+    x = np.empty((count, len(laws)))
     logpdf = np.zeros(count)
-    for k, law in enumerate(spec.real):  # diagonals precede their borders
+    for k, law in enumerate(laws):  # diagonals precede their borders
         x[:, k] = law.sample(rng, x, vcoords)
         logpdf += law.logpdf(x[:, k], x, vcoords)
     return x, logpdf
 
 
 def sample_tube(spec: SamplerSpec, count: int, rng: np.random.Generator):
-    """Draw tube points; returns (x (count, m), vcoords (count, m), logpdf)."""
+    """Draw tube points; returns (x (count, m), vcoords (count, m), logpdf),
+    x without the x_n column where the spec integrates it."""
     vcoords, _, logpdf = sample_cone(spec, count, rng)
     x, logpdf_x = _sample_real(spec, count, rng, vcoords)
     return x, vcoords, logpdf + logpdf_x
 
 
 def sample_slice(spec: SamplerSpec, count: int, rng: np.random.Generator):
-    """Draw only real parts (horizontal slice); returns (x, logpdf)."""
+    """Draw only real parts (horizontal slice); returns (x, logpdf), x as in
+    ``sample_tube``."""
     return _sample_real(spec, count, rng)

@@ -177,6 +177,11 @@ class TestSchurNumericCheck:
         # zero sigmas as well: the weighted mean would divide by zero
         assert _ratio_consistency((0.0,) * 3, (0.0,) * 3) == (0.0, 0.0, True)
 
+    def test_exact_ratios_are_weighted_without_overflow(self):
+        # a perfectly matched proposal gives an estimate with sigma 0
+        assert _ratio_consistency((2.5, 2.5), (0.0, 0.1)) == (2.5, 0.0, True)
+        assert not _ratio_consistency((2.5, 2.0), (0.0, 0.0))[2]
+
     def test_perturbed_witness_diverges(self, rng):
         # pushing r below the admissible interval breaks the first integral's
         # convergence: estimates keep growing with budget

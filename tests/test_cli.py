@@ -143,6 +143,26 @@ class TestAudit:
         assert any(d["scaling"] for d in details["records"])
         assert any(d["region"] == "dual" for d in details["records"])
 
+    def test_reduced_records_do_not_depend_on_the_thread_count(
+            self, tmp_path, capsys, monkeypatch):
+        # the slice and tube rows integrate x_n in closed form and draw
+        # 2n - 2 real coordinates; their bytes too hold at two threads
+        cfg = write_cfg(tmp_path, "a.json",
+                        {"n": 2, "seed": 6, "budget": 100_000, "oracle": "mc",
+                         "configs_per_identity": 2,
+                         "identities": ["L25", "L26", "L27"]})
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CONETUBE_THREADS", threads)
+            code = run(["audit", "--config", cfg,
+                        "--out", str(tmp_path / "out")])
+            runs.append((code, capsys.readouterr().out,
+                         *((tmp_path / "out" / name).read_bytes()
+                           for name in ("audit.csv", "audit_details.json"))))
+        assert runs[0] == runs[1]
+        details = json.loads(runs[0][3])
+        assert {d["identity"] for d in details["records"]} == {"L25", "L26", "L27"}
+
     def test_integral_floats_read_as_integers(self, tmp_path):
         base = {"n": 2, "seed": 3, "budget": 2000, "configs_per_identity": 1,
                 "oracle": "mc", "identities": ["L23_1"]}

@@ -440,11 +440,93 @@ class TestTubeReduction:
                 got = reduced(np.array([[v]]))[0]
                 assert abs(got - total) <= 1e-10 * abs(total), (params, v)
 
-    @pytest.mark.parametrize("ident_id", ["L26", "L27"])
-    def test_derived_at_n1_only(self, ident_id, rng):
+    @pytest.mark.parametrize("ident_id, orders", [("L26", (1, 2)),
+                                                  ("L27", (1, 2, 3))],
+                             ids=["L26", "L27"])
+    def test_derived_orders(self, ident_id, orders, rng):
+        # L26's is branch-safe at n <= 2 only; L27's is L25's at every n
         ident = get_identity(ident_id)
-        assert ident.reduction(2, random_params(ident_id, 2, rng),
-                               random_point(ident_id, 2, rng)) is None
+        for n in (1, 2, 3):
+            red = ident.reduction(n, random_params(ident_id, n, rng),
+                                  random_point(ident_id, n, rng))
+            assert (red is not None) == (n in orders), n
+
+
+def _quad_over_un(g, peaks):
+    """The integral over the real line of g, split at each (peak, width)."""
+    from scipy import integrate
+    cuts = sorted({c for p, w in peaks for c in (p - w, p, p + w)})
+    bounds = [-np.inf, *cuts, np.inf]
+
+    def part(take):
+        return sum(integrate.quad(lambda t: take(g(t)), a, b, epsabs=0.0,
+                                  epsrel=1e-11, limit=400)[0]
+                   for a, b in zip(bounds[:-1], bounds[1:]))
+    return complex(part(np.real), part(np.imag))
+
+
+class TestReductionAboveN1:
+    """The reductions at n >= 2 against scipy quad over u_n of the full
+    integrand, at random points: L26 and L27 at n = 2, L25 and L27 at
+    n = 3.  Each kernel's |S| peaks where Im S = 0, width Re S."""
+
+    @staticmethod
+    def peaks(zetas, signs):
+        out = []
+        for zeta, sign in zip(zetas, signs):  # S = S(u_n = 0) + sign i u_n
+            mins = complex_minors(zeta)
+            s0 = mins[-1] / mins[-2]
+            out.append((-sign * s0.imag, s0.real))
+        return out
+
+    @pytest.mark.parametrize("ident_id, n", [("L26", 2), ("L27", 2),
+                                             ("L27", 3)])
+    def test_tube(self, ident_id, n):
+        ident = get_identity(ident_id)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            params = random_params(ident_id, n, rng)
+            point = random_point(ident_id, n, rng)
+            full = ident.integrand(n, params, point)
+            reduced = ident.reduction(n, params, point)
+            z, xi = point if ident_id == "L26" else (point, None)
+            for _ in range(4):
+                v = random_cone_vector(n, rng, 0.05, 3.0)
+                x = 2.0 * rng.standard_cauchy(size=2 * n - 2)
+                u0 = np.insert(x, n - 1, 0.0)
+                zetas = [(z.y + v) - 1j * (z.x - u0)]
+                if xi is not None:
+                    zetas.append((v + xi.y) - 1j * (u0 - xi.x))
+
+                def g(t):
+                    u = u0.copy()
+                    u[n - 1] = t
+                    return full(u[None, :], v[None, :])[0]
+
+                total = _quad_over_un(g, self.peaks(zetas, (1, -1)))
+                got = reduced(v[None, :], x[None, :])[0]
+                assert abs(got - total) <= 1e-9 * abs(total), (params, v, x)
+
+    def test_slice_n3(self):
+        ident = get_identity("L25")
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            params = random_params("L25", 3, rng)
+            v = random_point("L25", 3, rng)
+            full = ident.integrand(3, params, v)
+            reduced = ident.reduction(3, params, v)
+            for _ in range(4):
+                w = 2.0 * rng.standard_cauchy(size=4)
+                u0 = np.insert(w, 2, 0.0)
+
+                def g(t):
+                    u = u0.copy()
+                    u[2] = t
+                    return full(u[None, :])[0]
+
+                total = _quad_over_un(g, self.peaks([v - 1j * u0], (-1,)))
+                got = reduced(w[None, :])[0]
+                assert got == pytest.approx(total.real, rel=1e-9), (params, w)
 
 
 class TestConeReduction:

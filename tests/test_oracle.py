@@ -230,6 +230,37 @@ class TestMonteCarlo:
         assert est2.method == "MC_TUBE"
 
 
+class TestRaoBlackwell:
+    """Monte Carlo on the slice and the tube integrates x_n in closed form
+    through the registry's reduction; on fixed seeds it agrees with the
+    full estimator within 4 combined standard errors."""
+
+    def test_integrated_law_is_not_drawn(self, rng):
+        ddef = get_identity("L27")
+        params, point = random_params("L27", 2, rng), random_point("L27", 2, rng)
+        spec = ddef.sampler(2, params, point).integrating_last_real()
+        x, v, logpdf = sample_tube(spec, 1000, rng)
+        assert x.shape == (1000, 2) and v.shape == (1000, 3)
+        assert np.all(np.isfinite(logpdf))
+
+    @pytest.mark.parametrize("ident_id", ["L25", "L26", "L27"])
+    def test_reduced_agrees_with_full(self, ident_id):
+        ddef = get_identity(ident_id)
+        mc = mc_integrate_slice if ddef.domain == "slice" else mc_integrate_tube
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            params = random_params(ident_id, 2, rng)
+            point = random_point(ident_id, 2, rng)
+            reduced = oracle_estimate(ident_id, params, point, 100_000, 5,
+                                      method="mc")
+            full = mc(ddef.integrand(2, params, point),
+                      ddef.sampler(2, params, point), 100_000, 5)
+            sigma = math.hypot(reduced.std_error, full.std_error)
+            assert reduced.value != full.value  # another stream: reduced
+            assert abs(reduced.value - full.value) <= 4.0 * sigma, \
+                (params, reduced, full)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 class TestParallelMap:
     def test_results_come_back_in_item_order(self, monkeypatch, threads):
