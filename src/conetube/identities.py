@@ -169,19 +169,18 @@ def _tube_real_laws(n, centers, diag_scales):
     return tuple(laws)
 
 
-def _betaprime_radial(n, zero_exp, tail_exp, scales):
-    """Beta-prime laws matched to y^zero_exp near 0 and y^-(tail_exp) at infinity.
+def _betaprime_radial(n, zero_exp, tails, scales):
+    """Beta-prime laws matched to y^zero_exp near 0 whose mass beyond R
+    falls like R^-tails[j]."""
+    return [RadialLaw("betaprime", _clip(zero_exp[j] + 1.0, 0.4), tails[j],
+                      _clip(scales[j], 1e-6)) for j in range(n)]
 
-    The proposal tail is deliberately fattened by 1.25 so the importance
-    ratio stays square-integrable when the integrand sits at its stated
-    convergence margin.
-    """
-    laws = []
-    for j in range(n):
-        a = _clip(zero_exp[j] + 1.0, 0.4)
-        b = _clip(tail_exp[j] - 1.25, 0.5)
-        laws.append(RadialLaw("betaprime", a, b, _clip(scales[j], 1e-6)))
-    return laws
+
+def _fattened(tail_exp):
+    """Proposal tails for a density falling like y^-(tail_exp): fattened by
+    1.25, at least 0.5, so the importance ratio stays square-integrable
+    when the integrand sits at its stated convergence margin."""
+    return [_clip(t - 1.25, 0.5) for t in tail_exp]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +232,13 @@ def _scale_tube(z: TubePoint, lam) -> TubePoint:
     return TubePoint.make(z.x * lam, z.y * lam)
 
 
+def _cone_size(y) -> float:
+    """The mean diagonal entry of a cone vector: positive, and it scales
+    with the vector."""
+    y = np.asarray(y, dtype=float)
+    return float(np.mean(y[: order_from_dim(y.shape[-1])]))
+
+
 @dataclass(frozen=True)
 class PointKind:
     """How an identity's evaluation point is read, written, dilated and drawn."""
@@ -243,6 +249,7 @@ class PointKind:
     random: callable             # (n, rng) -> random point
     reference: callable          # n -> unit reference point
     order: callable              # point -> n; raises on a point of another kind
+    size: callable               # point -> positive length, lam x under scale
 
 
 def _tube(point) -> TubePoint:
@@ -278,7 +285,8 @@ def cone_vector(key: str) -> PointKind:
         scale=lambda pt, lam: np.asarray(pt, dtype=float) * lam,
         random=random_cone_vector,
         reference=unit_cone_vector,
-        order=_cone_order)
+        order=_cone_order,
+        size=_cone_size)
 
 
 def tube_point(x_scale: float = 0.25) -> PointKind:
@@ -290,7 +298,8 @@ def tube_point(x_scale: float = 0.25) -> PointKind:
         scale=_scale_tube,
         random=lambda n, rng: random_tube_point(n, rng, x_scale),
         reference=unit_tube_point,
-        order=lambda z: _tube(z).n)
+        order=lambda z: _tube(z).n,
+        size=lambda z: _cone_size(z.y))
 
 
 TUBE_PAIR = PointKind(
@@ -299,7 +308,8 @@ TUBE_PAIR = PointKind(
     scale=lambda pt, lam: (_scale_tube(pt[0], lam), _scale_tube(pt[1], lam)),
     random=lambda n, rng: (random_tube_point(n, rng), random_tube_point(n, rng)),
     reference=lambda n: (unit_tube_point(n), unit_tube_point(n)),
-    order=_pair_order)
+    order=_pair_order,
+    size=lambda pt: 0.5 * (_cone_size(pt[0].y) + _cone_size(pt[1].y)))
 
 
 # along one quadrature axis, the integrand's marginal mass beyond R axis scales
@@ -326,6 +336,10 @@ class IdentityDef:
     point: PointKind
     random_params: callable      # (n, rng) -> in-range params
     decay: callable              # (n, params, point) -> one Decay per window
+    # sigma: at the point dilated by lam (``point.scale``) the integration
+    # variable w moves to lam^sigma w; -1 where the integrand pairs w with
+    # the point as (w|point), +1 where w moves with the point
+    dilation: int
     dual_region: callable | None = None  # integrand over the dual cone, if any
     reduction: callable | None = None  # (n, params, point) -> callable | None
 
@@ -380,6 +394,7 @@ def _laplace_identity(id, label, shifted) -> IdentityDef:
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, shifted)},
         decay=lambda n, p, pt: _laplace_decay(
             n, pt, _laplace_shapes(n, p["s"], shifted), FOUR_PI),
+        dilation=-1,
     )
 
 
@@ -443,6 +458,7 @@ def _kernel_identity(id, label, shifted) -> IdentityDef:
         point=tube_point(x_scale=0.15),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, shifted)},
         decay=lambda n, p, pt: _kernel_decay(n, p["s"], pt.y),
+        dilation=-1,
         dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted,
                                                        dual=True),
     )
@@ -471,11 +487,18 @@ def _L24_integrand(n, r, eta, b):
 
 
 def _L24_sampler(n, r, eta, b):
+    """Beta-prime radials whose tail index is 0.75 times the ``Decay``'s on
+    each axis at n <= 2, so the weights have finite variance (at least 1/4,
+    which binds only near a divergent integral); at n = 3, where no
+    ``Decay`` is derived, the fattened tails of r - eta."""
     b = np.asarray(b, dtype=float)
     eb = bold_values(eta, n)
     d_b = float(schur_complement(b))
     scales = np.concatenate([b[: n - 1], [d_b]])
-    radial = _betaprime_radial(n, eb, r - eta, scales)
+    tails = ([_clip(0.75 * dec.tail_index, 0.25)
+              for dec in _L24_decay(n, r, eta, b)] if n <= 2
+             else _fattened(r - eta))
+    radial = _betaprime_radial(n, eb, tails, scales)
     u_b = b[n:][::-1] if n > 1 else np.empty(0)
     border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
                         s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
@@ -538,6 +561,7 @@ def _mk_L24():
         point=cone_vector("b"),
         random_params=_random_L24,
         decay=lambda n, p, pt: _L24_decay(n, p["r"], p["eta"], pt),
+        dilation=1,
         reduction=lambda n, p, pt: (  # derived at n = 2 only
             _L24_reduction(p["r"], p["eta"], pt) if n == 2 else None),
     )
@@ -638,6 +662,7 @@ def _mk_L25():
         point=cone_vector("v"),
         random_params=_random_L25,
         decay=lambda n, p, pt: _L25_decay(n, p["r"], np.asarray(pt, dtype=float)),
+        dilation=1,
         reduction=lambda n, p, pt: _L25_reduction(n, p["r"], pt),
     )
 
@@ -731,7 +756,7 @@ def tube_proposal(n, zero_exp, tail_exp, scales, centers) -> SamplerSpec:
     at infinity, on the diagonal length ``scales``; Cauchy borders; real
     parts whose Cauchy scales track the sampled imaginary part.
     """
-    radial = _betaprime_radial(n, zero_exp, tail_exp, scales)
+    radial = _betaprime_radial(n, zero_exp, _fattened(tail_exp), scales)
     border = [BorderLaw("cauchy", s0=0.3,
                         s1=float(math.sqrt(max(scales[n - 1], 0.3))))
               for _ in range(n - 1)]
@@ -777,6 +802,7 @@ def _mk_L26():
         decay=lambda n, p, pt: (Decay(0.5 * (pt[0].y[0] + pt[1].y[0]),
                                       p["l"][0] + 1.0,
                                       p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),),
+        dilation=1,
         reduction=lambda n, p, pt: (  # derived at n <= 2
             _L26_reduction(n, p["l"], p["r"], p["eta"], *pt) if n <= 2 else None),
     )
@@ -837,6 +863,7 @@ def _mk_L27():
         random_params=_random_L27,
         decay=lambda n, p, pt: (Decay(pt.y[0], p["l"][0] + 1.0,
                                       p["r"][0] - p["l"][0] - 2.0),),
+        dilation=1,
         reduction=lambda n, p, pt: _L25_on_tube(n, p["l"], p["r"], pt),
     )
 

@@ -31,10 +31,14 @@ Two oracle families:
 
 ``verify_identity`` compares an oracle estimate against the closed form and
 classifies the outcome.  A value disagreement triggers the lambda-scaling
-test, which compares oracle ratios under point dilation against the
-constant-free structure prediction; that separates "the stated constant is
-off" (EXPONENT_CONFIRMED_CONSTANT_MISMATCH, fitted ratio recorded) from
-"the stated exponent structure is wrong" (MISMATCH).
+test, which compares the left-hand side's ratio under point dilation
+against the constant-free structure prediction; that separates "the stated
+constant is off" (EXPONENT_CONFIRMED_CONSTANT_MISMATCH, fitted ratio
+recorded) from "the stated exponent structure is wrong" (MISMATCH).  The
+ratio is not estimated: the substitution w -> lam^sigma w fixes it,
+LHS(lam p) = lam^(sigma dim) int f(lam^sigma w; lam p) dw, and the Delta-powers
+are homogeneous under the cone's dilations, so it is read off the
+integrand at fixed chart points.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ CHUNK = 1 << 16
 BLOCK = 1 << 13  # values per integrand call; bounds its temporaries
 TENSOR_MAX_EVALS = 1.5e8  # a finer tensor step above this node count is skipped
 SCALING_LAMS = (0.5, 2.0, 4.0)  # dilations of the lambda-scaling test
+READOFF_POINTS = 64  # chart points the lambda-test reads the integrand at
+READOFF_SPREAD = 1e-8  # the largest relative spread of a covariant read-off
 MAX_HALF = 80.0  # a window end reaches at most ~e^80 axis scales
 REAL_HALF = math.asinh(1.0e10) + 1.0  # a sinh axis reaching 1e10 scales
 STEPS = (0.25, 0.125, 0.0625)  # the trapezoid steps, halved in turn
@@ -494,10 +500,11 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
 @dataclass
 class ScalingCheck:
     lam: float
-    ratio: complex | float
-    predicted: complex | float
-    sigma: float
+    ratio: complex | float  # LHS(lam p) / LHS(p), read off; NaN if unread
+    predicted: complex | float  # structure(lam p) / structure(p)
+    sigma: float  # the spread of the ratio over the chart points
     passed: bool
+    points: int  # the chart points where both values are finite and nonzero
 
 
 @dataclass
@@ -518,9 +525,96 @@ class AuditRecord:
     scaling: list = field(default_factory=list)
     scaling_pass: bool | None = None
 
+    @property
+    def degree_defect(self) -> float | None:
+        """log(ratio / predicted) / log lam, averaged over the lambda-test:
+        the degree by which the structure misses the left-hand side's
+        homogeneity.  None where no lambda-test ran or a check read no
+        ratio."""
+        defects = []
+        for c in self.scaling:
+            q = abs(c.ratio) / abs(c.predicted) if c.predicted else math.nan
+            defects.append(math.log(q) / math.log(c.lam) if q > 0 else math.nan)
+        if not defects or not all(map(math.isfinite, defects)):
+            return None
+        return sum(defects) / len(defects)
 
-def _scaling_seed(seed: int, lam: float) -> int:
-    return (int(seed) * 1_000_003 + int(round(lam * 4096))) & (2**63 - 1)
+
+def _weyl(count: int, dim: int) -> np.ndarray:
+    """The first ``count`` points of the R_d Weyl sequence in (0, 1)^dim,
+    steps by the powers of the root of g^(dim+1) = g + 1 (M. Roberts'
+    generalized golden ratio): spread evenly, and drawn from no random
+    stream."""
+    g = 2.0
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    alpha = g ** -np.arange(1.0, dim + 1)
+    return (0.5 + np.arange(1, count + 1)[:, None] * alpha) % 1.0
+
+
+def _chart_points(domain: str, n: int, size: float) -> tuple:
+    """READOFF_POINTS integrand arguments at length ``size``, and the real
+    dimension of the integration variable: (coords, D) of cone points on
+    the cone, real parts on the slice, (real parts, imaginary parts) on the
+    tube.  A cone point comes from the canonical chart, its y_j and D
+    within e^(+-2) of ``size`` and its border u_j within sqrt(y_j D); a real
+    part lies within 2 ``size`` of 0."""
+    m = 2 * n - 1
+    dim = 2 * m if domain == "tube" else m
+    grid = _weyl(READOFF_POINTS, dim) - 0.5
+
+    def cone(c):
+        y, d = np.exp(4.0 * c[:, : n - 1]), np.exp(4.0 * c[:, m - 1])
+        u = 2.0 * c[:, n - 1: m - 1] * np.sqrt(y * d[:, None])
+        return size * canonical_to_coords(y, u, d), size * d
+
+    if domain == "cone":
+        return cone(grid), dim
+    if domain == "slice":
+        return (4.0 * size * grid,), dim
+    return (4.0 * size * grid[:, :m], cone(grid[:, m:])[0]), dim
+
+
+def _scaling_checks(ident, n: int, p: dict, point, region: str,
+                    struct) -> list:
+    """The lambda-test, read off the integrand's dilation covariance.
+
+    At each chart point w, lam^(sigma dim) f(lam^sigma w; lam p) / f(w; p)
+    is LHS(lam p) / LHS(p) wherever the integrand is homogeneous, as every
+    registered one is; the full integrand is read, never a ``reduction``.
+    The points sit at the point's size^sigma, so a point dilated far from
+    1 neither under- nor overflows them.  A check reads the mean ratio over
+    the points where both values are finite and nonzero and its spread;
+    it fails when fewer than half of the points are read or the relative
+    spread exceeds READOFF_SPREAD (the integrand is not covariant), and
+    otherwise passes when the ratio is within max(3 sigma, 1e-6 |predicted|)
+    of the structure's, ``predicted``.
+    """
+    sign = ident.dilation
+    args, dim = _chart_points(ident.domain, n, ident.point.size(point) ** sign)
+    with np.errstate(all="ignore"):  # an unread value is counted, not warned
+        base = _lhs_integrand(ident.id, n, p, point, region)(*args)
+    checks = []
+    for lam in SCALING_LAMS:
+        scaled = ident.point.scale(point, lam)
+        f = _lhs_integrand(ident.id, n, p, scaled, region)
+        with np.errstate(all="ignore"):
+            ratios = (lam ** (sign * dim)
+                      * f(*(a * lam ** sign for a in args)) / base)
+        ratios = ratios[np.isfinite(ratios) & (ratios != 0)]
+        predicted = ident.structure(n, p, scaled) / struct
+        ratio, spread, ok = math.nan, math.nan, False
+        if 2 * ratios.size >= READOFF_POINTS:
+            mean = np.mean(ratios)
+            spread = float(np.sqrt(np.mean(np.abs(ratios - mean) ** 2)))
+            ratio = _number(complex(mean))
+            ok = (spread <= READOFF_SPREAD * abs(ratio)
+                  and abs(ratio - predicted) <= max(3.0 * spread,
+                                                    1e-6 * abs(predicted)))
+        checks.append(ScalingCheck(lam=lam, ratio=ratio, predicted=predicted,
+                                   sigma=spread, passed=bool(ok),
+                                   points=int(ratios.size)))
+    return checks
 
 
 def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000,
@@ -570,29 +664,11 @@ def verify_identity(identity_id: str, params: dict, point, budget: int = 200_000
         if not always_scaling:
             return record
 
-    def nonzero(est):  # the lambda-test divides by every estimate
-        if est.value == 0:
-            raise OracleRejectedError(0.0, f"{identity_id}: a left-hand side "
-                                      "estimate is 0; the lambda-test has no ratio")
-        return est
-
-    nonzero(lhs)
-    checks = []
-    for lam in SCALING_LAMS:
-        scaled = ident.point.scale(point, lam)
-        est = nonzero(oracle_estimate(identity_id, p, scaled, budget,
-                                      _scaling_seed(seed, lam), method=method,
-                                      region=region))
-        predicted = ident.structure(n, p, scaled) / struct
-        ratio = est.value / lhs.value
-        rel = math.sqrt((est.std_error / abs(est.value)) ** 2
-                        + (lhs.std_error / abs(lhs.value)) ** 2)
-        sig = abs(ratio) * rel if rel > 0 else 1e-300
-        ok = abs(ratio - predicted) <= max(3.0 * sig, 1e-6 * abs(predicted))
-        checks.append(ScalingCheck(lam=lam, ratio=ratio, predicted=predicted,
-                                   sigma=sig, passed=bool(ok)))
-    record.scaling = checks
-    record.scaling_pass = all(c.passed for c in checks)
+    if lhs.value == 0:  # an estimate of 0 gives no verdict to adjudicate
+        raise OracleRejectedError(0.0, f"{identity_id}: the left-hand side "
+                                  "estimate is 0; the lambda-test has no scale")
+    record.scaling = _scaling_checks(ident, n, p, point, region, struct)
+    record.scaling_pass = all(c.passed for c in record.scaling)
     if record.status != CONFIRMED:
         record.status = CONSTANT_MISMATCH if record.scaling_pass else MISMATCH
     return record

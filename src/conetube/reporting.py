@@ -20,7 +20,7 @@ import numpy as np
 
 from .identities import get_identity
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 AUDIT_COLUMNS = ("identity", "n", "params_json", "point_json", "lhs",
                  "lhs_stderr", "rhs", "z_score", "scaling_pass", "status")
@@ -122,7 +122,8 @@ def audit_detail(record) -> dict:
         "z_score": record.z_score,
         "status": record.status,
         "scaling_pass": record.scaling_pass,
+        "degree_defect": record.degree_defect,
         "scaling": [{"lam": c.lam, "ratio": c.ratio, "predicted": c.predicted,
-                     "sigma": c.sigma, "passed": c.passed}
+                     "sigma": c.sigma, "passed": c.passed, "points": c.points}
                     for c in record.scaling],
     }

@@ -76,7 +76,7 @@ class TestAudit:
         code = run(["audit", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         lines = (tmp_path / "out" / "audit.csv").read_text().splitlines()
-        assert lines[0] == "# schema_version=2"
+        assert lines[0] == "# schema_version=3"
         rows = list(csv.reader(lines[1:]))
         assert tuple(rows[0]) == AUDIT_COLUMNS
         statuses = {r[-1] for r in rows[1:]}
@@ -88,7 +88,7 @@ class TestAudit:
             complex(cell)
         details = json.loads((tmp_path / "out" / "audit_details.json")
                              .read_text())
-        assert details["schema_version"] == 2
+        assert details["schema_version"] == 3
         assert details["summary"]["rows"] == 8
         # each row names the domain it integrated; dual-region companions
         # are recorded for the two kernel identities

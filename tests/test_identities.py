@@ -391,6 +391,21 @@ class TestDecay:
                 self.check(decays, [[_marginal(f, decays, k, cone=True)
                                      for f in fs] for k in range(2)], 20.0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_l24_proposal_tails_within_the_decay(self, n, rng):
+        # a beta-prime tail index above the marginal's tail index makes the
+        # weights grow without bound along that axis, and from twice it on
+        # their variance is infinite
+        ident = get_identity("L24")
+        for _ in range(200):
+            params = random_params("L24", n, rng)
+            point = random_point("L24", n, rng)
+            radial = ident.sampler(n, params, point).radial
+            decays = ident.decay(n, params, point)
+            assert len(radial) == len(decays) == n
+            for law, dec in zip(radial, decays):
+                assert law.kind == "betaprime" and law.b <= dec.tail_index
+
     @staticmethod
     def check(decays, densities, far, shared_tail=False):
         """``densities[k]`` holds axis k's mass density on each region; the

@@ -1,10 +1,14 @@
 import dataclasses
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,9 @@ from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
                                  random_point, read_params, structure_value)
 from conetube import identities, oracle
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
-                             MISMATCH, _CALIBRATION_CACHE, _axis_nodes,
-                             BLOCK, _tensor_pass, _thread_count,
+                             MISMATCH, READOFF_POINTS, SCALING_LAMS,
+                             _CALIBRATION_CACHE, _axis_nodes, AuditRecord,
+                             BLOCK, _scaling_checks, _tensor_pass, _thread_count,
                              calibrated_constant, mc_integrate_cone,
                              mc_integrate_slice, mc_integrate_tube,
                              oracle_estimate, parallel_map, quad_iterated,
@@ -725,6 +730,137 @@ class TestVerifyIdentity:
         rec = verify_identity("L26", params, point, seed=1)
         assert rec.status in (CONFIRMED, CONSTANT_MISMATCH, MISMATCH,
                               INCONCLUSIVE)
+
+
+def _readoff(ident_id, n, params, point, region=None):
+    ident = get_identity(ident_id)
+    return _scaling_checks(ident, n, params, point, region or ident.domain,
+                           ident.structure(n, params, point))
+
+
+def _defect(checks) -> float | None:
+    return AuditRecord(identity="", n=0, params={}, point=None, lhs=None,
+                       rhs_stated=0.0, structure=0.0, fitted_constant=0.0,
+                       z_score=0.0, status="", region="",
+                       scaling=checks).degree_defect
+
+
+# the known L24 n = 1 constant mismatch (fitted constant 0.5), by quadrature
+L24_CM = ("L24", {"r": [3.0], "eta": [1.0]}, np.array([1.0]))
+
+
+class TestScalingReadoff:
+    """The lambda-test reads LHS(lam p) / LHS(p) off the integrand's
+    dilation covariance instead of estimating the dilated integrals."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("ident_id", IDENTITY_IDS)
+    def test_ratio_is_the_structure_ratio(self, ident_id, n, rng):
+        # at n <= 2 every stated structure has the left-hand side's
+        # homogeneity, on every region, at points dilated far from 1 too
+        ident = get_identity(ident_id)
+        for _ in range(3):
+            params = random_params(ident_id, n, rng)
+            drawn = random_point(ident_id, n, rng)
+            for dilation in (1.0, 1e3, 1e-3):
+                point = ident.point.scale(drawn, dilation)
+                struct = ident.structure(n, params, point)
+                for region in ident.regions(n):
+                    checks = _readoff(ident_id, n, params, point, region)
+                    assert [c.lam for c in checks] == list(SCALING_LAMS)
+                    for c in checks:
+                        want = ident.structure(
+                            n, params, ident.point.scale(point, c.lam)) / struct
+                        assert c.passed and c.points == READOFF_POINTS
+                        assert abs(c.ratio - want) <= 1e-9 * abs(want)
+                    assert _defect(checks) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ident_id, defect", [
+        ("L23_1", 0), ("L23_2", 0), ("COR1_1", 0), ("COR1_2", 2), ("L24", 0),
+        ("L25", -1), ("L26", -2), ("L27", -2)])
+    def test_n3_structure_defects(self, ident_id, defect, rng):
+        # the degree by which each stated n = 3 structure misses the left-hand
+        # side's homogeneity: the same integer at every lambda and draw
+        for _ in range(3):
+            params = random_params(ident_id, 3, rng)
+            point = random_point(ident_id, 3, rng)
+            checks = _readoff(ident_id, 3, params, point)
+            assert all(c.points == READOFF_POINTS for c in checks)
+            assert all(c.passed == (defect == 0) for c in checks)
+            for c in checks:
+                got = math.log(abs(c.ratio / c.predicted)) / math.log(c.lam)
+                assert got == pytest.approx(defect, abs=1e-9)
+            assert _defect(checks) == pytest.approx(defect, abs=1e-9)
+
+    def _verify_patched(self, monkeypatch, **changes):
+        """L24_CM verified with its registry entry changed, the first
+        estimate taken from the entry as registered."""
+        ident_id, params, point = L24_CM
+        lhs = oracle_estimate(ident_id, params, point, 1000, 0, method="quad")
+        monkeypatch.setitem(identities.IDENTITIES, ident_id, dataclasses.replace(
+            get_identity(ident_id), **changes))
+        monkeypatch.setattr(oracle, "oracle_estimate", lambda *a, **k: lhs)
+        return verify_identity(ident_id, params, point, method="quad")
+
+    def test_extra_power_in_the_structure_is_a_mismatch(self, monkeypatch):
+        # structure x size(point) has one degree too many, and equals the
+        # registered structure at b = 1, so the value test is unchanged
+        ident = get_identity(L24_CM[0])
+        rec = self._verify_patched(monkeypatch, structure=lambda n, p, pt: (
+            ident.structure(n, p, pt) * ident.point.size(pt)))
+        assert rec.status == MISMATCH and rec.scaling_pass is False
+        assert rec.degree_defect == pytest.approx(-1.0, abs=1e-9)
+
+    def test_non_covariant_integrand_is_a_mismatch(self, monkeypatch):
+        # f + 1 has no homogeneity: its ratios spread over the points
+        ident = get_identity(L24_CM[0])
+        rec = self._verify_patched(monkeypatch, integrand=lambda n, p, pt: (
+            lambda *args: ident.integrand(n, p, pt)(*args) + 1.0))
+        assert rec.status == MISMATCH
+        assert all(not c.passed and c.sigma > 1e-8 * abs(c.ratio)
+                   for c in rec.scaling)
+
+    @pytest.mark.parametrize("zeros, passed", [
+        (READOFF_POINTS, False), (READOFF_POINTS // 2 + 1, False),
+        (READOFF_POINTS // 2, True)])
+    def test_half_the_points_must_be_read(self, monkeypatch, zeros, passed):
+        # an integrand that underflows at ``zeros`` of the chart points: a
+        # check reads at least half of them or fails, whatever its ratio
+        ident = get_identity(L24_CM[0])
+        rec = self._verify_patched(monkeypatch, integrand=lambda n, p, pt: (
+            lambda y, d=None: np.where(np.arange(y.shape[0]) < zeros, 0.0,
+                                       ident.integrand(n, p, pt)(y, d))))
+        assert rec.status == (CONSTANT_MISMATCH if passed else MISMATCH)
+        assert [c.points for c in rec.scaling] == [READOFF_POINTS - zeros] * 3
+        assert all(c.passed == passed for c in rec.scaling)
+        if not passed and zeros == READOFF_POINTS:
+            assert math.isnan(rec.scaling[0].ratio)
+            assert rec.degree_defect is None
+
+    def test_one_estimate_per_constant_mismatch(self, monkeypatch):
+        calls = []
+        estimate = oracle.oracle_estimate
+        monkeypatch.setattr(oracle, "oracle_estimate",
+                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        ident_id, params, point = L24_CM
+        rec = verify_identity(ident_id, params, point, method="quad")
+        assert rec.status == CONSTANT_MISMATCH and len(rec.scaling) == 3
+        assert len(calls) == 1
+
+    def test_quadrature_audit_never_loads_numpy_random(self, tmp_path):
+        # the read-off's points come from no random stream: a quadrature
+        # audit of explicit cases needs no numpy.random import
+        cases = Path(__file__).parents[1] / "perfbench" / "cases"
+        code = ("import json, sys\n"
+                "from conetube.cli import main\n"
+                "code = main(['audit', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(json.dumps([code, 'numpy.random' in sys.modules]))\n")
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(cases / "audit-n1-quad.json"),
+             str(tmp_path / "out")], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "CONETUBE_THREADS": "1"})
+        assert json.loads(out.stdout.splitlines()[-1]) == [0, False], out.stderr
 
 
 class TestCalibration:
