@@ -75,10 +75,8 @@ def _border(n, shifted) -> float:
 def _structure_laplace(n, s, t, shifted: bool):
     q, tn = delta_transform_parts(np.asarray(t, dtype=float))
     logval = (-s[-1] - (n + 1.0) / 2.0) * np.log(tn)
-    if n > 1:
-        logval = logval + np.sum((-s[: n - 1] - _border(n, shifted)) * np.log(q),
-                                 axis=-1)
-    return np.exp(logval)
+    return np.exp(logval + np.sum((-s[: n - 1] - _border(n, shifted))
+                                  * np.log(q), axis=-1))
 
 
 def _structure_kernel(n, s, z: TubePoint, shifted: bool):
@@ -137,13 +135,13 @@ def _laplace_rates(n, t, c):
     return [float(c / 4.0 * q[j]) for j in range(n - 1)] + [float(c * tn)]
 
 
-def _cone_laplace_preset(n, t, shapes, c):
-    """Gamma/Gaussian law exactly matched to exp(-c y.t) on the cone."""
+def _cone_laplace_preset(n, t, decays, c):
+    """Gamma/Gaussian law matched to exp(-c y.t) on the cone: each gamma
+    shape is its axis's ``Decay`` zero index, each rate the exponent's."""
     t = np.asarray(t, dtype=float)
-    tn = t[n - 1]
-    u = t[n:][::-1] if n > 1 else np.empty(0)
-    radial = [RadialLaw("gamma", _clip(a, 0.35), b)
-              for a, b in zip(shapes, _laplace_rates(n, t, c))]
+    tn, u = t[n - 1], t[n:][::-1]
+    radial = [RadialLaw("gamma", _clip(dec.zero_index, 0.35), b)
+              for dec, b in zip(decays, _laplace_rates(n, t, c))]
     border = [BorderLaw("gaussian", mu1=float(-u[j] / (2.0 * tn)),
                         s1=float(math.sqrt(1.0 / (2.0 * c * tn))))
               for j in range(n - 1)]
@@ -174,13 +172,6 @@ def _betaprime_radial(n, zero_exp, tails, scales):
     falls like R^-tails[j]."""
     return [RadialLaw("betaprime", _clip(zero_exp[j] + 1.0, 0.4), tails[j],
                       _clip(scales[j], 1e-6)) for j in range(n)]
-
-
-def _fattened(tail_exp):
-    """Proposal tails for a density falling like y^-(tail_exp): fattened by
-    1.25, at least 0.5, so the importance ratio stays square-integrable
-    when the integrand sits at its stated convergence margin."""
-    return [_clip(t - 1.25, 0.5) for t in tail_exp]
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +367,10 @@ def _laplace_decay(n, t, zero_indices, c):
                  for a, b in zip(zero_indices, _laplace_rates(n, t, c)))
 
 
-def _laplace_shapes(n, s, shifted):  # the gamma shapes: s_j + border, s_n + 1
-    return np.concatenate([s[:-1] + _border(n, shifted), s[-1:] + 1.0])
-
-
 def _laplace_identity(id, label, shifted) -> IdentityDef:
+    def decay(n, p, pt):  # zero indices s_j + border, s_n + 1
+        return _laplace_decay(n, pt, [*(p["s"][:-1] + _border(n, shifted)),
+                                      p["s"][-1] + 1.0], FOUR_PI)
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
         convention=Convention.PLAIN, complex_valued=False,
@@ -388,12 +378,10 @@ def _laplace_identity(id, label, shifted) -> IdentityDef:
         structure=lambda n, p, pt: _structure_laplace(n, p["s"], pt, shifted),
         stated_constant=lambda n, p: (C.c3 if shifted else C.c1)(n, p["s"]),
         integrand=lambda n, p, pt: _laplace_integrand(n, p["s"], pt, shifted),
-        sampler=lambda n, p, pt: _cone_laplace_preset(
-            n, pt, _laplace_shapes(n, p["s"], shifted), FOUR_PI),
+        sampler=lambda n, p, pt: _cone_laplace_preset(n, pt, decay(n, p, pt), FOUR_PI),
         point=cone_vector("t"),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.5, shifted)},
-        decay=lambda n, p, pt: _laplace_decay(
-            n, pt, _laplace_shapes(n, p["s"], shifted), FOUR_PI),
+        decay=decay,
         dilation=-1,
     )
 
@@ -427,24 +415,31 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
             q = 4.0 * t[..., : n - 1] * (d / tn)[..., None]
         else:
             q, tn = delta_transform_parts(t)
-        logmag = top_exp * np.log(tn) - TWO_PI * _dot(t, y)
-        if n > 1:
-            logmag = logmag + np.sum(border_exp * np.log(q), axis=-1)
+        logmag = (top_exp * np.log(tn) - TWO_PI * _dot(t, y)
+                  + np.sum(border_exp * np.log(q), axis=-1))
         phase = TWO_PI * _dot(t, x)
         return jac * inv_const * np.exp(logmag) * np.exp(1j * phase)
     return f
 
 
-def _kernel_decay(n, s, y):
-    """The modulus is exp(-2 pi t.y) t_n^(s_n + (n+1)/2) q^(s_1 + 3/2).  At
-    n = 2, near D = 0 it does not vanish on the cone (index 1, or s_2 + 3
-    if less) and has index min(s_1 + 5/2, s_2 + 3) on the dual cone."""
-    zero = [s[0] + 2.0] if n == 1 else [s[0] + 3.0,
-                                        min(1.0, s[0] + 2.5, s[1] + 3.0)]
-    return _laplace_decay(n, y, zero, TWO_PI)
+def _kernel_decay(n, s, y, shifted):
+    """The modulus is exp(-2 pi t.y) t_n^a prod_j q_j^b_j, a = s_n + (n+1)/2,
+    b_j = s_j + border.  In the chart u_j = sqrt(y_j) v_j, t_n = D + |v|^2
+    and q_j = y_j (4 - v_j^2 / t_n) lies in [3 y_j, 4 y_j] on the cone, so
+    y_j has zero index b_j + 3/2.  Near D = 0, (D + |v|^2)^a integrated
+    over small v has index a + (n+1)/2 (at n = 1, t_n = D); at n >= 2 the
+    integrand does not vanish on the cone, so 1 if less.  On the dual cone
+    (n = 2), q = 4 t_1 D / t_n adds b_1 + 1.  Every tail is exponential."""
+    border = _border(n, shifted)
+    d_zero = [s[-1] + (n + 1.0)] + ([1.0] if n >= 2 else [])
+    if n == 2:  # the dual cone
+        d_zero.append(s[0] + (border + 1.0))
+    return _laplace_decay(n, y, [*(s[:-1] + (border + 1.5)), min(d_zero)], TWO_PI)
 
 
 def _kernel_identity(id, label, shifted) -> IdentityDef:
+    def decay(n, p, pt):
+        return _kernel_decay(n, p["s"], pt.y, shifted)
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
         convention=Convention.PLAIN, complex_valued=True,
@@ -452,12 +447,10 @@ def _kernel_identity(id, label, shifted) -> IdentityDef:
         structure=lambda n, p, pt: _structure_kernel(n, p["s"], pt, shifted),
         stated_constant=lambda n, p: (C.c4 if shifted else C.c2)(n, p["s"]),
         integrand=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted),
-        sampler=lambda n, p, pt: _cone_laplace_preset(n, pt.y, np.concatenate(
-            [p["s"][:-1] + (_border(n, shifted) + 1.0),
-             p["s"][-1:] + (n + 3.0) / 2.0]), TWO_PI),
+        sampler=lambda n, p, pt: _cone_laplace_preset(n, pt.y, decay(n, p, pt), TWO_PI),
         point=tube_point(x_scale=0.15),
         random_params=lambda n, rng: {"s": _low_index(n, rng, 1.2, shifted)},
-        decay=lambda n, p, pt: _kernel_decay(n, p["s"], pt.y),
+        decay=decay,
         dilation=-1,
         dual_region=lambda n, p, pt: _kernel_integrand(n, p["s"], pt, shifted,
                                                        dual=True),
@@ -487,19 +480,16 @@ def _L24_integrand(n, r, eta, b):
 
 
 def _L24_sampler(n, r, eta, b):
-    """Beta-prime radials whose tail index is 0.75 times the ``Decay``'s on
-    each axis at n <= 2, so the weights have finite variance (at least 1/4,
-    which binds only near a divergent integral); at n = 3, where no
-    ``Decay`` is derived, the fattened tails of r - eta."""
+    """Beta-prime radials on the ``Decay`` scales whose tail index is 0.75
+    times the ``Decay``'s on each axis, so the weights have finite variance
+    (at least 1/4, which binds only near a divergent integral), and whose
+    shapes are bold eta + 1, at most the zero indices."""
     b = np.asarray(b, dtype=float)
-    eb = bold_values(eta, n)
-    d_b = float(schur_complement(b))
-    scales = np.concatenate([b[: n - 1], [d_b]])
-    tails = ([_clip(0.75 * dec.tail_index, 0.25)
-              for dec in _L24_decay(n, r, eta, b)] if n <= 2
-             else _fattened(r - eta))
-    radial = _betaprime_radial(n, eb, tails, scales)
-    u_b = b[n:][::-1] if n > 1 else np.empty(0)
+    decays = _L24_decay(n, r, eta, b)
+    tails = [_clip(0.75 * dec.tail_index, 0.25) for dec in decays]
+    radial = _betaprime_radial(n, bold_values(eta, n), tails,
+                               [dec.scale for dec in decays])
+    u_b, d_b = b[n:][::-1], decays[-1].scale
     border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
                         s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
               for j in range(n - 1)]
@@ -534,11 +524,19 @@ def _L24_reduction(r, eta, b):
 
 
 def _L24_decay(n, r, eta, b):
-    """At n = 2 the indices are those of ``_L24_reduction``'s density."""
-    if n == 1:
-        return (Decay(b[0], eta[0] + 1.0, r[0] - eta[0] - 1.0),)
-    return (Decay(b[0], eta[0] + 1.5, r[0] - eta[0] - 2.0),
-            Decay(float(schur_complement(b)), eta[1] + 1.0, r[1] - eta[1] - 1.5))
+    """The indices of L24's marginal densities, in bold values.  The u_j
+    enter only through D(y + b) = A + sum_j K_j (u_j - c_j)^2, A = D + D(b),
+    K_j = b_j / (y_j (y_j + b_j)), so the n - 1 border integrals are
+    Gaussian-type (as in ``_L24_reduction``) and leave prod_j K_j^(-1/2)
+    A^((n-1)/2 - r_n): a product of y_j^(eta_j + 1/2) (y_j + b_j)^(1/2 - r_j)
+    on each y_j, indices eta_j + 3/2 and r_j - eta_j - 2, and of
+    D^eta_n A^((n-1)/2 - r_n) on D, indices eta_n + 1 and
+    r_n - eta_n - (n+1)/2."""
+    rb, eb = bold_values(r, n), bold_values(eta, n)
+    return tuple(map(Decay, [*b[: n - 1], float(schur_complement(b))],
+                     [*(eb[:-1] + 1.5), eb[-1] + 1.0],
+                     [*((rb - eb)[:-1] - 2.0),
+                      (rb[-1] - eb[-1]) - (n + 1.0) / 2.0]))
 
 
 def _random_L24(n, rng):
@@ -628,6 +626,8 @@ def _L25_decay(n, r, v):
     either axis the mass beyond R falls like R^-min(r_1 - 2, 2 r_2 - 3)."""
     if n == 1:
         return (Decay(v[0], None, r[0] - 1.0),)
+    if n > 2:
+        raise InvalidInputError(f"L25 states no Decay at n = {n}")
     d = max(float(schur_complement(v)), 0.25 * v[1])
     tail = min(r[0] - 2.0, 2.0 * r[1] - 3.0)
     return tuple(Decay(s, None, tail)
@@ -749,14 +749,24 @@ def _tube_v_real_laws(n, centers, offsets):
     return tuple(laws)
 
 
+def _tube_decay(n, scale, zero_index, tail_index):
+    """The tube's one ``Decay``, on v at n = 1; none is stated above."""
+    if n > 1:
+        raise InvalidInputError(f"the tube states no Decay at n = {n}")
+    return (Decay(scale, zero_index, tail_index),)
+
+
 def tube_proposal(n, zero_exp, tail_exp, scales, centers) -> SamplerSpec:
     """Proposal for a power weight against kernel moduli on the tube.
 
-    Beta-prime radials matched to the weight near 0 and the tail exponents
-    at infinity, on the diagonal length ``scales``; Cauchy borders; real
-    parts whose Cauchy scales track the sampled imaginary part.
+    Beta-prime radials matched to the weight near 0 and, fattened by 1.25
+    (at least 0.5) so the importance ratio stays square-integrable at the
+    stated convergence margin, to the tail exponents at infinity, on the
+    diagonal length ``scales``; Cauchy borders; real parts whose Cauchy
+    scales track the sampled imaginary part.
     """
-    radial = _betaprime_radial(n, zero_exp, _fattened(tail_exp), scales)
+    radial = _betaprime_radial(n, zero_exp, [_clip(t - 1.25, 0.5)
+                                             for t in tail_exp], scales)
     border = [BorderLaw("cauchy", s0=0.3,
                         s1=float(math.sqrt(max(scales[n - 1], 0.3))))
               for _ in range(n - 1)]
@@ -799,9 +809,9 @@ def _mk_L26():
         sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
         point=TUBE_PAIR,
         random_params=_random_L26,
-        decay=lambda n, p, pt: (Decay(0.5 * (pt[0].y[0] + pt[1].y[0]),
-                                      p["l"][0] + 1.0,
-                                      p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),),
+        decay=lambda n, p, pt: _tube_decay(
+            n, 0.5 * (pt[0].y[0] + pt[1].y[0]), p["l"][0] + 1.0,
+            p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),
         dilation=1,
         reduction=lambda n, p, pt: (  # derived at n <= 2
             _L26_reduction(n, p["l"], p["r"], p["eta"], *pt) if n <= 2 else None),
@@ -861,8 +871,8 @@ def _mk_L27():
         sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
         point=tube_point(),
         random_params=_random_L27,
-        decay=lambda n, p, pt: (Decay(pt.y[0], p["l"][0] + 1.0,
-                                      p["r"][0] - p["l"][0] - 2.0),),
+        decay=lambda n, p, pt: _tube_decay(
+            n, pt.y[0], p["l"][0] + 1.0, p["r"][0] - p["l"][0] - 2.0),
         dilation=1,
         reduction=lambda n, p, pt: _L25_on_tube(n, p["l"], p["r"], pt),
     )

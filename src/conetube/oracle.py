@@ -383,8 +383,9 @@ def _quad_problem(ident, n: int, p: dict, point, region, rel_tol: float):
     A ``reduction`` is integrated wherever it leaves an axis: on the tube
     at n = 1 and at n = 2, where it leaves the slice (u_1, u_3) and the
     cone (y_1, D), which it takes as two arrays.  The n = 2 cone without
-    one integrates (y_1, tau, D) with u_1 = loc(y_1) + scale(y_1) tau, its
-    border law standardized, so one grid resolves the ridge at every y_1.
+    one (the Laplace and kernel pairs) integrates (y_1, tau, D) with u_1 =
+    loc(y_1) + scale(y_1) tau, its Gaussian border law standardized, so one
+    grid resolves the ridge at every y_1.
     """
     f = _lhs_integrand(ident.id, n, p, point, region)  # checks the region
     reduced = (ident.reduction(n, p, point) if ident.reduction is not None
@@ -399,8 +400,7 @@ def _quad_problem(ident, n: int, p: dict, point, region, rel_tol: float):
     if reduced is not None:
         return reduced, axes, left
     blaw = ident.sampler(n, p, point).border[0]
-    axes.insert(1, ("lin", -12.0, 12.0) if blaw.kind == "gaussian"
-                else ("real", 1.0, -REAL_HALF, REAL_HALF))
+    axes.insert(1, ("lin", -12.0, 12.0))
 
     def f_axes(y1, tau, d):
         y1b, taub, db = np.broadcast_arrays(y1, tau, d)

@@ -13,10 +13,11 @@ from conetube.errors import (ConeDomainError, ConvergenceDomainError,
                              ConventionError, InvalidInputError)
 from conetube.geometry import (TubePoint, canonical_to_coords, complex_minors,
                                complex_power_from_minors, delta_power)
-from conetube.identities import (IDENTITY_IDS, TWO_PI, IdentityDef, check_params,
-                                 closed_form, closed_value, get_identity,
-                                 kernel_region_integrand, random_cone_vector,
-                                 random_params, random_point, structure_value)
+from conetube.identities import (IDENTITY_IDS, TWO_PI, Decay, IdentityDef,
+                                 check_params, closed_form, closed_value,
+                                 get_identity, kernel_region_integrand,
+                                 random_cone_vector, random_params,
+                                 random_point, structure_value)
 from conetube.indices import Convention, MultiIndex, bold_values, shift_index
 from conetube.oracle import (_tensor_pass, oracle_estimate, quad_iterated,
                              verify_identity)
@@ -356,6 +357,43 @@ def _marginal(f, decays, axis, cone):
                                              0.125)[0].real for x in xs])
 
 
+def _mc_marginal(ident, n, params, point, axis, count=100_000, seed=3):
+    """xs -> the modulus of a cone integrand integrated over every canonical
+    coordinate but ``axis``, at each x of xs, by Monte Carlo: one fixed set
+    of draws from the identity's own proposal, with each border coordinate
+    kept standardized by its conditional law, u_j = loc(y_j) + scale(y_j)
+    tau_j, so that the same draws serve every x."""
+    spec = ident.sampler(n, params, point)
+    f = ident.integrand(n, params, point)
+    rng = np.random.default_rng(seed)
+    drawn = [law.sample(rng, count) for law in spec.radial]
+    taus = []
+    for law, y in zip(spec.border, drawn):
+        loc, scale = law.loc_scale(y)
+        taus.append((law.sample(rng, y) - loc) / scale)
+
+    def g(x):
+        radial = list(drawn)
+        radial[axis] = np.full(count, x)
+        logq = sum(law.logpdf(y) for k, (law, y) in
+                   enumerate(zip(spec.radial, radial)) if k != axis)
+        borders = []
+        for law, y, tau in zip(spec.border, radial, taus):
+            loc, scale = law.loc_scale(y)
+            borders.append(loc + scale * tau)
+            logq = logq + law.logpdf(borders[-1], y)
+        coords = canonical_to_coords(np.stack(radial[:-1], axis=-1),
+                                     np.stack(borders, axis=-1), radial[-1])
+        return float(np.mean(np.abs(f(coords, radial[-1])) * np.exp(-logq)))
+    return g
+
+
+def _log_slope(g, x):
+    """d log(x g(x)) / d log x at x, over one e-fold around it."""
+    lo, hi = x * math.exp(-0.5), x * math.exp(0.5)
+    return math.log(hi * g(hi) / (lo * g(lo)))
+
+
 class TestDecay:
     """The registry's decay indices are the log-slopes of the quadrature
     integrand's mass density x g(x) at the two ends of each axis; at n = 2
@@ -391,20 +429,70 @@ class TestDecay:
                 self.check(decays, [[_marginal(f, decays, k, cone=True)
                                      for f in fs] for k in range(2)], 20.0)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_l24_proposal_tails_within_the_decay(self, n, rng):
-        # a beta-prime tail index above the marginal's tail index makes the
-        # weights grow without bound along that axis, and from twice it on
-        # their variance is infinite
-        ident = get_identity("L24")
-        for _ in range(200):
-            params = random_params("L24", n, rng)
-            point = random_point("L24", n, rng)
-            radial = ident.sampler(n, params, point).radial
-            decays = ident.decay(n, params, point)
-            assert len(radial) == len(decays) == n
-            for law, dec in zip(radial, decays):
-                assert law.kind == "betaprime" and law.b <= dec.tail_index
+    @pytest.mark.parametrize("ident_id", ["L23_2", "COR1_2", "L24"])
+    def test_n3_indices_are_monte_carlo_log_slopes(self, ident_id, rng):
+        # no quadrature reaches n = 3, so each axis's marginal is a Monte
+        # Carlo mean (``_mc_marginal``); its log-slopes e^8 scales from the
+        # axis scale read to within 0.15, so an index off by 1/2 fails.
+        # L24's third set has r_1 - eta_1 = 2.5: outside c5_range, which
+        # asks r_j > eta_j + 3 at n = 3, it still has a y_1 tail index of
+        # 1/2, so the integral converges from r_j > eta_j + 2
+        ident = get_identity(ident_id)
+        sets = [random_params(ident_id, 3, rng) for _ in range(2)]
+        if ident_id == "L24":
+            sets.append({"r": np.array([2.3, 3.1, 3.0]),
+                         "eta": np.array([-0.2, 0.1, 0.5])})
+        for params in sets:
+            point = random_point(ident_id, 3, rng)
+            for axis, dec in enumerate(ident.decay(3, params, point)):
+                g = _mc_marginal(ident, 3, params, point, axis)
+                assert _log_slope(g, dec.scale * math.exp(-8.0)) == \
+                    pytest.approx(dec.zero_index, abs=0.15), (axis, dec)
+                if math.isinf(dec.tail_index):  # exponential decay
+                    assert _log_slope(g, dec.scale * math.exp(5.0)) < -50.0
+                else:
+                    assert -_log_slope(g, dec.scale * math.exp(8.0)) == \
+                        pytest.approx(dec.tail_index, abs=0.15), (axis, dec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cone_proposals_within_the_decay(self, n, rng):
+        # a proposal lighter than the integrand's marginal at either end of
+        # an axis makes the weights grow without bound there: a shape above
+        # the zero index near 0; far out a beta-prime tail index above the
+        # tail index (from twice it their variance is infinite) or a gamma
+        # rate above 1 / scale
+        for ident_id in ("L23_1", "L23_2", "COR1_1", "COR1_2", "L24"):
+            ident = get_identity(ident_id)
+            for _ in range(50):
+                params = random_params(ident_id, n, rng)
+                point = random_point(ident_id, n, rng)
+                radial = ident.sampler(n, params, point).radial
+                decays = ident.decay(n, params, point)
+                assert len(radial) == len(decays) == n
+                for law, dec in zip(radial, decays):
+                    assert law.a <= dec.zero_index, (ident_id, law, dec)
+                    if law.kind == "betaprime":
+                        assert law.b <= dec.tail_index, (ident_id, law, dec)
+                    else:  # 1 / scale rounds back to the rate within an ulp
+                        assert law.b * dec.scale <= 1.0 + 1e-12, (ident_id, law, dec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decay_is_stated_or_raises(self, n, rng):
+        # one Decay per windowed axis: the cone's n radial axes at every
+        # order; the slice's u (n = 1) and (u_1, u_3) (n = 2); the tube's v
+        # (n = 1).  At any other order there is no statement to give
+        axes = {"cone": n, "slice": {1: 1, 2: 2}.get(n), "tube": {1: 1}.get(n)}
+        for ident_id in IDENTITY_IDS:
+            ident = get_identity(ident_id)
+            params = random_params(ident_id, n, rng)
+            point = random_point(ident_id, n, rng)
+            if axes[ident.domain] is None:
+                with pytest.raises(InvalidInputError):
+                    ident.decay(n, params, point)
+            else:
+                decays = ident.decay(n, params, point)
+                assert len(decays) == axes[ident.domain], ident_id
+                assert all(isinstance(dec, Decay) for dec in decays), ident_id
 
     @staticmethod
     def check(decays, densities, far, shared_tail=False):
