@@ -167,11 +167,15 @@ def _tube_real_laws(n, centers, diag_scales):
     return tuple(laws)
 
 
-def _betaprime_radial(n, zero_exp, tails, scales):
-    """Beta-prime laws matched to y^zero_exp near 0 whose mass beyond R
-    falls like R^-tails[j]."""
-    return [RadialLaw("betaprime", _clip(zero_exp[j] + 1.0, 0.4), tails[j],
-                      _clip(scales[j], 1e-6)) for j in range(n)]
+def _betaprime_radial(zero_exp, decays):
+    """Beta-prime laws on the ``Decay`` scales, matched to y^zero_exp near
+    0, whose tail index is 0.75 times the ``Decay``'s on each axis, so the
+    weights have finite variance (at least 1/4, which binds only near a
+    divergent integral)."""
+    return tuple(RadialLaw("betaprime", _clip(a + 1.0, 0.4),
+                           _clip(0.75 * dec.tail_index, 0.25),
+                           _clip(dec.scale, 1e-6))
+                 for a, dec in zip(zero_exp, decays))
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +484,16 @@ def _L24_integrand(n, r, eta, b):
 
 
 def _L24_sampler(n, r, eta, b):
-    """Beta-prime radials on the ``Decay`` scales whose tail index is 0.75
-    times the ``Decay``'s on each axis, so the weights have finite variance
-    (at least 1/4, which binds only near a divergent integral), and whose
+    """Beta-prime radials from the ``Decay`` (``_betaprime_radial``) whose
     shapes are bold eta + 1, at most the zero indices."""
     b = np.asarray(b, dtype=float)
     decays = _L24_decay(n, r, eta, b)
-    tails = [_clip(0.75 * dec.tail_index, 0.25) for dec in decays]
-    radial = _betaprime_radial(n, bold_values(eta, n), tails,
-                               [dec.scale for dec in decays])
     u_b, d_b = b[n:][::-1], decays[-1].scale
     border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
                         s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
               for j in range(n - 1)]
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
+    return SamplerSpec(n=n, radial=_betaprime_radial(bold_values(eta, n), decays),
+                       border=tuple(border))
 
 
 def _L24_reduction(r, eta, b):
@@ -523,20 +523,25 @@ def _L24_reduction(r, eta, b):
     return f
 
 
-def _L24_decay(n, r, eta, b):
-    """The indices of L24's marginal densities, in bold values.  The u_j
-    enter only through D(y + b) = A + sum_j K_j (u_j - c_j)^2, A = D + D(b),
-    K_j = b_j / (y_j (y_j + b_j)), so the n - 1 border integrals are
-    Gaussian-type (as in ``_L24_reduction``) and leave prod_j K_j^(-1/2)
-    A^((n-1)/2 - r_n): a product of y_j^(eta_j + 1/2) (y_j + b_j)^(1/2 - r_j)
-    on each y_j, indices eta_j + 3/2 and r_j - eta_j - 2, and of
-    D^eta_n A^((n-1)/2 - r_n) on D, indices eta_n + 1 and
-    r_n - eta_n - (n+1)/2."""
-    rb, eb = bold_values(r, n), bold_values(eta, n)
+def _power_decay(n, gap, eta, b):
+    """The indices of the cone density y^eta Delta^-(eta + gap)(y + b), in
+    bold values.  The u_j enter only through D(y + b) = A + sum_j K_j
+    (u_j - c_j)^2, A = D + D(b), K_j = b_j / (y_j (y_j + b_j)), so the n - 1
+    border integrals are Gaussian-type (as in ``_L24_reduction``) and leave
+    prod_j K_j^(-1/2) A^((n-1)/2 - eta_n - gap_n): a product of
+    y_j^(eta_j + 1/2) (y_j + b_j)^(1/2 - eta_j - gap_j) on each y_j, indices
+    eta_j + 3/2 and gap_j - 2 on the scale b_j, and of
+    D^eta_n A^((n-1)/2 - eta_n - gap_n) on D, indices eta_n + 1 and
+    gap_n - (n+1)/2 on the scale D(b)."""
     return tuple(map(Decay, [*b[: n - 1], float(schur_complement(b))],
-                     [*(eb[:-1] + 1.5), eb[-1] + 1.0],
-                     [*((rb - eb)[:-1] - 2.0),
-                      (rb[-1] - eb[-1]) - (n + 1.0) / 2.0]))
+                     [*(eta[:-1] + 1.5), eta[-1] + 1.0],
+                     [*(gap[:-1] - 2.0), gap[-1] - (n + 1.0) / 2.0]))
+
+
+def _L24_decay(n, r, eta, b):
+    """L24's integrand is ``_power_decay``'s density at gap = bold r - bold eta."""
+    eb = bold_values(eta, n)
+    return _power_decay(n, bold_values(r, n) - eb, eb, b)
 
 
 def _random_L24(n, rng):
@@ -749,38 +754,34 @@ def _tube_v_real_laws(n, centers, offsets):
     return tuple(laws)
 
 
-def _tube_decay(n, scale, zero_index, tail_index):
-    """The tube's one ``Decay``, on v at n = 1; none is stated above."""
-    if n > 1:
-        raise InvalidInputError(f"the tube states no Decay at n = {n}")
-    return (Decay(scale, zero_index, tail_index),)
+def _tube_decay(n, k, l, y):
+    """The tube's ``Decay`` on the radial axes of v for the weight v^l
+    against kernel moduli of total bold exponent k at imaginary part y.
+    Integrating the real parts is the slice identity, which leaves
+    v^l Delta^(-k + J)(y + v), J = (3/2, ..., 3/2, (n+1)/2) the Jacobian
+    exponents of the diagonal congruences: ``_power_decay``'s density at
+    eta = bold l, gap = k - bold l - J.  Far out the two kernels of L26
+    both act as one of exponent k = bold r + bold eta.  Each tail is the
+    difference k - bold l minus constants, which at n = 1 is exact."""
+    lb = bold_values(l, n)
+    jac = np.append(np.full(n - 1, 1.5), (n + 1.0) / 2.0)
+    return _power_decay(n, (k - lb) - jac, lb, y)
 
 
-def tube_proposal(n, zero_exp, tail_exp, scales, centers) -> SamplerSpec:
+def tube_proposal(n, zero_exp, decays, y, centers) -> SamplerSpec:
     """Proposal for a power weight against kernel moduli on the tube.
 
-    Beta-prime radials matched to the weight near 0 and, fattened by 1.25
-    (at least 0.5) so the importance ratio stays square-integrable at the
-    stated convergence margin, to the tail exponents at infinity, on the
-    diagonal length ``scales``; Cauchy borders; real parts whose Cauchy
-    scales track the sampled imaginary part.
+    Beta-prime radials from the ``Decay`` (``_betaprime_radial``); Cauchy
+    borders; real parts whose Cauchy scales track the sampled imaginary
+    part, on the diagonal lengths y_1..y_n of the imaginary part y.
     """
-    radial = _betaprime_radial(n, zero_exp, [_clip(t - 1.25, 0.5)
-                                             for t in tail_exp], scales)
+    scales = y[:n]
     border = [BorderLaw("cauchy", s0=0.3,
                         s1=float(math.sqrt(max(scales[n - 1], 0.3))))
               for _ in range(n - 1)]
-    real = _tube_v_real_laws(n, centers, scales)
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
-
-
-def _L26_sampler(n, l, r, eta, point):
-    z, xi = point
-    lb = bold_values(l, n)
-    tail = (r + eta - l) - (n + 1.0) / 2.0
-    diag = 0.5 * (z.y[:n] + xi.y[:n])
-    centers_diag = 0.5 * (z.x + xi.x)
-    return tube_proposal(n, lb, tail, diag, centers_diag)
+    return SamplerSpec(n=n, radial=_betaprime_radial(zero_exp, decays),
+                       border=tuple(border),
+                       real=_tube_v_real_laws(n, centers, scales))
 
 
 def _random_L26(n, rng):
@@ -798,6 +799,9 @@ def _random_L26(n, rng):
 
 
 def _mk_L26():
+    def decay(n, p, pt):  # at the mean imaginary part of z and xi
+        return _tube_decay(n, bold_values(p["r"], n) + bold_values(p["eta"], n),
+                           p["l"], 0.5 * (pt[0].y + pt[1].y))
     return IdentityDef(
         id="L26", label="tube kernel product", domain="tube",
         param_names=("l", "r", "eta"), convention=Convention.SHIFTED,
@@ -806,12 +810,12 @@ def _mk_L26():
         structure=lambda n, p, pt: _structure_L26(n, p["l"], p["r"], p["eta"], *pt),
         stated_constant=lambda n, p: C.c7(n, p["l"], p["r"], p["eta"]),
         integrand=lambda n, p, pt: _L26_integrand(n, p["l"], p["r"], p["eta"], pt),
-        sampler=lambda n, p, pt: _L26_sampler(n, p["l"], p["r"], p["eta"], pt),
+        sampler=lambda n, p, pt: tube_proposal(
+            n, bold_values(p["l"], n), decay(n, p, pt),
+            0.5 * (pt[0].y + pt[1].y), 0.5 * (pt[0].x + pt[1].x)),
         point=TUBE_PAIR,
         random_params=_random_L26,
-        decay=lambda n, p, pt: _tube_decay(
-            n, 0.5 * (pt[0].y[0] + pt[1].y[0]), p["l"][0] + 1.0,
-            p["r"][0] + p["eta"][0] - p["l"][0] - 2.0),
+        decay=decay,
         dilation=1,
         reduction=lambda n, p, pt: (  # derived at n <= 2
             _L26_reduction(n, p["l"], p["r"], p["eta"], *pt) if n <= 2 else None),
@@ -846,12 +850,6 @@ def _L25_on_tube(n, l, r, z: TubePoint):
     return f
 
 
-def _L27_sampler(n, l, r, z: TubePoint):
-    lb = bold_values(l, n)
-    tail = (r - l) - (n + 1.0) / 2.0
-    return tube_proposal(n, lb, tail, z.y[:n], z.x)
-
-
 def _random_L27(n, rng):
     l = _low_index(n, rng, 0.8)
     r = l.copy()
@@ -861,6 +859,8 @@ def _random_L27(n, rng):
 
 
 def _mk_L27():
+    def decay(n, p, pt):
+        return _tube_decay(n, bold_values(p["r"], n), p["l"], pt.y)
     return IdentityDef(
         id="L27", label="tube kernel modulus", domain="tube",
         param_names=("l", "r"), convention=Convention.SHIFTED, complex_valued=False,
@@ -868,11 +868,11 @@ def _mk_L27():
         structure=lambda n, p, pt: _structure_L27(n, p["l"], p["r"], pt),
         stated_constant=lambda n, p: C.c8(n, p["l"], p["r"]),
         integrand=lambda n, p, pt: _L27_integrand(n, p["l"], p["r"], pt),
-        sampler=lambda n, p, pt: _L27_sampler(n, p["l"], p["r"], pt),
+        sampler=lambda n, p, pt: tube_proposal(
+            n, bold_values(p["l"], n), decay(n, p, pt), pt.y, pt.x),
         point=tube_point(),
         random_params=_random_L27,
-        decay=lambda n, p, pt: _tube_decay(
-            n, pt.y[0], p["l"][0] + 1.0, p["r"][0] - p["l"][0] - 2.0),
+        decay=decay,
         dilation=1,
         reduction=lambda n, p, pt: _L25_on_tube(n, p["l"], p["r"], pt),
     )

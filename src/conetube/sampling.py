@@ -15,8 +15,8 @@ identity integrates x_n in closed form, nothing is drawn for it.
 
 Dominance is the preset designer's responsibility: the chosen law must have
 tails at least as heavy as the integrand along every coordinate, which the
-cone presets read off the registry's ``Decay`` and the tube presets arrange
-from the closed-form exponents.
+cone and tube presets read off the registry's ``Decay`` on every radial
+axis.
 """
 
 from __future__ import annotations

@@ -266,6 +266,31 @@ class TestRaoBlackwell:
                 (params, reduced, full)
 
 
+class TestTubeTruth:
+    """L27 at n = 2 on the README n = 2 audit's own cases: its draws
+    (``default_rng(42)``, three per identity in registry order) at its
+    seeds 42 + 977 i.  The truth is the scaling lab's composition: the
+    x-integral is the slice identity, L25's calibrated constant, and it
+    leaves L24's integrand at (r - 3/2, l) translated by y_z, which
+    quadrature integrates."""
+
+    def test_audit_cases_meet_the_slice_truth(self):
+        rng = np.random.default_rng(42)
+        cases = [(ident_id, random_params(ident_id, 2, rng),
+                  random_point(ident_id, 2, rng))
+                 for ident_id in IDENTITY_IDS for _ in range(3)]
+        for i, (ident_id, params, z) in enumerate(cases):
+            if ident_id != "L27":
+                continue
+            truth = (calibrated_constant("L25", 2, {"r": params["r"]})
+                     * quad_iterated("L24", {"r": params["r"] - 1.5,
+                                             "eta": params["l"]}, z.y).value)
+            est = oracle_estimate("L27", params, z, 200_000, 42 + 977 * i,
+                                  method="mc")
+            assert est.std_error <= 0.015 * est.value, (i, est)
+            assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 class TestParallelMap:
     def test_results_come_back_in_item_order(self, monkeypatch, threads):
