@@ -148,16 +148,14 @@ def _cone_laplace_preset(n, t, decays, c):
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
 
 
-def _tube_real_laws(n, centers, diag_scales):
-    """Real-part laws from n diagonal length scales.
+def _slice_real_laws(n, diag_scales):
+    """The slice's real-part laws from n diagonal length scales.
 
-    Diagonals get static Cauchy laws; each border coordinate gets a law
+    Diagonals get static Cauchy laws at 0; each border coordinate gets a law
     conditioned on its diagonal partner, because the kernel moduli decay
     only linearly along directions where a border tracks a large diagonal.
     """
-    laws = []
-    for j in range(n):
-        laws.append(CauchyLaw(float(centers[j]), float(diag_scales[j] + REAL_PAD)))
+    laws = [CauchyLaw(0.0, float(diag_scales[j] + REAL_PAD)) for j in range(n)]
     for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
         j = 2 * n - k
         s1 = math.sqrt(diag_scales[n - 1]) + REAL_PAD
@@ -176,6 +174,17 @@ def _betaprime_radial(zero_exp, decays):
                            _clip(0.75 * dec.tail_index, 0.25),
                            _clip(dec.scale, 1e-6))
                  for a, dec in zip(zero_exp, decays))
+
+
+def _power_proposal(n, zero_exp, decays, b, widths, real=None) -> SamplerSpec:
+    """The cone part for y^eta Delta^-(eta + gap)(y + b) (``_power_decay``),
+    with real-part laws ``real``: ``_betaprime_radial``'s radials, and Cauchy
+    borders of scale 0.3 + widths_j sqrt(y_j) at u_j = y_j u_bj / b_j, where
+    D(y + b) is least (``_L24_integrand``)."""
+    border = tuple(BorderLaw("cauchy", mu1=float(m), s0=0.3, s1=float(w))
+                   for m, w in zip(border_reversed(b) / b[: n - 1], widths))
+    return SamplerSpec(n=n, radial=_betaprime_radial(zero_exp, decays),
+                       border=border, real=real)
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +493,13 @@ def _L24_integrand(n, r, eta, b):
 
 
 def _L24_sampler(n, r, eta, b):
-    """Beta-prime radials from the ``Decay`` (``_betaprime_radial``) whose
-    shapes are bold eta + 1, at most the zero indices."""
+    """``_power_proposal`` at b, radial shapes bold eta + 1 (at most the zero
+    indices), border widths sqrt((D(b) + 1/2)(1 + b_j) / b_j)."""
     b = np.asarray(b, dtype=float)
     decays = _L24_decay(n, r, eta, b)
-    u_b, d_b = b[n:][::-1], decays[-1].scale
-    border = [BorderLaw("cauchy", mu0=float(-u_b[j]),
-                        s0=0.3, s1=float(math.sqrt((d_b + 0.5) * (1.0 + b[j]) / b[j])))
-              for j in range(n - 1)]
-    return SamplerSpec(n=n, radial=_betaprime_radial(bold_values(eta, n), decays),
-                       border=tuple(border))
+    bd = b[: n - 1]
+    widths = np.sqrt((decays[-1].scale + 0.5) * (1.0 + bd) / bd)
+    return _power_proposal(n, bold_values(eta, n), decays, b, widths)
 
 
 def _L24_reduction(r, eta, b):
@@ -639,14 +645,11 @@ def _L25_decay(n, r, v):
                  for s in (float(v[0]), math.sqrt(float(v[0]) * d)))
 
 
-def _L25_sampler(n, r, v):
+def _L25_sampler(n, v):
     v = np.asarray(v, dtype=float)
     diag = v[:n].copy()
     diag[n - 1] = max(float(schur_complement(v)), diag[n - 1] * 0.5)
-    radial = [RadialLaw("gamma", 1.0, 1.0)] * n          # unused placeholders
-    border = [BorderLaw("gaussian")] * (n - 1)
-    real = _tube_real_laws(n, np.zeros(2 * n - 1), diag)
-    return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border), real=real)
+    return SamplerSpec(n=n, real=_slice_real_laws(n, diag))
 
 
 def _random_L25(n, rng):
@@ -663,7 +666,7 @@ def _mk_L25():
         structure=lambda n, p, pt: _structure_L25(n, p["r"], pt),
         stated_constant=lambda n, p: C.c6(n, p["r"]),
         integrand=lambda n, p, pt: _L25_integrand(n, p["r"], pt),
-        sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
+        sampler=lambda n, p, pt: _L25_sampler(n, pt),
         point=cone_vector("v"),
         random_params=_random_L25,
         decay=lambda n, p, pt: _L25_decay(n, p["r"], np.asarray(pt, dtype=float)),
@@ -771,17 +774,13 @@ def _tube_decay(n, k, l, y):
 def tube_proposal(n, zero_exp, decays, y, centers) -> SamplerSpec:
     """Proposal for a power weight against kernel moduli on the tube.
 
-    Beta-prime radials from the ``Decay`` (``_betaprime_radial``); Cauchy
-    borders; real parts whose Cauchy scales track the sampled imaginary
-    part, on the diagonal lengths y_1..y_n of the imaginary part y.
+    ``_power_proposal`` at b = y (``_tube_decay``), border widths
+    sqrt(max(y_n, 0.3)); real parts whose Cauchy scales track the sampled
+    imaginary part, on the diagonal lengths y_1..y_n of y.
     """
-    scales = y[:n]
-    border = [BorderLaw("cauchy", s0=0.3,
-                        s1=float(math.sqrt(max(scales[n - 1], 0.3))))
-              for _ in range(n - 1)]
-    return SamplerSpec(n=n, radial=_betaprime_radial(zero_exp, decays),
-                       border=tuple(border),
-                       real=_tube_v_real_laws(n, centers, scales))
+    widths = [math.sqrt(max(y[n - 1], 0.3))] * (n - 1)
+    return _power_proposal(n, zero_exp, decays, y, widths,
+                           real=_tube_v_real_laws(n, centers, y[:n]))
 
 
 def _random_L26(n, rng):

@@ -182,19 +182,20 @@ class VCauchyLaw(_Cauchy):
 class SamplerSpec:
     """Complete importance law: cone part plus optional tube real part.
 
-    radial has length n (the y_j laws followed by the D law); border has
-    length n-1; real, when present, has length m = 2n-1.  A real law reads
-    only the diagonals before x_n, so x_n's may be ``None``: integrated,
-    neither drawn nor weighted (``integrating_last_real``).
+    radial has length n (the y_j laws, then D's) and border n-1, or both are
+    empty where only real parts are drawn; real has length m = 2n-1.  A real
+    law reads only the diagonals before x_n, so x_n's may be ``None``:
+    integrated, neither drawn nor weighted (``integrating_last_real``).
     """
 
     n: int
-    radial: tuple
-    border: tuple
+    radial: tuple = ()
+    border: tuple = ()
     real: tuple | None = None
 
     def __post_init__(self):
-        if len(self.radial) != self.n or len(self.border) != self.n - 1:
+        cone = (len(self.radial), len(self.border))
+        if cone != (self.n, self.n - 1) and (any(cone) or self.real is None):
             raise InvalidInputError("sampler law counts do not match the order n")
         if self.real is not None and len(self.real) != 2 * self.n - 1:
             raise InvalidInputError("real-part law count must equal 2n-1")

@@ -11,13 +11,14 @@ import conetube
 from conetube import constants as C
 from conetube.errors import (ConeDomainError, ConvergenceDomainError,
                              ConventionError, InvalidInputError)
-from conetube.geometry import (TubePoint, canonical_to_coords, complex_minors,
-                               complex_power_from_minors, delta_power)
+from conetube.geometry import (TubePoint, border_reversed, canonical_to_coords,
+                               complex_minors, complex_power_from_minors,
+                               delta_power, schur_complement)
 from conetube.identities import (IDENTITY_IDS, TWO_PI, Decay, IdentityDef,
-                                 check_params, closed_form, closed_value,
-                                 get_identity, kernel_region_integrand,
-                                 random_cone_vector, random_params,
-                                 random_point, structure_value)
+                                 _L24_integrand, check_params, closed_form,
+                                 closed_value, get_identity,
+                                 kernel_region_integrand, random_cone_vector,
+                                 random_params, random_point, structure_value)
 from conetube.indices import Convention, MultiIndex, bold_values, shift_index
 from conetube.oracle import (_tensor_pass, oracle_estimate, quad_iterated,
                              verify_identity)
@@ -538,6 +539,51 @@ class TestDecay:
             attained = [min(tails)] if shared_tail else tails
             assert attained == pytest.approx(
                 [dec.tail_index for dec in decays][:len(attained)], abs=1e-6)
+
+
+class TestPowerProposal:
+    """L24, L26 and L27 share the cone density y^eta Delta^-(eta + gap)(y + b)
+    at the b of their ``Decay``: the point for L24, y_z for L27 and
+    (y_z + y_xi) / 2 for L26.  Each border law sits at u_j = y_j u_bj / b_j,
+    where D(y + b) is least."""
+
+    B = {"L24": lambda pt: np.asarray(pt, dtype=float),
+         "L26": lambda pt: 0.5 * (pt[0].y + pt[1].y),
+         "L27": lambda pt: pt.y}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_borders_sit_where_d_of_y_plus_b_is_least(self, n, rng):
+        for ident_id, family_b in self.B.items():
+            ident = get_identity(ident_id)
+            for _ in range(20):
+                params = random_params(ident_id, n, rng)
+                point = random_point(ident_id, n, rng)
+                b = family_b(point)
+                slope = border_reversed(b) / b[: n - 1]
+                y = np.exp(rng.uniform(-3.0, 3.0, size=n - 1))
+                border = ident.sampler(n, params, point).border
+                assert len(border) == n - 1 and np.all(slope != 0.0)
+                for j, law in enumerate(border):
+                    loc, _ = law.loc_scale(y[j])
+                    assert loc == pytest.approx(y[j] * slope[j], rel=1e-14)
+                    if n == 2:
+                        self.check_argmax(b, y[j], loc, rng)
+
+    @staticmethod
+    def check_argmax(b, y1, loc, rng):
+        """At fixed (y_1, D), ``_L24_integrand`` at b is largest over u_1 at
+        ``loc``: on a grid of +-4 conditional widths sqrt(A y_1 (y_1 + b_1)
+        / b_1), A = D + D(b), it peaks at the centre node and falls on
+        either side of it."""
+        p = random_params("L24", 2, rng)
+        f = _L24_integrand(2, p["r"], p["eta"], b)
+        d = math.exp(rng.uniform(-3.0, 3.0))
+        width = math.sqrt((d + schur_complement(b)) * y1 * (y1 + b[0]) / b[0])
+        u = loc + width * np.linspace(-4.0, 4.0, 801)
+        vals = f(canonical_to_coords(np.full((u.size, 1), y1), u[:, None],
+                                     np.full(u.size, d)), np.full(u.size, d))
+        assert np.argmax(vals) == 400
+        assert vals[399] < vals[400] and vals[401] < vals[400]
 
 
 class TestTubeReduction:

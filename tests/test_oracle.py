@@ -18,6 +18,7 @@ from conetube.errors import (AccuracyError, ConvergenceDomainError,
 from conetube.geometry import TubePoint, is_in_cone
 from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
                                  random_point, read_params, structure_value)
+from conetube.indices import bold_values
 from conetube import identities, oracle
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              MISMATCH, READOFF_POINTS, SCALING_LAMS,
@@ -87,6 +88,20 @@ class TestSamplers:
                 coords, d, logpdf = sample_cone(spec, 2000, rng)
                 assert np.all(is_in_cone(coords))
                 assert np.all(d > 0) and np.all(np.isfinite(logpdf))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slice_law_states_only_what_it_draws(self, n, rng):
+        # L25's law has real parts and no cone part; a spec must have a
+        # complete cone part or, with real parts, none
+        ident = get_identity("L25")
+        spec = ident.sampler(n, random_params("L25", n, rng),
+                             random_point("L25", n, rng))
+        assert (spec.radial, spec.border) == ((), ())
+        assert len(spec.real) == 2 * n - 1
+        with pytest.raises(InvalidInputError):
+            SamplerSpec(n=n)
+        with pytest.raises(InvalidInputError):
+            SamplerSpec(n=n, border=spec.real[:1], real=spec.real)
 
     def test_n1_reduces_to_gamma_sampling(self, rng):
         coords, d, _ = sample_cone(GAMMA_SPEC_1D, 200_000, rng)
@@ -816,6 +831,32 @@ class TestScalingReadoff:
                 got = math.log(abs(c.ratio / c.predicted)) / math.log(c.lam)
                 assert got == pytest.approx(defect, abs=1e-9)
             assert _defect(checks) == pytest.approx(defect, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cor1_2_defect_is_the_dropped_next_to_top_factor(self, n):
+        # COR1_2's integrand is L23_2's at the bold index, and its structure
+        # is L23_2's there divided by M_{n-1}(z/i)^(n-2), of degree
+        # (n-1)(n-2): L23_2 at the bold index reads defect 0, COR1_2 that
+        # degree, +2 at n = 3.  At n <= 2 the factor is 1 and the two
+        # read-offs coincide
+        rng = np.random.default_rng(70 + n)
+        cor, lemma = get_identity("COR1_2"), get_identity("L23_2")
+        for _ in range(20):
+            pc = random_params("COR1_2", n, rng)
+            pl = {"s": bold_values(pc["s"], n)}
+            z = random_point("COR1_2", n, rng)
+            *args, _ = sample_cone(cor.sampler(n, pc, z), 1000, rng)
+            a, b = cor.integrand(n, pc, z)(*args), lemma.integrand(n, pl, z)(*args)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14
+            checks, bold = _readoff("COR1_2", n, pc, z), _readoff("L23_2", n, pl, z)
+            assert _defect(bold) == pytest.approx(0.0, abs=1e-9)
+            assert _defect(checks) == pytest.approx((n - 1) * (n - 2), abs=1e-9)
+            if n <= 2:
+                assert checks == bold
+            for c, c_bold in zip(checks, bold):
+                assert c.ratio == pytest.approx(c_bold.ratio, rel=1e-12)
+                assert c.predicted == pytest.approx(
+                    c_bold.predicted * c.lam ** -((n - 1) * (n - 2)), rel=1e-12)
 
     def _verify_patched(self, monkeypatch, **changes):
         """L24_CM verified with its registry entry changed, the first
