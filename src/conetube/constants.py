@@ -80,89 +80,84 @@ def _inf_past_range(formula):
 # C1 .. C4
 # ---------------------------------------------------------------------------
 
-def c1_range(n: int, s) -> list:
+def _bounds(n: int, s, last, lead, name: str = "s") -> list:
+    """Checks that the last plain entry of ``s`` exceeds last = (value,
+    text) and each leading entry lead = (value, text)."""
     v = plain_values(s, n)
-    checks = [(v[-1] > -1.0, f"s[{n}] > -1 (got {v[-1]})")]
-    checks += [(v[j] > -1.5, f"s[{j + 1}] > -3/2 (got {v[j]})") for j in range(n - 1)]
+    (a, a_text), (b, b_text) = last, lead
+    checks = [(v[-1] > a, f"{name}[{n}] > {a_text} (got {v[-1]})")]
+    checks += [(v[j] > b, f"{name}[{j + 1}] > {b_text} (got {v[j]})")
+               for j in range(n - 1)]
     return checks
 
 
 @_inf_past_range
-def c1(n: int, s) -> float:
-    """Normalizer of the cone Laplace transform of a plain minor power."""
-    v = plain_values(s, n)
-    _check(c1_range(n, s))
-    logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + 1.5) for x in v[:-1])
+def _laplace_normalizer(n: int, v: np.ndarray, shifted: bool) -> float:
+    """C1, or C3 where ``shifted``, at plain values v without its range
+    check; h is their border offset."""
+    h = (n + 1.0) / 2.0 if shifted else 1.5
+    logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + h) for x in v[:-1])
     if logval == math.inf:  # log-gamma outgrows the linear terms below
         return math.inf
     logval -= (2.0 * v[-1] + n + 1.0) * LOG2
-    logval -= (np.sum(v) + (3.0 * n - 1.0) / 2.0) * LOGPI
+    logval -= (np.sum(v) + ((n - 1.0) * h + 1.0)) * LOGPI
     return float(np.exp(logval))
 
 
-def c2_range(n: int, s) -> list:
-    v = plain_values(s, n)
-    checks = [(v[-1] > -(n + 1.0), f"s[{n}] > -(n+1) (got {v[-1]})")]
-    checks += [(v[j] > -2.5, f"s[{j + 1}] > -5/2 (got {v[j]})") for j in range(n - 1)]
-    return checks
-
-
 @_inf_past_range
-def c2(n: int, s) -> float:
-    """Normalizer of the inverse transform (kernel identity, plain index)."""
-    v = plain_values(s, n)
-    _check(c2_range(n, s))
-    logval = (np.sum(v) + n - 1.0) * LOG2 + (1.0 - 2.0 * n) * LOGPI
+def _kernel_ratio(n: int, v: np.ndarray, shifted: bool) -> float:
+    """The C2 Gamma ratio, or C4's where ``shifted``, at plain values v
+    without its range check; defined for every v.  Its power of 2 is
+    sum v + (n - 1)(h - 1/2) at the border offset h, rounded as each
+    constant has always rounded it (the two differ in the last bit at n = 2)."""
+    h = (n + 1.0) / 2.0 if shifted else 1.5
+    log2 = (np.sum(v) + n * (n - 1.0) / 2.0 if shifted
+            else np.sum(v) + n - 1.0)
+    logval = log2 * LOG2 + (1.0 - 2.0 * n) * LOGPI
     poly = _poch_ratio(v[-1] + 1.0, n)
     for j in range(n - 1):
-        poly *= v[j] + 1.5
+        poly *= v[j] + h
     return float(poly * np.exp(logval))
 
 
+def c1_range(n: int, s) -> list:
+    return _bounds(n, s, (-1.0, "-1"), (-1.5, "-3/2"))
+
+
+def c1(n: int, s) -> float:
+    """Normalizer of the cone Laplace transform of a plain minor power."""
+    _check(c1_range(n, s))
+    return _laplace_normalizer(n, plain_values(s, n), False)
+
+
+def c2_range(n: int, s) -> list:
+    return _bounds(n, s, (-(n + 1.0), "-(n+1)"), (-2.5, "-5/2"))
+
+
+def c2(n: int, s) -> float:
+    """Normalizer of the inverse transform (kernel identity, plain index)."""
+    _check(c2_range(n, s))
+    return _kernel_ratio(n, plain_values(s, n), False)
+
+
 def c3_range(n: int, s) -> list:
-    v = plain_values(s, n)
-    checks = [(v[-1] > -1.0, f"s[{n}] > -1 (got {v[-1]})")]
-    checks += [(v[j] > -(n + 1.0) / 2.0, f"s[{j + 1}] > -(n+1)/2 (got {v[j]})")
-               for j in range(n - 1)]
-    return checks
+    return _bounds(n, s, (-1.0, "-1"), (-(n + 1.0) / 2.0, "-(n+1)/2"))
 
 
-@_inf_past_range
 def c3(n: int, s) -> float:
     """Shifted-index analogue of c1."""
-    v = plain_values(s, n)
     _check(c3_range(n, s))
-    logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + (n + 1.0) / 2.0)
-                                          for x in v[:-1])
-    if logval == math.inf:  # log-gamma outgrows the linear terms below
-        return math.inf
-    logval -= (2.0 * v[-1] + n + 1.0) * LOG2
-    logval -= (np.sum(v) + (n * n + 1.0) / 2.0) * LOGPI
-    return float(np.exp(logval))
+    return _laplace_normalizer(n, plain_values(s, n), True)
 
 
 def c4_range(n: int, s) -> list:
-    v = plain_values(s, n)
-    checks = [(v[-1] > -(n + 1.0), f"s[{n}] > -(n+1) (got {v[-1]})")]
-    checks += [(v[j] > -(n + 3.0) / 2.0, f"s[{j + 1}] > -(n+3)/2 (got {v[j]})")
-               for j in range(n - 1)]
-    return checks
+    return _bounds(n, s, (-(n + 1.0), "-(n+1)"), (-(n + 3.0) / 2.0, "-(n+3)/2"))
 
 
 def c4(n: int, s) -> float:
     """Shifted-index analogue of c2."""
     _check(c4_range(n, s))
-    return _c4_formula(n, plain_values(s, n))
-
-
-@_inf_past_range
-def _c4_formula(n: int, v: np.ndarray) -> float:
-    """The C4 Gamma ratio without its range check; defined for every v."""
-    logval = (np.sum(v) + n * (n - 1.0) / 2.0) * LOG2 + (1.0 - 2.0 * n) * LOGPI
-    poly = _poch_ratio(v[-1] + 1.0, n)
-    for j in range(n - 1):
-        poly *= v[j] + (n + 1.0) / 2.0
-    return float(poly * np.exp(logval))
+    return _kernel_ratio(n, plain_values(s, n), True)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +188,7 @@ def c5(n: int, r, eta) -> float:
 
 
 def c6_range(n: int, r) -> list:
-    rv = plain_values(r, n)
-    checks = [(rv[-1] > (n + 1.0) / 2.0, f"r[{n}] > (n+1)/2 (got {rv[-1]})")]
-    checks += [(rv[j] > 1.5, f"r[{j + 1}] > 3/2 (got {rv[j]})") for j in range(n - 1)]
-    return checks
+    return _bounds(n, r, ((n + 1.0) / 2.0, "(n+1)/2"), (1.5, "3/2"), "r")
 
 
 def c6(n: int, r) -> float:
@@ -231,7 +223,7 @@ def c7(n: int, l, r, eta) -> float:
     lv, rv, ev = plain_values(l, n), plain_values(r, n), plain_values(eta, n)
     _check(c7_range(n, l, r, eta))
     # r + l - eta may leave C4's own range inside C7's; c7_range is the gate
-    return c3(n, lv) * _c4_formula(n, rv + lv - ev) / (c4(n, rv) * c4(n, ev))
+    return c3(n, lv) * _kernel_ratio(n, rv + lv - ev, True) / (c4(n, rv) * c4(n, ev))
 
 
 def c8_range(n: int, l, r) -> list:

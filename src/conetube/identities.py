@@ -176,13 +176,25 @@ def _betaprime_radial(zero_exp, decays):
                  for a, dec in zip(zero_exp, decays))
 
 
-def _power_proposal(n, zero_exp, decays, b, widths, real=None) -> SamplerSpec:
+def _power_proposal(n, zero_exp, decays, b, widths=None, real=None) -> SamplerSpec:
     """The cone part for y^eta Delta^-(eta + gap)(y + b) (``_power_decay``),
     with real-part laws ``real``: ``_betaprime_radial``'s radials, and Cauchy
-    borders of scale 0.3 + widths_j sqrt(y_j) at u_j = y_j u_bj / b_j, where
-    D(y + b) is least (``_L24_integrand``)."""
-    border = tuple(BorderLaw("cauchy", mu1=float(m), s0=0.3, s1=float(w))
-                   for m, w in zip(border_reversed(b) / b[: n - 1], widths))
+    borders at u_j = y_j u_bj / b_j, where D(y + b) is least.  Given (y_j, D)
+    the density reads u_j through (A + K_j (u_j - c_j)^2)^-rho, A = D + D(b),
+    K_j = b_j / (y_j (y_j + b_j)) (``_L24_integrand``), rho = eta_n + gap_n:
+    a Student-t law of nu = 2 rho - 1 degrees (floored at 1/4, as the radial
+    tails are) and scale sqrt(A / (K_j nu)), which is the border's scale,
+    or else 0.3 + widths_j sqrt(y_j).  eta_n is the last zero exponent and
+    gap_n - (n+1)/2 D's tail index."""
+    slopes = border_reversed(b) / b[: n - 1]
+    if widths is not None:
+        border = tuple(BorderLaw("cauchy", mu1=float(m), s0=0.3, s1=float(w))
+                       for m, w in zip(slopes, widths))
+    else:
+        nu = _clip(2.0 * (zero_exp[-1] + decays[-1].tail_index) + n, 0.25)
+        border = tuple(BorderLaw("cauchy", mu1=float(m), s1=1.0 / math.sqrt(bj * nu),
+                                 b=float(bj), d_b=decays[-1].scale)
+                       for m, bj in zip(slopes, b[: n - 1]))
     return SamplerSpec(n=n, radial=_betaprime_radial(zero_exp, decays),
                        border=border, real=real)
 
@@ -492,16 +504,6 @@ def _L24_integrand(n, r, eta, b):
     return f
 
 
-def _L24_sampler(n, r, eta, b):
-    """``_power_proposal`` at b, radial shapes bold eta + 1 (at most the zero
-    indices), border widths sqrt((D(b) + 1/2)(1 + b_j) / b_j)."""
-    b = np.asarray(b, dtype=float)
-    decays = _L24_decay(n, r, eta, b)
-    bd = b[: n - 1]
-    widths = np.sqrt((decays[-1].scale + 0.5) * (1.0 + bd) / bd)
-    return _power_proposal(n, bold_values(eta, n), decays, b, widths)
-
-
 def _L24_reduction(r, eta, b):
     """L24 at n = 2 with the border coordinate u integrated in closed form:
     a batch callable f(y_1, D) over arrays that broadcast together.
@@ -566,7 +568,8 @@ def _mk_L24():
         structure=lambda n, p, pt: _structure_L24(n, p["r"], p["eta"], pt),
         stated_constant=lambda n, p: C.c5(n, p["r"], p["eta"]),
         integrand=lambda n, p, pt: _L24_integrand(n, p["r"], p["eta"], pt),
-        sampler=lambda n, p, pt: _L24_sampler(n, p["r"], p["eta"], pt),
+        sampler=lambda n, p, pt: _power_proposal(
+            n, bold_values(p["eta"], n), _L24_decay(n, p["r"], p["eta"], pt), pt),
         point=cone_vector("b"),
         random_params=_random_L24,
         decay=lambda n, p, pt: _L24_decay(n, p["r"], p["eta"], pt),
@@ -775,8 +778,8 @@ def tube_proposal(n, zero_exp, decays, y, centers) -> SamplerSpec:
     """Proposal for a power weight against kernel moduli on the tube.
 
     ``_power_proposal`` at b = y (``_tube_decay``), border widths
-    sqrt(max(y_n, 0.3)); real parts whose Cauchy scales track the sampled
-    imaginary part, on the diagonal lengths y_1..y_n of y.
+    sqrt(max(y_n, 0.3)) until the n = 3 Schur check is consistent; real
+    parts whose Cauchy scales track the sampled imaginary part, on y_1..y_n.
     """
     widths = [math.sqrt(max(y[n - 1], 0.3))] * (n - 1)
     return _power_proposal(n, zero_exp, decays, y, widths,
@@ -961,9 +964,9 @@ def closed_form(identity_id: str, point, indices: dict,
 def random_params(identity_id: str, n: int, rng: np.random.Generator) -> dict:
     """In-range parameters with safety margins from every range boundary.
 
-    Margins keep the importance laws square-integrable (e.g. the last
-    exponent of L24's r stays above 1.05 so the Cauchy border proposal has
-    finite variance), which the dominance notes in the samplers assume.
+    Margins keep the importance laws square-integrable (e.g. L24's border
+    weights need bold r_n > 3/4, and the last exponent of r stays above
+    1.05), which the dominance notes in the samplers assume.
     """
     return get_identity(identity_id).random_params(n, rng)
 

@@ -404,7 +404,7 @@ def _quad_problem(ident, n: int, p: dict, point, region, rel_tol: float):
 
     def f_axes(y1, tau, d):
         y1b, taub, db = np.broadcast_arrays(y1, tau, d)
-        loc, scl = blaw.loc_scale(y1b)
+        loc, scl = blaw.loc_scale(y1b, db)
         u1b = (loc + scl * taub)[..., None]
         return f(canonical_to_coords(y1b[..., None], u1b, db), db) * scl
     return f_axes, axes, left

@@ -6,8 +6,8 @@ exactly computable density and no rejection step.  Radial coordinates
 (the y_j and D) use either a Gamma law (for exponentially decaying
 integrands) or a beta-prime law (for polynomially decaying ones, where a
 Gamma proposal would have catastrophically thin tails).  Border coordinates
-u_j are sampled conditionally on y_j with Gaussian or Cauchy laws whose
-location and scale may depend on y_j.  Tube real parts use Cauchy laws (the
+u_j are sampled conditionally on (y_j, D) with Gaussian or Cauchy laws whose
+location and scale may depend on them.  Tube real parts use Cauchy laws (the
 kernels decay only polynomially in x), one draw and log-density for all
 three; they differ only in the loc and scale read from the context.  A
 spec may mark the law of x_n integrated (a ``None`` entry): where an
@@ -74,33 +74,36 @@ class RadialLaw:
 
 @dataclass(frozen=True)
 class BorderLaw:
-    """Conditional law of a border coordinate u_j given its diagonal y_j.
-
-    Location mu0 + mu1 * y, scale s0 + s1 * sqrt(y); kind "gaussian" or
-    "cauchy".
+    """Conditional law of a border coordinate u_j given its diagonal y_j and
+    D; kind "gaussian" or "cauchy", location mu1 * y, scale s0 + s1 sqrt(y)
+    or, where ``b`` is set, s1 sqrt((D + d_b) y (y + b)): the power density's
+    own conditional scale (``identities._power_proposal``).
     """
 
     kind: str
-    mu0: float = 0.0
     mu1: float = 0.0
     s0: float = 0.0
     s1: float = 1.0
+    b: float | None = None
+    d_b: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "cauchy"):
             raise InvalidInputError(f"unknown border law {self.kind!r}")
 
-    def loc_scale(self, y: np.ndarray):
-        return self.mu0 + self.mu1 * y, self.s0 + self.s1 * np.sqrt(y)
+    def loc_scale(self, y: np.ndarray, d: np.ndarray):
+        if self.b is None:
+            return self.mu1 * y, self.s0 + self.s1 * np.sqrt(y)
+        return self.mu1 * y, self.s1 * np.sqrt((d + self.d_b) * y * (y + self.b))
 
-    def sample(self, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
-        loc, sc = self.loc_scale(y)
+    def sample(self, rng: np.random.Generator, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+        loc, sc = self.loc_scale(y, d)
         if self.kind == "gaussian":
             return loc + sc * rng.standard_normal(size=y.shape)
         return loc + sc * rng.standard_cauchy(size=y.shape)
 
-    def logpdf(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        loc, sc = self.loc_scale(y)
+    def logpdf(self, u: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+        loc, sc = self.loc_scale(y, d)
         t = (u - loc) / sc
         if self.kind == "gaussian":
             return -0.5 * t * t - np.log(sc) - 0.5 * LOG_2PI
@@ -224,8 +227,8 @@ def sample_cone(spec: SamplerSpec, count: int, rng: np.random.Generator):
     logpdf += spec.radial[n - 1].logpdf(d)
     u = np.empty((count, n - 1))
     for j in range(n - 1):
-        u[:, j] = spec.border[j].sample(rng, y[:, j])
-        logpdf += spec.border[j].logpdf(u[:, j], y[:, j])
+        u[:, j] = spec.border[j].sample(rng, y[:, j], d)
+        logpdf += spec.border[j].logpdf(u[:, j], y[:, j], d)
     coords = canonical_to_coords(y, u, d)
     return coords, d, logpdf
 

@@ -130,7 +130,8 @@ class TestKernelClosed:
             params, z = random_params("L23_2", 2, rng), random_point("L23_2", 2, rng)
         ident, s = get_identity("L23_2"), params["s"]
         f = ident.dual_region(2, params, z)
-        loc, scl = ident.sampler(2, params, z).border[0].loc_scale(math.exp(16.58))
+        loc, scl = ident.sampler(2, params, z).border[0].loc_scale(
+            math.exp(16.58), math.exp(-26.21))
         dec_y, dec_d = ident.decay(2, params, z)
         for y1, u, d in ((math.exp(16.58), loc - 11.5 * scl, math.exp(-26.21)),
                          (dec_y.scale, -z.y[2] * dec_y.scale / z.y[1],
@@ -385,8 +386,9 @@ def _mc_marginal(ident, n, params, point, axis, count=100_000, seed=3):
         radial[axis] = np.full(count, x)
         logq = sum(law.logpdf(y) for k, (law, y) in
                    enumerate(zip(spec.radial, radial)) if k != axis)
-        borders = [law.sample(rng, y) for law, y in zip(spec.border, radial)]
-        logq = logq + sum(law.logpdf(u, y) for law, u, y in
+        borders = [law.sample(rng, y, radial[-1])
+                   for law, y in zip(spec.border, radial)]
+        logq = logq + sum(law.logpdf(u, y, radial[-1]) for law, u, y in
                           zip(spec.border, borders, radial))
         v = canonical_to_coords(np.stack(radial[:-1], axis=-1),
                                 np.stack(borders, axis=-1), radial[-1])
@@ -564,10 +566,37 @@ class TestPowerProposal:
                 border = ident.sampler(n, params, point).border
                 assert len(border) == n - 1 and np.all(slope != 0.0)
                 for j, law in enumerate(border):
-                    loc, _ = law.loc_scale(y[j])
+                    loc, _ = law.loc_scale(y[j], 1.0)
                     assert loc == pytest.approx(y[j] * slope[j], rel=1e-14)
                     if n == 2:
                         self.check_argmax(b, y[j], loc, rng)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_L24_border_weight_is_flat(self, n, rng):
+        # given (y, D) and the other borders at their centres, u_j enters
+        # L24's integrand as a Student-t law of 2 r_n - 1 degrees; over its
+        # Cauchy border law the weight (1 + t^2)(1 + t^2 / nu)^-r_n, t the
+        # offset in border scales, stays below 2 / sqrt(e) < 1.25 times its
+        # centre value when r_n >= 1, out to 10^3 scales and at y_j up to e^9
+        ident = get_identity("L24")
+        t = np.concatenate([-np.logspace(3.0, -3.0, 61), [0.0],
+                            np.logspace(-3.0, 3.0, 61)])
+        for _ in range(10):
+            params = random_params("L24", n, rng)
+            b = np.asarray(random_point("L24", n, rng))
+            f = _L24_integrand(n, params["r"], params["eta"], b)
+            border = ident.sampler(n, params, b).border
+            y = np.exp(rng.uniform(-3.0, 9.0, size=n - 1))
+            d = np.full(t.size, math.exp(rng.uniform(-3.0, 3.0)))
+            centres = [law.loc_scale(y[j], d[0])[0] for j, law in enumerate(border)]
+            for j, law in enumerate(border):
+                loc, scl = law.loc_scale(y[j], d[0])
+                u = np.tile(centres, (t.size, 1))
+                u[:, j] = loc + scl * t
+                w = (f(canonical_to_coords(np.tile(y, (t.size, 1)), u, d), d)
+                     * np.exp(-law.logpdf(u[:, j], np.full(t.size, y[j]), d)))
+                assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+                assert np.max(w) <= 1.25 * w[t.size // 2], (n, y[j], params)
 
     @staticmethod
     def check_argmax(b, y1, loc, rng):

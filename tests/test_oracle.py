@@ -306,6 +306,27 @@ class TestTubeTruth:
             assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
 
 
+class TestTranslateTruth:
+    """L24 at n = 2 on the README n = 2 audit's own cases, drawn as in
+    ``TestTubeTruth``, against its quadrature.  Its borders follow the
+    density's own conditional law, so the audit's 200,000 draws bring each
+    bar to 0.2%."""
+
+    def test_audit_cases_meet_the_quadrature_truth(self):
+        rng = np.random.default_rng(42)
+        cases = [(ident_id, random_params(ident_id, 2, rng),
+                  random_point(ident_id, 2, rng))
+                 for ident_id in IDENTITY_IDS for _ in range(3)]
+        for i, (ident_id, params, b) in enumerate(cases):
+            if ident_id != "L24":
+                continue
+            truth = quad_iterated("L24", params, b, rel_tol=1e-10).value
+            est = oracle_estimate("L24", params, b, 200_000, 42 + 977 * i,
+                                  method="mc")
+            assert est.std_error <= 0.002 * est.value, (i, est)
+            assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 class TestParallelMap:
     def test_results_come_back_in_item_order(self, monkeypatch, threads):
