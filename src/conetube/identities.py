@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as C
-from .errors import InvalidInputError
+from .errors import ConvergenceDomainError, InvalidInputError
 from .geometry import (TubePoint, border_reversed, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
                        delta_transform_parts, log_delta_power, minor_exponents,
@@ -596,6 +596,23 @@ def _log_slice_fact(rho, a):
     log_c = (0.5 * math.log(math.pi) + math.lgamma((rho - 1.0) / 2.0)
              - math.lgamma(rho / 2.0))
     return log_c + (1.0 - rho) * np.log(a)
+
+
+def L25_constant(n, rb) -> float:
+    """C(n, bold r), L25's LHS over Delta^(-bold r + J)(v), J = (3/2, ...,
+    3/2, (n+1)/2).  In ``_log_L25_reduced``, A = D(v) + sum_j K_j (u_{2n-j}
+    - c_j)^2 with K_j = v_j / |v_j - i u_j|^2, so the borders leave pi^((n-1)/2)
+    Gamma(rho - (n+1)/2) / Gamma(rho - 1) D(v)^((n+1)/2 - rho) prod_j |v_j -
+    i u_j| / sqrt(v_j), rho = bold r_n, and each u_j the slice fact at bold
+    r_j - 1.  Finite exactly for bold r_j > 2 (j < n) and rho > (n+1)/2."""
+    bad = [f"bold r[{j + 1}] > {lo:g} (got {x})" for j, (x, lo) in enumerate(
+        zip(rb, [2.0] * (n - 1) + [(n + 1.0) / 2.0])) if not x > lo]
+    if bad:  # lgamma of a negative non-integer is log|Gamma|, not an error
+        raise ConvergenceDomainError(bad)
+    rho = float(rb[-1])
+    return math.exp(sum(_log_slice_fact(x - 1.0, 1.0) for x in rb[:-1])
+                    + _log_slice_fact(rho, 1.0) + (n - 1.0) / 2.0 * math.log(math.pi)
+                    + math.lgamma(rho - (n + 1.0) / 2.0) - math.lgamma(rho - 1.0))
 
 
 def _log_L25_reduced(n, r):

@@ -30,7 +30,7 @@ estimate are that identity's ``closed_value`` and ``oracle_estimate``.
 The norm ranges are the kernel-modulus identity's (L27), and the norm
 estimates are the translate identity's (L24) left-hand side, by
 ``oracle_estimate``, after the slice identity (L25) has integrated out the
-real part.
+real part with its closed-form constant: no norm calibrates a constant.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ import numpy as np
 
 from .errors import (AccuracyError, InfeasibleError, InvalidInputError,
                      OracleRejectedError)
-from .identities import check_params
+from .identities import L25_constant, check_params
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       read_index, shift_index)
-from .oracle import calibrated_constant, oracle_estimate, quad_supported
+from .oracle import oracle_estimate, quad_supported
 
 NORM_REL_TOL = 1e-8  # the relative tolerance of a norm by quadrature
 
@@ -195,29 +195,18 @@ def check_norm_ranges(params: ParameterSet, tf: TestFunctionFR) -> None:
 # weighted norms
 # ---------------------------------------------------------------------------
 
-def _slice_constant(n: int, bold_kernel: np.ndarray) -> float:
-    """Calibrated slice-integral constant for a bold kernel exponent vector.
-
-    The x-integral of a kernel modulus at fixed imaginary part is the
-    horizontal-slice identity; its constant is oracle-calibrated (the
-    stated composite is off) and cached, so it is one fixed number across
-    an R-grid and cancels from every slope fit.
-    """
-    return float(np.real(calibrated_constant(
-        "L25", n, {"r": read_index(bold_kernel, Convention.SHIFTED)})))
-
-
 def _reduced_norm(n, weight_bold, kernel_bold, R, power, budget, seed, method):
     """The weighted norm with the real part integrated analytically.
 
-    The x-integral of |P^{-kernel}| at fixed v is the verified slice
-    closed form C * delta^{-kernel}(v+R) * det(v+R)^{(n+1)/2}; what is left
-    is the translate identity's (L24) left-hand side at b = R, estimated by
-    ``oracle_estimate`` with ``method`` ("quad" at rel_tol NORM_REL_TOL, or
-    "mc" with ``budget`` draws from ``seed``).  Returns (norm, error): a
-    one-sigma error by Monte Carlo, a bound by quadrature.
+    The x-integral of |P^{-kernel}| at fixed v is the slice identity's
+    closed-form constant ``L25_constant`` times delta^{-kernel + (n+1)/2}
+    (v+R), its exact structure at n <= 2; what is left is the translate
+    identity's (L24) left-hand side at b = R, by ``oracle_estimate`` with
+    ``method`` ("quad" at rel_tol NORM_REL_TOL, or "mc" with ``budget``
+    draws from ``seed``).  Returns (norm, error): a one-sigma error by
+    Monte Carlo, a bound by quadrature.
     """
-    cst = _slice_constant(n, kernel_bold)
+    cst = L25_constant(n, kernel_bold)
     p = {"r": read_index(kernel_bold - (n + 1.0) / 2.0, Convention.SHIFTED),
          "eta": read_index(weight_bold, Convention.SHIFTED)}
     est = oracle_estimate("L24", p, embed_R(R, n), budget, seed, method=method,

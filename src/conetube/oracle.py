@@ -3,8 +3,8 @@
 Two oracle families:
 
 * Monte Carlo importance sampling in the canonical cone chart (plus Cauchy
-  real parts on the tube).  At n = 2 on the slice and the tube it
-  integrates the registry's ``reduction``, which takes x_n in closed form:
+  real parts on the tube).  On the slice at n = 2 and 3 and on the tube at
+  n = 2 it integrates the registry's ``reduction``, x_n in closed form:
   no x_n is drawn, and the estimate is exact conditional Monte Carlo
   (Rao-Blackwell), of the same mean and no larger variance, over 2n - 2
   real coordinates.  Deterministic for a fixed seed: the sample
@@ -72,13 +72,12 @@ STEPS = (0.25, 0.125, 0.0625)  # the trapezoid steps, halved in turn
 LOG_MAX = math.log(sys.float_info.max) - STEPS[0]
 ROUNDING_ULPS = 4.0  # rounding allowance: this many ulp of sum |f w|
 NONFINITE_LIMIT = 1e-3
-# the orders at which Monte Carlo integrates a slice or tube ``reduction``.
-# At n = 1 it keeps the full integrand, an independent check of the
-# reductions that quadrature integrates there.  At n = 3 the tube weights
-# are heavy-tailed and the estimates run low; the narrower Rao-Blackwell
-# bar would turn that bias into false verdicts (the Schur check's n = 3
-# ratios at 120,000 draws go from max z 2.2 to 4.9)
-MC_REDUCED_ORDERS = (2,)
+# the orders at which Monte Carlo integrates a domain's ``reduction``.  At
+# n = 1 it keeps the full integrand, an independent check of the reductions
+# that quadrature integrates there.  The tube waits at n = 3 for the Schur
+# check, which reads L27 only: its bold pairs meet plain residuals there,
+# and the narrower bar exposes the slip (max z 2.2 to 4.9 at 120,000 draws)
+MC_REDUCED_ORDERS = {"slice": (2, 3), "tube": (2,)}
 
 CONFIRMED = "CONFIRMED"
 CONSTANT_MISMATCH = "EXPONENT_CONFIRMED_CONSTANT_MISMATCH"
@@ -441,9 +440,9 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
     """One LHS estimate by the requested oracle ("mc", "quad" or "auto").
 
     "auto" is quadrature at n = 1, which it reaches on every domain, and
-    Monte Carlo above.  Monte Carlo on the slice and the tube integrates
-    the registry's ``reduction`` at the MC_REDUCED_ORDERS: the spec then
-    draws no x_n, and a tube reduction takes (v, x).
+    Monte Carlo above.  Monte Carlo integrates the registry's ``reduction``
+    at its domain's MC_REDUCED_ORDERS (slice n = 2, 3; tube n = 2): the spec
+    then draws no x_n, and a tube reduction takes (v, x).
     """
     ident, n, p = read_inputs(identity_id, params, point)
     if method == "auto":
@@ -456,7 +455,7 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
     f = _lhs_integrand(identity_id, n, p, point, region)
     spec = ident.sampler(n, p, point)
     reduced = (ident.reduction(n, p, point) if ident.reduction is not None
-               and ident.domain != "cone" and n in MC_REDUCED_ORDERS else None)
+               and n in MC_REDUCED_ORDERS.get(ident.domain, ()) else None)
     if reduced is not None:
         spec = spec.integrating_last_real()
         f = reduced if ident.domain == "slice" else lambda x, v: reduced(v, x)

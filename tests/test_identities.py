@@ -15,13 +15,14 @@ from conetube.geometry import (TubePoint, border_reversed, canonical_to_coords,
                                complex_minors, complex_power_from_minors,
                                delta_power, schur_complement)
 from conetube.identities import (IDENTITY_IDS, TWO_PI, Decay, IdentityDef,
-                                 _L24_integrand, check_params, closed_form,
+                                 L25_constant, _L24_integrand,
+                                 _log_L25_reduced, check_params, closed_form,
                                  closed_value, get_identity,
                                  kernel_region_integrand, random_cone_vector,
                                  random_params, random_point, structure_value)
 from conetube.indices import Convention, MultiIndex, bold_values, shift_index
-from conetube.oracle import (_tensor_pass, oracle_estimate, quad_iterated,
-                             verify_identity)
+from conetube.oracle import (_tensor_pass, calibrated_constant,
+                             oracle_estimate, quad_iterated, verify_identity)
 from conetube.sampling import _sample_real, sample_cone
 
 
@@ -330,6 +331,84 @@ class TestSliceReduction:
                                                np.array([1.0, 1, 0]))
             assert [dec.tail_index for dec in decays] == \
                 [pytest.approx(0.6)] * 2
+
+
+class TestSliceConstant:
+    """L25's closed form C(n, bold r) Delta^(-bold r + J)(v), J = (3/2, ...,
+    3/2, (n+1)/2): a product of one-dimensional Beta-type integrals."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_quadrature_and_calibration(self, n):
+        # within 1e-9, or within the quadrature's own bound where its slow
+        # tail leaves it short of rel_tol (r_1 near 2 at n = 2); the
+        # calibration is held to the quad_tol it asks for
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            r = np.concatenate([rng.uniform(2.2, 3.6, size=n - 1),
+                                rng.uniform((n + 1) / 2.0 + 0.4,
+                                            (n + 1) / 2.0 + 2.5, size=1)])
+            v = random_point("L25", n, rng)
+            quad = quad_iterated("L25", {"r": r}, v, rel_tol=1e-10)
+            # at n <= 2 bold r is r, and J is (n+1)/2 on every entry
+            closed = L25_constant(n, r) * delta_power(v, -r + (n + 1.0) / 2.0)
+            assert abs(closed - quad.value) <= max(1e-9 * closed,
+                                                   quad.std_error), (r, quad)
+            assert L25_constant(n, r) == pytest.approx(
+                calibrated_constant("L25", n, {"r": r}),
+                rel=1e-9 if n == 1 else 1e-6), r
+
+    def test_n2_is_the_iterated_slice_fact(self):
+        for r in ([2.6, 2.9], [4.0, 1.8], [2.05, 7.5]):
+            assert L25_constant(2, np.array(r)) == pytest.approx(
+                slice_modulus_constant_n2(r), rel=1e-13)
+
+    def test_n3_border_step_matches_dblquad(self):
+        # with u_n integrated, the borders leave pi^((n-1)/2) Gamma(rho -
+        # (n+1)/2) / Gamma(rho - 1) D(v)^((n+1)/2 - rho) prod_j |v_j - i u_j|
+        # ^(1 - bold r_j) / sqrt(v_j); the slice facts over u_j are the rest
+        # of the constant.  The borders are taken in polar coordinates about
+        # their centre, where Re S is least, in units of their widths
+        from scipy import integrate
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            r = random_params("L25", 3, rng)["r"]
+            rb = bold_values(r, 3)
+            v = random_point("L25", 3, rng)
+            diag = 1.5 * rng.standard_cauchy(size=2)
+            mod2 = v[:2] ** 2 + diag ** 2
+            d = float(schur_complement(v))
+            centre = border_reversed(v) * diag / v[:2]
+            width = np.sqrt(d * mod2 / v[:2])
+            log_f = _log_L25_reduced(3, r)
+
+            def g(rad, angle):  # b_j is the border paired with diagonal j
+                b = centre + width * rad * np.array([math.cos(angle),
+                                                     math.sin(angle)])
+                return rad * math.exp(log_f(v, np.array([*diag, b[1], b[0]])))
+
+            total = integrate.dblquad(g, 0.0, 2.0 * math.pi, 0.0, np.inf,
+                                      epsabs=0.0, epsrel=1e-11)[0]
+            total *= float(np.prod(width))
+            step = (L25_constant(3, rb) / slice_modulus_constant(rb[0] - 1.0)
+                    / slice_modulus_constant(rb[1] - 1.0)
+                    * d ** (2.0 - rb[2])
+                    * float(np.prod(mod2 ** ((1.0 - rb[:2]) / 2.0)
+                                    / np.sqrt(v[:2]))))
+            assert total == pytest.approx(step, rel=1e-9), (r, v, diag)
+
+    def test_raises_exactly_outside_its_range(self):
+        # c6_range asks only r_1 > 3/2 at n = 2; the integral needs r_1 > 2
+        assert check_params("L25", 2, {"r": [1.9, 3.0]}) is None
+        with pytest.raises(ConvergenceDomainError) as err:
+            L25_constant(2, np.array([1.9, 3.0]))
+        assert err.value.violations == ["bold r[1] > 2 (got 1.9)"]
+        for n, rb in ((1, [1.0]), (2, [3.0, 1.5]), (3, [3.0, 3.0, 2.0]),
+                      (3, [2.0, 3.0, 3.0]), (3, [3.0, 2.0, 3.0])):
+            with pytest.raises(ConvergenceDomainError):
+                L25_constant(n, np.array(rb))
+        for n, rb in ((1, [1.0 + 1e-9]), (2, [2.0 + 1e-9, 1.5 + 1e-9]),
+                      (3, [2.0 + 1e-9, 2.0 + 1e-9, 2.0 + 1e-9])):
+            assert 0.0 < L25_constant(n, np.array(rb)) < math.inf
 
 
 def _marginal(f, decays, axis, cone):

@@ -1,6 +1,8 @@
-"""Every module-level import of the package is used in its module.
+"""Every module-level import of the package is used in its module, and
+every private top-level definition is read somewhere in the package.
 
-``__init__.py`` is left out: its imports are the public re-exports.
+``__init__.py`` is left out of the import scan: its imports are the public
+re-exports.
 """
 
 import ast
@@ -36,3 +38,50 @@ def test_scan_flags_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private (``_name``, not dunder) top-level functions, classes and
+    assigned names of ``source``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name ``source`` reads: loaded names, attributes and the names
+    it imports from other modules."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+    return out
+
+
+def test_scan_flags_an_unread_private_definition():
+    a = ("_CACHE = {}\n_unused = 1\n__all__ = []\n"
+         "def _helper():\n    return _CACHE\n"
+         "def _dead():\n    return 0\n"
+         "class _Left:\n    pass\n")
+    b = "from .a import _helper\n"
+    read = read_names(a) | read_names(b)
+    assert [n for n in private_definitions(a) if n not in read] == \
+        ["_unused", "_dead", "_Left"]
+
+
+def test_no_dead_private_definitions():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    read = set().union(*map(read_names, sources))
+    dead = [name for source in sources for name in private_definitions(source)
+            if name not in read]
+    assert dead == []

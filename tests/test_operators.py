@@ -14,7 +14,7 @@ from conetube.operators import (ParameterSet, Tf_R_norm_exponents,
                                 make_test_function,
                                 necessary_exponent_condition,
                                 scaling_experiment)
-from conetube import operators
+from conetube import operators, oracle
 from conetube.oracle import calibrated_constant, oracle_estimate
 
 
@@ -234,6 +234,14 @@ class TestScalingExperiment:
             exact = math.sqrt(math.pi / 32.0 * R ** -3)
             assert norm == pytest.approx(exact, rel=1e-8)
             assert 0.0 < err <= 1e-8 * norm
+
+    def test_n2_lab_calibrates_no_constant(self, worked_params, monkeypatch):
+        # the slice constant is L25's closed form: no norm enters the
+        # calibration path, so its cache gains no entry
+        monkeypatch.setattr(oracle, "_CALIBRATION_CACHE", {})
+        scaling_experiment(worked_params, tf_for(worked_params, [2, 2], [4, 4]),
+                           [1.0, 2.0], budget=1000, seed=7)
+        assert oracle._CALIBRATION_CACHE == {}
 
     def test_n1_smoke(self):
         params = ParameterSet(n=1, p=2.0, q=2.0, alpha=(0,), beta=(0,),

@@ -15,9 +15,10 @@ import pytest
 
 from conetube.errors import (AccuracyError, ConvergenceDomainError,
                              InvalidInputError, OracleRejectedError)
-from conetube.geometry import TubePoint, is_in_cone
-from conetube.identities import (IDENTITY_IDS, get_identity, random_params,
-                                 random_point, read_params, structure_value)
+from conetube.geometry import TubePoint, delta_power, is_in_cone
+from conetube.identities import (IDENTITY_IDS, L25_constant, get_identity,
+                                 random_params, random_point, read_params,
+                                 structure_value)
 from conetube.indices import bold_values
 from conetube import identities, oracle
 from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
@@ -303,6 +304,31 @@ class TestTubeTruth:
             est = oracle_estimate("L27", params, z, 200_000, 42 + 977 * i,
                                   method="mc")
             assert est.std_error <= 0.015 * est.value, (i, est)
+            assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
+
+
+class TestSliceTruth:
+    """L25 at n = 3 on the n = 3 audit's own cases
+    ``{"n": 3, "budget": 200000, "configs_per_identity": 2}``: its draws
+    (``default_rng(seed)``, two per identity in registry order) at its
+    seeds seed + 977 i.  Monte Carlo integrates x_3 in closed form, and the
+    truth is L25's closed form C(3, bold r) Delta^(-bold r + J)(v), J =
+    (3/2, 3/2, 2)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_audit_cases_meet_the_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [(ident_id, random_params(ident_id, 3, rng),
+                  random_point(ident_id, 3, rng))
+                 for ident_id in IDENTITY_IDS for _ in range(2)]
+        for i, (ident_id, params, v) in enumerate(cases):
+            if ident_id != "L25":
+                continue
+            rb = bold_values(params["r"], 3)
+            truth = L25_constant(3, rb) * delta_power(
+                v, -rb + np.array([1.5, 1.5, 2.0]))
+            est = oracle_estimate("L25", params, v, 200_000, seed + 977 * i,
+                                  method="mc")
             assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
 
 
