@@ -49,7 +49,7 @@ IDENTITY_IDS = ("L23_1", "L23_2", "COR1_1", "COR1_2", "L24", "L25", "L26", "L27"
 
 FOUR_PI = 4.0 * math.pi
 TWO_PI = 2.0 * math.pi
-REAL_PAD = 0.3  # floor added to every real-part Cauchy scale
+REAL_PAD = 0.3  # floor added to every tube real-part Cauchy scale (not the slice's)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,23 +146,6 @@ def _cone_laplace_preset(n, t, decays, c):
                         s1=float(math.sqrt(1.0 / (2.0 * c * tn))))
               for j in range(n - 1)]
     return SamplerSpec(n=n, radial=tuple(radial), border=tuple(border))
-
-
-def _slice_real_laws(n, diag_scales):
-    """The slice's real-part laws from n diagonal length scales.
-
-    Diagonals get static Cauchy laws at 0; each border coordinate gets a law
-    conditioned on its diagonal partner, because the kernel moduli decay
-    only linearly along directions where a border tracks a large diagonal.
-    """
-    laws = [CauchyLaw(0.0, float(diag_scales[j] + REAL_PAD)) for j in range(n)]
-    for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
-        j = 2 * n - k
-        s1 = math.sqrt(diag_scales[n - 1]) + REAL_PAD
-        laws.append(ConditionalCauchyLaw(ref=j - 1,
-                                         c=float(diag_scales[j - 1]),
-                                         s0=REAL_PAD, s1=float(s1)))
-    return tuple(laws)
 
 
 def _betaprime_radial(zero_exp, decays):
@@ -665,11 +648,23 @@ def _L25_decay(n, r, v):
                  for s in (float(v[0]), math.sqrt(float(v[0]) * d)))
 
 
-def _L25_sampler(n, v):
-    v = np.asarray(v, dtype=float)
-    diag = v[:n].copy()
-    diag[n - 1] = max(float(schur_complement(v)), diag[n - 1] * 0.5)
-    return SamplerSpec(n=n, real=_slice_real_laws(n, diag))
+def _L25_sampler(n, r, v):
+    """The slice's laws, each read off ``_log_L25_reduced`` as
+    ``L25_constant`` integrates it, rho = bold r_n: u_j (j < n) Student-t
+    of nu_j = bold r_j - 2 degrees on scale v_j / sqrt(nu_j), its marginal;
+    u_n, where drawn, the n = 1 slice fact's, nu = rho - 1 on v_n / sqrt(nu);
+    border x_{2n-j} Cauchy at c_j = v_{2n-j} u_j / v_j on its conditional
+    scale sqrt(D(v) |v_j - i u_j|^2 / (v_j nu_b)), nu_b = 2 rho - 3.  Each
+    nu is floored at 1/20: at 1/4, r_1 = 2.05 reads up to 12% low."""
+    v, rb = np.asarray(v, dtype=float), bold_values(r, n)
+    nu = [_clip(x, 0.05) for x in [*(rb[:-1] - 2.0), rb[-1] - 1.0, 2.0 * rb[-1] - 3.0]]
+    d = float(schur_complement(v))
+    laws = [CauchyLaw(0.0, float(v[j] / math.sqrt(nu[j])), df=nu[j]) for j in range(n)]
+    for k in range(n + 1, 2 * n):  # coordinate x_k pairs diagonal j = 2n - k
+        vj = float(v[2 * n - k - 1])
+        laws.append(ConditionalCauchyLaw(ref=2 * n - k - 1, mu=float(v[k - 1]) / vj,
+                                         c=vj, s1=math.sqrt(d / (vj * nu[n]))))
+    return SamplerSpec(n=n, real=tuple(laws))
 
 
 def _random_L25(n, rng):
@@ -686,7 +681,7 @@ def _mk_L25():
         structure=lambda n, p, pt: _structure_L25(n, p["r"], pt),
         stated_constant=lambda n, p: C.c6(n, p["r"]),
         integrand=lambda n, p, pt: _L25_integrand(n, p["r"], pt),
-        sampler=lambda n, p, pt: _L25_sampler(n, pt),
+        sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
         point=cone_vector("v"),
         random_params=_random_L25,
         decay=lambda n, p, pt: _L25_decay(n, p["r"], np.asarray(pt, dtype=float)),

@@ -472,7 +472,8 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
                         budget: int = 2_000_000, seed: int = 20_260_809):
     """Oracle-fitted constant: LHS / structure at the unit reference point.
 
-    Quadrature-backed wherever quadrature reaches (exact to ~1e-10); MC with
+    Quadrature-backed wherever quadrature reaches, to the relative
+    tolerance it asks (``quad_tol`` 1e-9 at n = 1, 1e-6 at n = 2); MC with
     the stated budget elsewhere, in which case the value carries MC noise of
     the recorded relative size.  Cached per (identity, n, params); a key
     outside the convergence range raises and is not cached.

@@ -7,11 +7,12 @@ exactly computable density and no rejection step.  Radial coordinates
 integrands) or a beta-prime law (for polynomially decaying ones, where a
 Gamma proposal would have catastrophically thin tails).  Border coordinates
 u_j are sampled conditionally on (y_j, D) with Gaussian or Cauchy laws whose
-location and scale may depend on them.  Tube real parts use Cauchy laws (the
-kernels decay only polynomially in x), one draw and log-density for all
-three; they differ only in the loc and scale read from the context.  A
-spec may mark the law of x_n integrated (a ``None`` entry): where an
-identity integrates x_n in closed form, nothing is drawn for it.
+location and scale may depend on them.  Real parts use one Student-t body
+(Cauchy at its default df = 1, as the kernels decay only polynomially in
+x), one draw and log-density for all three laws; they differ only in the
+loc and scale read from the context and in ``CauchyLaw``'s df.  A spec may
+mark the law of x_n integrated (a ``None`` entry): where an identity
+integrates x_n in closed form, nothing is drawn for it.
 
 Dominance is the preset designer's responsibility: the chosen law must have
 tails at least as heavy as the integrand along every coordinate, which the
@@ -111,31 +112,41 @@ class BorderLaw:
 
 
 class _Cauchy:
-    """The one Cauchy body of the tube real-part laws: loc + scale * C(0, 1).
+    """The one body of the real-part laws: loc + scale * t(df), Cauchy at
+    df = 1.
 
     Each law reads its loc and scale from the context, ``x`` the (count, m)
     real coordinates drawn so far and ``v`` the imaginary parts (None on a
     slice), through ``_loc_scale``.
     """
 
+    df = 1.0
     _log = staticmethod(np.log)
 
     def sample(self, rng: np.random.Generator, x, v=None) -> np.ndarray:
         loc, sc = self._loc_scale(x, v)
-        return loc + sc * rng.standard_cauchy(size=x.shape[0])
+        if self.df == 1.0:
+            return loc + sc * rng.standard_cauchy(size=x.shape[0])
+        return loc + sc * rng.standard_t(self.df, size=x.shape[0])
 
     def logpdf(self, xk: np.ndarray, x, v=None) -> np.ndarray:
         loc, sc = self._loc_scale(x, v)
         t = (xk - loc) / sc
-        return -np.log1p(t * t) - self._log(sc) - LOG_PI
+        if self.df == 1.0:
+            return -np.log1p(t * t) - self._log(sc) - LOG_PI
+        nu = self.df
+        return (log_gamma((nu + 1.0) / 2.0) - log_gamma(nu / 2.0)
+                - 0.5 * math.log(nu * math.pi) - self._log(sc)
+                - (nu + 1.0) / 2.0 * np.log1p(t * t / nu))
 
 
 @dataclass(frozen=True)
 class CauchyLaw(_Cauchy):
-    """Static Cauchy law for one real-part coordinate of the tube."""
+    """Static Student-t law of ``df`` degrees for one real-part coordinate."""
 
     center: float
     scale: float
+    df: float = 1.0
     # np.log rounds some scalars (1.05, say) differently from math.log
     _log = staticmethod(math.log)
 
@@ -145,20 +156,18 @@ class CauchyLaw(_Cauchy):
 
 @dataclass(frozen=True)
 class ConditionalCauchyLaw(_Cauchy):
-    """Cauchy law for a border real coordinate, widened with its diagonal.
-
-    The kernel moduli grow only linearly along border directions that track
-    a large diagonal coordinate, so the border proposal scale follows
-    sqrt(|diag|): scale = s0 + s1 * sqrt(hypot(c, x_diag)), x_diag = x[ref].
+    """Cauchy law for a border real coordinate given its diagonal x[ref]:
+    loc mu * x[ref], scale s1 * hypot(c, x[ref]) (``identities._L25_sampler``).
     """
 
     ref: int
+    mu: float
     c: float
-    s0: float
     s1: float
 
     def _loc_scale(self, x, v):
-        return 0.0, self.s0 + self.s1 * np.sqrt(np.hypot(self.c, x[:, self.ref]))
+        xr = x[:, self.ref]
+        return self.mu * xr, self.s1 * np.hypot(self.c, xr)
 
 
 @dataclass(frozen=True)

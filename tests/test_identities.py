@@ -694,6 +694,39 @@ class TestPowerProposal:
         assert vals[399] < vals[400] and vals[401] < vals[400]
 
 
+class TestSliceProposal:
+    """L25's laws are its reduced density's own (``_log_L25_reduced``, u_n
+    integrated): with every border at its centre c_j = v_{2n-j} u_j / v_j,
+    the density along a diagonal u_j is its Student-t marginal and each
+    border's density at its centre falls like 1 / |v_j - i u_j|, as its
+    Cauchy scale grows, so the weight is constant there."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_L25_weight_is_flat_along_each_diagonal(self, n, rng):
+        # bold r_j in (2.05, 2.5): the band where the old Cauchy diagonals
+        # were lighter-tailed than the density and the weights' variance
+        # infinite
+        t = np.concatenate([-np.logspace(3.0, -3.0, 61), [0.0],
+                            np.logspace(-3.0, 3.0, 61)])
+        for _ in range(10):
+            rb = rng.uniform(2.05, 2.5, size=n)
+            params = {"r": rb - np.append(np.full(n - 1, (n - 2) / 2.0), 0.0)}
+            v = np.asarray(random_point("L25", n, rng))
+            f = get_identity("L25").reduction(n, params, v)
+            laws = [law for law in get_identity("L25").sampler(
+                n, params, v).integrating_last_real().real if law is not None]
+            for j in range(n - 1):
+                u = np.zeros((t.size, 2 * n - 2))
+                u[:, j] = v[j] * t
+                for k in range(n + 1, 2 * n):  # border x_k pairs diagonal 2n - k
+                    i = 2 * n - k - 1
+                    u[:, k - 2] = v[k - 1] * u[:, i] / v[i]
+                logq = sum(law.logpdf(u[:, m], u) for m, law in enumerate(laws))
+                w = f(u) * np.exp(-logq)
+                assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+                assert np.max(w) <= 1.25 * np.min(w), (n, j, rb, v)
+
+
 class TestTubeReduction:
     """L26 and L27 at n = 1 with u integrated in closed form (the quadrature
     oracle's integrand over v)."""

@@ -33,6 +33,7 @@ from conetube.sampling import (CauchyLaw, ConditionalCauchyLaw, RadialLaw,
                                SamplerSpec, VCauchyLaw, sample_cone,
                                sample_tube)
 
+from conftest import ess_fraction, importance_weights
 from test_identities import slice_modulus_constant_n2
 
 GAMMA_SPEC_1D = SamplerSpec(n=1, radial=(RadialLaw("gamma", 1.0, 4 * math.pi),),
@@ -48,8 +49,8 @@ def tube_spec_1d():
 REAL_LAWS = [
     (CauchyLaw(0.0, 1.05), lambda x, v: (0.0, 1.05)),
     (CauchyLaw(-0.3, 2.5), lambda x, v: (-0.3, 2.5)),
-    (ConditionalCauchyLaw(ref=0, c=0.5, s0=0.2, s1=0.7),
-     lambda x, v: (0.0, 0.2 + 0.7 * np.sqrt(np.hypot(0.5, x[:, 0])))),
+    (ConditionalCauchyLaw(ref=0, mu=0.4, c=0.5, s1=0.7),
+     lambda x, v: (0.4 * x[:, 0], 0.7 * np.hypot(0.5, x[:, 0]))),
     (VCauchyLaw(ref1=1, ref2=None, offset=0.3),
      lambda x, v: (0.0, 0.3 + v[:, 1])),
     (VCauchyLaw(ref1=0, ref2=2, offset=0.3),
@@ -76,6 +77,18 @@ class TestRealPartLaws:
         t = (draws - loc) / scale
         assert np.array_equal(law.logpdf(draws, x, v),
                               -np.log1p(t * t) - log_scale - math.log(math.pi))
+
+    @pytest.mark.parametrize("df", [0.4, 2.5])
+    def test_student_t_draws_and_logpdf(self, df):
+        from scipy import stats
+        law = CauchyLaw(-0.3, 2.5, df=df)
+        x = np.empty((1000, 0))
+        draws = law.sample(np.random.default_rng(11), x)
+        expected = -0.3 + 2.5 * np.random.default_rng(11).standard_t(df, 1000)
+        assert np.array_equal(draws, expected)
+        assert np.allclose(law.logpdf(draws, x),
+                           stats.t.logpdf(draws, df, loc=-0.3, scale=2.5),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestSamplers:
@@ -307,29 +320,60 @@ class TestTubeTruth:
             assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
 
 
-class TestSliceTruth:
-    """L25 at n = 3 on the n = 3 audit's own cases
-    ``{"n": 3, "budget": 200000, "configs_per_identity": 2}``: its draws
-    (``default_rng(seed)``, two per identity in registry order) at its
-    seeds seed + 977 i.  Monte Carlo integrates x_3 in closed form, and the
-    truth is L25's closed form C(3, bold r) Delta^(-bold r + J)(v), J =
-    (3/2, 3/2, 2)."""
+def _audit_L25_cases(n, seed, per):
+    """(seed, params, v) of each L25 record of the audit ``{"n": n, "seed":
+    seed, "budget": 200000, "configs_per_identity": per}``: its draws
+    (``default_rng(seed)``, ``per`` per identity in registry order) at its
+    seeds seed + 977 i."""
+    rng = np.random.default_rng(seed)
+    cases = [(ident_id, random_params(ident_id, n, rng),
+              random_point(ident_id, n, rng))
+             for ident_id in IDENTITY_IDS for _ in range(per)]
+    return [(seed + 977 * i, params, v)
+            for i, (ident_id, params, v) in enumerate(cases)
+            if ident_id == "L25"]
 
-    @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_audit_cases_meet_the_closed_form(self, seed):
-        rng = np.random.default_rng(seed)
-        cases = [(ident_id, random_params(ident_id, 3, rng),
-                  random_point(ident_id, 3, rng))
-                 for ident_id in IDENTITY_IDS for _ in range(2)]
-        for i, (ident_id, params, v) in enumerate(cases):
-            if ident_id != "L25":
-                continue
-            rb = bold_values(params["r"], 3)
-            truth = L25_constant(3, rb) * delta_power(
-                v, -rb + np.array([1.5, 1.5, 2.0]))
-            est = oracle_estimate("L25", params, v, 200_000, seed + 977 * i,
-                                  method="mc")
-            assert abs(est.value - truth) <= 3.0 * est.std_error, (i, est, truth)
+
+def _near_edge_L25_cases(r1):
+    """L25 at r = (r_1, 3), n = 2, seeds 0-3: the diagonal's law has
+    r_1 - 2 degrees, and the Cauchy law it replaced gave infinite-variance
+    weights for r_1 < 2.5."""
+    v = random_point("L25", 2, np.random.default_rng(3))
+    return [(seed, {"r": np.array([r1, 3.0])}, v) for seed in range(4)]
+
+
+L25_AUDITS = {**{str(seed): (3, seed, 2) for seed in (0, 1, 3)},
+              **{f"n2-seed{seed}": (2, seed, 3) for seed in (0, 1, 42)}}
+
+
+class TestSliceTruth:
+    """L25 against its closed form C(n, bold r) Delta^(-bold r + J)(v), J =
+    (3/2, ..., 3/2, (n+1)/2), on the n = 2 and n = 3 audits' own cases and
+    at near-edge n = 2 points.  Monte Carlo integrates x_n in closed form,
+    and every other real part is drawn from the reduced density's own law,
+    so each of the 200,000-draw bars is at most 0.25%."""
+
+    @pytest.mark.parametrize("cases, args", [
+        *(pytest.param(_audit_L25_cases, args, id=key)
+          for key, args in L25_AUDITS.items()),
+        *(pytest.param(_near_edge_L25_cases, (r1,), id=f"edge-{r1}")
+          for r1 in (2.05, 2.1, 2.2))])
+    def test_audit_cases_meet_the_closed_form(self, cases, args):
+        for seed, params, v in cases(*args):
+            n = (len(v) + 1) // 2
+            rb = bold_values(params["r"], n)
+            jac = np.append(np.full(n - 1, 1.5), (n + 1) / 2.0)
+            truth = L25_constant(n, rb) * delta_power(v, -rb + jac)
+            est = oracle_estimate("L25", params, v, 200_000, seed, method="mc")
+            assert est.std_error <= 0.0025 * est.value, (seed, est)
+            assert abs(est.value - truth) <= 3.0 * est.std_error, (seed, est, truth)
+
+    @pytest.mark.parametrize("args", L25_AUDITS.values(), ids=L25_AUDITS.keys())
+    def test_audit_weights_keep_half_their_draws(self, args):
+        # at one chunk, the first chunk of the audit's own 200,000 draws
+        for seed, params, v in _audit_L25_cases(*args):
+            w = importance_weights("L25", params, v, CHUNK, seed)
+            assert ess_fraction(w) >= 0.5, (seed, params, v)
 
 
 class TestTranslateTruth:
