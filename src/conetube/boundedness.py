@@ -16,11 +16,14 @@ two Schur integrals; l_j is then forced by an exact linear identity.  The
 A_n endpoint carries a -1/p' term that is easy to drop: without it the
 intersection is empty for perfectly admissible parameters (including the
 worked example), while with it A < B and C < D are exactly the t-interval
-bounds and A < D, C < B are exactly the j = n sufficient conditions.  For
-j < n the same construction is applied with the offsets (1, n+1) replaced
-by ((n+1)/2, (3n+1)/2), the j < n convergence margins of the kernel-modulus
-identity; this generalization is validated numerically by
-``schur_numeric_check`` rather than trusted.
+bounds and A < D, C < B are exactly the j = n sufficient conditions.  The
+offsets are the kernel-modulus identity's (L27) stated bounds, read from
+``constants.c8_bounds``: minus its bound on l and its bound on r - l, so
+(1, n+1) at j = n and ((n+1)/2, (3n+1)/2) for j < n.  At n >= 3 the j < n
+pair is not L27's exact range, and both Schur ratio families keep a power
+Delta^(-(n-2)/2) on the leading entries, the (y_1 y_2)^(-1/2) slip at
+n = 3; ``schur_numeric_check`` passes there only because the tube's Monte
+Carlo error bars are wide.
 
 Each of the two Schur integrals is the left-hand side of the
 kernel-modulus identity (L27) at the witness exponents, so
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import constants as C
 from .errors import InvalidInputError, WitnessConstructionError
 from .geometry import log_delta_power
 from .identities import random_tube_point
@@ -77,8 +81,8 @@ class Breakdown:
     def add_strict(self, cid: str, margin: float):
         self.conditions.append(Condition(cid, bool(margin > 0.0), float(margin)))
 
-    def add_equality(self, cid: str, residual: float, tol: float = EQUALITY_TOL):
-        self.conditions.append(Condition(cid, abs(residual) <= tol,
+    def add_equality(self, cid: str, residual: float):
+        self.conditions.append(Condition(cid, abs(residual) <= EQUALITY_TOL,
                                          float(residual), kind="equality"))
 
     @property
@@ -218,9 +222,9 @@ def schur_witness(params: ParameterSet) -> SchurWitness:
     residuals = []
     margins = []
     X = c - b - a + al
+    l_lower, gap_lower = C.c8_bounds(n)  # L27's stated bounds
     for j in range(n):
-        lo_off = (n + 1.0) / 2.0 if j < n - 1 else 1.0
-        hi_off = (3.0 * n + 1.0) / 2.0 if j < n - 1 else n + 1.0
+        lo_off, hi_off = -l_lower[j], gap_lower[j]
         A = -(lo_off + al[j]) / pp + t * (al[j] - b[j])
         B = t * (c[j] - b[j] + al[j]) - (al[j] + hi_off) / pp
         Cj = ((n + 1.0) - lo_off) / q + (t - 1.0) * (c[j] - b[j] + al[j])

@@ -16,6 +16,13 @@ bookkeeping is the caller's business.  Evaluation runs in log space
 remain defined, with the correct sign, for the negative index ranges the
 kernel identities allow.
 
+Every convergence range is a list of ``_bounds(label, values, lower)``
+checks values_j > lower_j, ``lower`` an n-vector with one bound on the
+first n - 1 entries and one on the n-th; composites form r + eta - l, r - l
+or eta + lower first.  A violation names its entry and numeric bound, as in
+``eta[1] > 2 (got 2.0)``.  ``c7_bounds`` and ``c8_bounds`` hand the stated
+L26 and L27 bounds to the Schur witness and the random draws.
+
 Several composite constants are known to disagree with independent numeric
 evaluation of their identities (the compositions inherit a 2pi/4pi rescale
 slip); the package therefore treats these values as the stated constants
@@ -42,6 +49,18 @@ def _check(violations) -> None:
     bad = [msg for ok, msg in violations if not ok]
     if bad:
         raise ConvergenceDomainError(bad)
+
+
+def _lower(n: int, lead: float, last: float) -> np.ndarray:
+    """The n-vector of lower bounds: ``lead`` on the first n - 1 entries and
+    ``last`` on the n-th."""
+    return np.append(np.full(n - 1, float(lead)), float(last))
+
+
+def _bounds(label: str, values, lower) -> list:
+    """The checks values[j] > lower[j], each naming its entry and bound."""
+    return [(x > lo, f"{label}[{j + 1}] > {lo:g} (got {x})")
+            for j, (x, lo) in enumerate(zip(values, lower))]
 
 
 def _poch_ratio(x: float, k: int) -> float:
@@ -80,17 +99,6 @@ def _inf_past_range(formula):
 # C1 .. C4
 # ---------------------------------------------------------------------------
 
-def _bounds(n: int, s, last, lead, name: str = "s") -> list:
-    """Checks that the last plain entry of ``s`` exceeds last = (value,
-    text) and each leading entry lead = (value, text)."""
-    v = plain_values(s, n)
-    (a, a_text), (b, b_text) = last, lead
-    checks = [(v[-1] > a, f"{name}[{n}] > {a_text} (got {v[-1]})")]
-    checks += [(v[j] > b, f"{name}[{j + 1}] > {b_text} (got {v[j]})")
-               for j in range(n - 1)]
-    return checks
-
-
 @_inf_past_range
 def _laplace_normalizer(n: int, v: np.ndarray, shifted: bool) -> float:
     """C1, or C3 where ``shifted``, at plain values v without its range
@@ -121,7 +129,7 @@ def _kernel_ratio(n: int, v: np.ndarray, shifted: bool) -> float:
 
 
 def c1_range(n: int, s) -> list:
-    return _bounds(n, s, (-1.0, "-1"), (-1.5, "-3/2"))
+    return _bounds("s", plain_values(s, n), _lower(n, -1.5, -1.0))
 
 
 def c1(n: int, s) -> float:
@@ -131,7 +139,7 @@ def c1(n: int, s) -> float:
 
 
 def c2_range(n: int, s) -> list:
-    return _bounds(n, s, (-(n + 1.0), "-(n+1)"), (-2.5, "-5/2"))
+    return _bounds("s", plain_values(s, n), _lower(n, -2.5, -(n + 1.0)))
 
 
 def c2(n: int, s) -> float:
@@ -141,7 +149,7 @@ def c2(n: int, s) -> float:
 
 
 def c3_range(n: int, s) -> list:
-    return _bounds(n, s, (-1.0, "-1"), (-(n + 1.0) / 2.0, "-(n+1)/2"))
+    return _bounds("s", plain_values(s, n), _lower(n, -(n + 1.0) / 2.0, -1.0))
 
 
 def c3(n: int, s) -> float:
@@ -151,7 +159,8 @@ def c3(n: int, s) -> float:
 
 
 def c4_range(n: int, s) -> list:
-    return _bounds(n, s, (-(n + 1.0), "-(n+1)"), (-(n + 3.0) / 2.0, "-(n+3)/2"))
+    return _bounds("s", plain_values(s, n),
+                   _lower(n, -(n + 3.0) / 2.0, -(n + 1.0)))
 
 
 def c4(n: int, s) -> float:
@@ -166,19 +175,9 @@ def c4(n: int, s) -> float:
 
 def c5_range(n: int, r, eta) -> list:
     rv, ev = plain_values(r, n), plain_values(eta, n)
-    checks = [
-        (rv[-1] > ev[-1] + (n + 1.0) / 2.0,
-         f"r[{n}] > eta[{n}] + (n+1)/2 (got {rv[-1]} vs {ev[-1] + (n + 1) / 2})"),
-        (ev[-1] > -1.0, f"eta[{n}] > -1 (got {ev[-1]})"),
-        (rv[-1] > 0.0, f"r[{n}] > 0 (got {rv[-1]})"),
-    ]
-    for j in range(n - 1):
-        checks += [
-            (rv[j] > ev[j] + n, f"r[{j + 1}] > eta[{j + 1}] + n (got {rv[j]})"),
-            (ev[j] > -(n + 1.0) / 2.0, f"eta[{j + 1}] > -(n+1)/2 (got {ev[j]})"),
-            (rv[j] > (1.0 - n) / 2.0, f"r[{j + 1}] > (1-n)/2 (got {rv[j]})"),
-        ]
-    return checks
+    return (_bounds("r", rv, ev + _lower(n, n, (n + 1.0) / 2.0))
+            + _bounds("eta", ev, _lower(n, -(n + 1.0) / 2.0, -1.0))
+            + _bounds("r", rv, _lower(n, (1.0 - n) / 2.0, 0.0)))
 
 
 def c5(n: int, r, eta) -> float:
@@ -188,7 +187,7 @@ def c5(n: int, r, eta) -> float:
 
 
 def c6_range(n: int, r) -> list:
-    return _bounds(n, r, ((n + 1.0) / 2.0, "(n+1)/2"), (1.5, "3/2"), "r")
+    return _bounds("r", plain_values(r, n), _lower(n, 1.5, (n + 1.0) / 2.0))
 
 
 def c6(n: int, r) -> float:
@@ -198,25 +197,23 @@ def c6(n: int, r) -> float:
     return scale * c4(n, rv) / c4(n, rv / 2.0)
 
 
+def c8_bounds(n: int) -> tuple:
+    """L27's stated lower bounds on l and on r - l (plain values)."""
+    return (_lower(n, -(n + 1.0) / 2.0, -1.0),
+            _lower(n, (3.0 * n + 1.0) / 2.0, n + 1.0))
+
+
+def c7_bounds(n: int) -> np.ndarray:
+    """L26's stated lower bound on r + eta - l: L27's on r - l."""
+    return c8_bounds(n)[1]
+
+
 def c7_range(n: int, l, r, eta) -> list:
     lv, rv, ev = plain_values(l, n), plain_values(r, n), plain_values(eta, n)
-    checks = [
-        (lv[-1] > -1.0, f"l[{n}] > -1 (got {lv[-1]})"),
-        (rv[-1] > 0.0, f"r[{n}] > 0 (got {rv[-1]})"),
-        (ev[-1] > (n + 1.0) / 2.0, f"eta[{n}] > (n+1)/2 (got {ev[-1]})"),
-        (rv[-1] + ev[-1] - lv[-1] > n + 1.0,
-         f"r[{n}] + eta[{n}] - l[{n}] > n+1 (got {rv[-1] + ev[-1] - lv[-1]})"),
-    ]
-    for j in range(n - 1):
-        checks += [
-            (lv[j] > -(n + 1.0) / 2.0, f"l[{j + 1}] > -(n+1)/2 (got {lv[j]})"),
-            (rv[j] > (n - 1.0) / 2.0, f"r[{j + 1}] > (n-1)/2 (got {rv[j]})"),
-            (ev[j] > float(n), f"eta[{j + 1}] > n (got {ev[j]})"),
-            (rv[j] + ev[j] - lv[j] > (3.0 * n + 1.0) / 2.0,
-             f"r[{j + 1}] + eta[{j + 1}] - l[{j + 1}] > (3n+1)/2 "
-             f"(got {rv[j] + ev[j] - lv[j]})"),
-        ]
-    return checks
+    return (_bounds("l", lv, c8_bounds(n)[0])
+            + _bounds("r", rv, _lower(n, (n - 1.0) / 2.0, 0.0))
+            + _bounds("eta", ev, _lower(n, n, (n + 1.0) / 2.0))
+            + _bounds("(r + eta - l)", rv + ev - lv, c7_bounds(n)))
 
 
 def c7(n: int, l, r, eta) -> float:
@@ -228,18 +225,8 @@ def c7(n: int, l, r, eta) -> float:
 
 def c8_range(n: int, l, r) -> list:
     lv, rv = plain_values(l, n), plain_values(r, n)
-    checks = [
-        (lv[-1] > -1.0, f"l[{n}] > -1 (got {lv[-1]})"),
-        (rv[-1] - lv[-1] > n + 1.0,
-         f"r[{n}] - l[{n}] > n+1 (got {rv[-1] - lv[-1]})"),
-    ]
-    for j in range(n - 1):
-        checks += [
-            (lv[j] > -(n + 1.0) / 2.0, f"l[{j + 1}] > -(n+1)/2 (got {lv[j]})"),
-            (rv[j] - lv[j] > (3.0 * n + 1.0) / 2.0,
-             f"r[{j + 1}] - l[{j + 1}] > (3n+1)/2 (got {rv[j] - lv[j]})"),
-        ]
-    return checks
+    l_lower, gap_lower = c8_bounds(n)
+    return _bounds("l", lv, l_lower) + _bounds("(r - l)", rv - lv, gap_lower)
 
 
 def c8(n: int, l, r) -> float:
@@ -247,4 +234,4 @@ def c8(n: int, l, r) -> float:
     # composite at (r, l)
     lv, rv = plain_values(l, n), plain_values(r, n)
     _check(c8_range(n, l, r))
-    return c6(n, rv) * (c4(n, lv) * c4(n, rv - lv) / c4(n, rv))
+    return c6(n, rv) * c5(n, rv, lv)

@@ -48,27 +48,18 @@ class BranchCutError(ConetubeError, ArithmeticError):
 class AccuracyError(ConetubeError, RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, achieved=None):
-        self.achieved = achieved
-        super().__init__(message)
-
 
 class OracleRejectedError(ConetubeError, RuntimeError):
     """A Monte Carlo estimate was rejected (too many non-finite samples)."""
 
     def __init__(self, nonfinite_fraction, message=None):
-        self.nonfinite_fraction = float(nonfinite_fraction)
         super().__init__(message or
                          f"estimate rejected: {100 * nonfinite_fraction:.3f}% "
                          "non-finite integrand samples (limit 0.1%)")
 
 
 class InfeasibleError(ConetubeError, ValueError):
-    """A constraint system admits no solution; carries binding constraints."""
-
-    def __init__(self, message, binding=None):
-        self.binding = list(binding or [])
-        super().__init__(message)
+    """A constraint system admits no solution."""
 
 
 class WitnessConstructionError(ConetubeError, RuntimeError):

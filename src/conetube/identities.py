@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as C
-from .errors import ConvergenceDomainError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import (TubePoint, border_reversed, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
                        delta_transform_parts, log_delta_power, minor_exponents,
@@ -89,18 +89,9 @@ def _structure_kernel(n, s, z: TubePoint, shifted: bool):
     return complex_power_from_minors(complex_minors(z.zeta), e)
 
 
-def _structure_L24(n, r, eta, b):
-    # mixed-convention exponent: plain eta minus shifted r, then the
-    # (n+1)/2 global power
-    expo = eta - bold_values(r, n)
-    expo = expo + (n + 1.0) / 2.0
-    bb = np.asarray(b, dtype=float)
-    return float(np.exp(log_delta_power(bb, expo)))
-
-
-def _structure_L25(n, r, v):
-    expo = -bold_values(r, n) + (n + 1.0) / 2.0
-    return float(np.exp(log_delta_power(np.asarray(v, dtype=float), expo)))
+def _real_structure(y, expo) -> float:
+    """Delta^expo(y) at a cone point y: the structure of L24, L25 and L27."""
+    return float(np.exp(log_delta_power(np.asarray(y, dtype=float), expo)))
 
 
 def _zeta_diff(z: TubePoint, xi: TubePoint) -> np.ndarray:
@@ -113,11 +104,6 @@ def _structure_L26(n, l, r, eta, z: TubePoint, xi: TubePoint):
     e = minor_exponents(expo)
     e[-1] += n + 1.0  # positive trailing exponent; the oracle adjudicates it
     return complex_power_from_minors(complex_minors(_zeta_diff(z, xi)), e)
-
-
-def _structure_L27(n, l, r, z: TubePoint):
-    expo = (l - r) + (n + 1.0)
-    return float(np.exp(log_delta_power(z.y, expo)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +534,9 @@ def _mk_L24():
         id="L24", label="shifted power against translate", domain="cone",
         param_names=("r", "eta"), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c5_range(n, p["r"], p["eta"]),
-        structure=lambda n, p, pt: _structure_L24(n, p["r"], p["eta"], pt),
+        # mixed convention: plain eta minus bold r, then the global (n+1)/2
+        structure=lambda n, p, pt: _real_structure(
+            pt, p["eta"] - bold_values(p["r"], n) + (n + 1.0) / 2.0),
         stated_constant=lambda n, p: C.c5(n, p["r"], p["eta"]),
         integrand=lambda n, p, pt: _L24_integrand(n, p["r"], p["eta"], pt),
         sampler=lambda n, p, pt: _power_proposal(
@@ -588,10 +576,8 @@ def L25_constant(n, rb) -> float:
     Gamma(rho - (n+1)/2) / Gamma(rho - 1) D(v)^((n+1)/2 - rho) prod_j |v_j -
     i u_j| / sqrt(v_j), rho = bold r_n, and each u_j the slice fact at bold
     r_j - 1.  Finite exactly for bold r_j > 2 (j < n) and rho > (n+1)/2."""
-    bad = [f"bold r[{j + 1}] > {lo:g} (got {x})" for j, (x, lo) in enumerate(
-        zip(rb, [2.0] * (n - 1) + [(n + 1.0) / 2.0])) if not x > lo]
-    if bad:  # lgamma of a negative non-integer is log|Gamma|, not an error
-        raise ConvergenceDomainError(bad)
+    # lgamma of a negative non-integer is log|Gamma|, not an error
+    C._check(C._bounds("bold r", rb, C._lower(n, 2.0, (n + 1.0) / 2.0)))
     rho = float(rb[-1])
     return math.exp(sum(_log_slice_fact(x - 1.0, 1.0) for x in rb[:-1])
                     + _log_slice_fact(rho, 1.0) + (n - 1.0) / 2.0 * math.log(math.pi)
@@ -678,7 +664,8 @@ def _mk_L25():
         id="L25", label="horizontal slice of kernel modulus", domain="slice",
         param_names=("r",), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c6_range(n, p["r"]),
-        structure=lambda n, p, pt: _structure_L25(n, p["r"], pt),
+        structure=lambda n, p, pt: _real_structure(
+            pt, -bold_values(p["r"], n) + (n + 1.0) / 2.0),
         stated_constant=lambda n, p: C.c6(n, p["r"]),
         integrand=lambda n, p, pt: _L25_integrand(n, p["r"], pt),
         sampler=lambda n, p, pt: _L25_sampler(n, p["r"], pt),
@@ -805,10 +792,7 @@ def _random_L26(n, rng):
                                       size=1)])
     r = np.concatenate([rng.uniform((n - 1) / 2.0 + 0.4, n + 2.0, size=n - 1),
                         rng.uniform(0.4, n + 2.0, size=1)])
-    gap_j = (3 * n + 1) / 2.0 - (r[:-1] + eta[:-1] - l[:-1])
-    r[:-1] += np.maximum(gap_j + 0.4, 0.0)
-    gap_n = (n + 1.0) - (r[-1] + eta[-1] - l[-1])
-    r[-1] += max(gap_n + 0.4, 0.0)
+    r += np.maximum(C.c7_bounds(n) - (r + eta - l) + 0.4, 0.0)
     return {"l": l, "r": r, "eta": eta}
 
 
@@ -866,9 +850,7 @@ def _L25_on_tube(n, l, r, z: TubePoint):
 
 def _random_L27(n, rng):
     l = _low_index(n, rng, 0.8)
-    r = l.copy()
-    r[:-1] += (3 * n + 1) / 2.0 + rng.uniform(0.4, 1.5, size=n - 1)
-    r[-1] += n + 1 + rng.uniform(0.4, 1.5)
+    r = l + (C.c8_bounds(n)[1] + rng.uniform(0.4, 1.5, size=n))
     return {"l": l, "r": r}
 
 
@@ -879,7 +861,8 @@ def _mk_L27():
         id="L27", label="tube kernel modulus", domain="tube",
         param_names=("l", "r"), convention=Convention.SHIFTED, complex_valued=False,
         range_check=lambda n, p: C.c8_range(n, p["l"], p["r"]),
-        structure=lambda n, p, pt: _structure_L27(n, p["l"], p["r"], pt),
+        structure=lambda n, p, pt: _real_structure(
+            pt.y, (p["l"] - p["r"]) + (n + 1.0)),
         stated_constant=lambda n, p: C.c8(n, p["l"], p["r"]),
         integrand=lambda n, p, pt: _L27_integrand(n, p["l"], p["r"], pt),
         sampler=lambda n, p, pt: tube_proposal(

@@ -262,8 +262,7 @@ def _half_width(index: float, rel_tol: float) -> tuple:
     """
     if not index > 0.0:
         raise AccuracyError(
-            f"the integral diverges (decay index {index:.3g} <= 0)",
-            achieved=math.inf)
+            f"the integral diverges (decay index {index:.3g} <= 0)")
     index = float(index)  # a Python float: an overflow is inf, unwarned
     half = min(max(REAL_HALF, 1.0 + math.log(100.0 / rel_tol) / index),
                MAX_HALF)
@@ -425,7 +424,7 @@ def quad_iterated(identity_id: str, params: dict, point, rel_tol: float = 1e-8,
     if abs(val) > 0 and err > 100 * rel_tol * abs(val):
         raise AccuracyError(
             f"quadrature reached only relative error {err / abs(val):.2e} "
-            f"(target {rel_tol:.1e})", achieved=err / abs(val))
+            f"(target {rel_tol:.1e})")
     return IntegralEstimate(value=_number(val), std_error=float(err),
                             samples=1, method="QUAD_ITERATED")
 

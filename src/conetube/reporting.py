@@ -78,7 +78,7 @@ def write_json(path: Path, payload: dict) -> None:
                                separators=(",", ": ")) + "\n")
 
 
-def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
+def write_metadata(path: Path, config: dict, extra: dict) -> None:
     """run_meta.json: what may vary between runs without moving a data byte
     (the time, the versions, and in ``extra`` the worker count, the wall
     time and the peak memory), plus the echoed config."""
@@ -89,9 +89,7 @@ def write_metadata(path: Path, config: dict, extra: dict | None = None) -> None:
             "versions": {"conetube": __version__,
                          "python": platform.python_version(),
                          "numpy": np.__version__},
-            "config": _jsonable(config)}
-    if extra:
-        meta.update(_jsonable(extra))
+            "config": _jsonable(config), **_jsonable(extra)}
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conetube import constants as C
 from conetube.errors import ConvergenceDomainError
+from conetube.identities import L25_constant
 
 
 # direct (non-log) Gamma-function evaluation: the reference for C1-C4, and
@@ -134,6 +136,140 @@ class TestRanges:
         with pytest.raises(ConvergenceDomainError) as err:
             C.c8(2, [0.0, 0.0], [0.0, 0.0])
         assert len(err.value.violations) == 2
+
+
+# The hand-written range predicates that the bound-vector rule replaced,
+# kept as its reference: (ok, label, entry, bound, got) per condition, each
+# comparison with the arithmetic it has always had.
+
+def _ref_simple(n, v, label, lead, last):  # C1-C4, C6 and L25_constant
+    bounds = [lead] * (n - 1) + [last]
+    return [(v[j] > bounds[j], label, j + 1, bounds[j], v[j]) for j in range(n)]
+
+
+def _ref_c5(n, rv, ev):
+    top = ev[-1] + (n + 1.0) / 2.0
+    checks = [(rv[-1] > top, "r", n, top, rv[-1]),
+              (ev[-1] > -1.0, "eta", n, -1.0, ev[-1]),
+              (rv[-1] > 0.0, "r", n, 0.0, rv[-1])]
+    for j in range(n - 1):
+        checks += [(rv[j] > ev[j] + n, "r", j + 1, ev[j] + n, rv[j]),
+                   (ev[j] > -(n + 1.0) / 2.0, "eta", j + 1, -(n + 1.0) / 2.0, ev[j]),
+                   (rv[j] > (1.0 - n) / 2.0, "r", j + 1, (1.0 - n) / 2.0, rv[j])]
+    return checks
+
+
+def _ref_c7(n, lv, rv, ev):
+    k = rv + ev - lv
+    checks = [(lv[-1] > -1.0, "l", n, -1.0, lv[-1]),
+              (rv[-1] > 0.0, "r", n, 0.0, rv[-1]),
+              (ev[-1] > (n + 1.0) / 2.0, "eta", n, (n + 1.0) / 2.0, ev[-1]),
+              (k[-1] > n + 1.0, "(r + eta - l)", n, n + 1.0, k[-1])]
+    for j in range(n - 1):
+        checks += [(lv[j] > -(n + 1.0) / 2.0, "l", j + 1, -(n + 1.0) / 2.0, lv[j]),
+                   (rv[j] > (n - 1.0) / 2.0, "r", j + 1, (n - 1.0) / 2.0, rv[j]),
+                   (ev[j] > float(n), "eta", j + 1, float(n), ev[j]),
+                   (k[j] > (3.0 * n + 1.0) / 2.0, "(r + eta - l)", j + 1,
+                    (3.0 * n + 1.0) / 2.0, k[j])]
+    return checks
+
+
+def _ref_c8(n, lv, rv):
+    g = rv - lv
+    checks = [(lv[-1] > -1.0, "l", n, -1.0, lv[-1]),
+              (g[-1] > n + 1.0, "(r - l)", n, n + 1.0, g[-1])]
+    for j in range(n - 1):
+        checks += [(lv[j] > -(n + 1.0) / 2.0, "l", j + 1, -(n + 1.0) / 2.0, lv[j]),
+                   (g[j] > (3.0 * n + 1.0) / 2.0, "(r - l)", j + 1,
+                    (3.0 * n + 1.0) / 2.0, g[j])]
+    return checks
+
+
+def _ref_violations(checks) -> list:
+    return sorted(f"{label}[{j}] > {bound:g} (got {got})"
+                  for ok, label, j, bound, got in checks if not ok)
+
+
+def _near(rng, bounds) -> np.ndarray:
+    """Per entry: the bound itself, one ulp above or below it, or a
+    uniform draw within 1 of it."""
+    out = []
+    for b in np.asarray(bounds, dtype=float):
+        k = rng.integers(4)
+        out.append(b + rng.uniform(-1.0, 1.0) if k == 3 else
+                   (b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf))[k])
+    return np.array(out)
+
+
+def _either(rng, a, b) -> np.ndarray:
+    """Per entry, a near-bound draw from ``a`` or from ``b``."""
+    return np.where(rng.integers(2, size=len(a)) == 1, a, b)
+
+
+class TestRangeRule:
+    """The bound-vector rule flags exactly the conditions the hand-written
+    predicates flag, on draws on, one ulp around and near every bound, and
+    each violation names its entry and numeric bound."""
+
+    MESSAGE = re.compile(r"^(r|s|l|eta|bold r|\(r \+ eta - l\)|\(r - l\))"
+                         r"\[(\d+)\] > (\S+) \(got \S+\)$")
+
+    def _compare(self, n, new, ref):
+        bad = sorted(msg for ok, msg in new if not ok)
+        assert bad == _ref_violations(ref)
+        for msg in bad:
+            m = self.MESSAGE.match(msg)
+            assert m and 1 <= int(m.group(2)) <= n, msg
+            float(m.group(3))
+        return not bad
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_violations_match_the_reference(self, n, rng):
+        half = (n + 1.0) / 2.0
+        simple = [(C.c1_range, C.c1, "s", -1.5, -1.0),
+                  (C.c2_range, C.c2, "s", -2.5, -(n + 1.0)),
+                  (C.c3_range, C.c3, "s", -half, -1.0),
+                  (C.c4_range, C.c4, "s", -(n + 3.0) / 2.0, -(n + 1.0)),
+                  (C.c6_range, C.c6, "r", 1.5, half)]
+        lower = lambda lead, last: [lead] * (n - 1) + [last]  # noqa: E731
+        for _ in range(300):
+            for rule, value, label, lead, last in simple:
+                s = _near(rng, lower(lead, last))
+                if self._compare(n, rule(n, s), _ref_simple(n, s, label, lead, last)):
+                    assert math.isfinite(value(n, s))
+
+            eta = _near(rng, lower(-half, -1.0))
+            r = _either(rng, _near(rng, eta + lower(n, half)),
+                        _near(rng, lower((1.0 - n) / 2.0, 0.0)))
+            if self._compare(n, C.c5_range(n, r, eta), _ref_c5(n, r, eta)):
+                C.c5(n, r, eta)
+
+            l = _near(rng, lower(-half, -1.0))
+            eta = _near(rng, lower(n, half))
+            k = _near(rng, lower((3.0 * n + 1.0) / 2.0, n + 1.0))
+            r = _either(rng, k - eta + l, _near(rng, lower((n - 1.0) / 2.0, 0.0)))
+            if self._compare(n, C.c7_range(n, l, r, eta), _ref_c7(n, l, r, eta)):
+                C.c7(n, l, r, eta)
+
+            r = l + _near(rng, lower((3.0 * n + 1.0) / 2.0, n + 1.0))
+            if self._compare(n, C.c8_range(n, l, r), _ref_c8(n, l, r)):
+                # c8 = c6 c5(r, l) takes every point c8_range takes
+                assert math.isfinite(C.c8(n, l, r))
+
+            rb = _near(rng, lower(2.0, half))
+            ref = _ref_violations(_ref_simple(n, rb, "bold r", 2.0, half))
+            try:
+                L25_constant(n, rb)
+                assert ref == []
+            except ConvergenceDomainError as err:
+                assert sorted(err.violations) == ref != []
+
+    def test_bound_accessors(self):
+        for n in (1, 2, 3, 4):
+            l_lower, gap_lower = C.c8_bounds(n)
+            assert list(l_lower) == [-(n + 1) / 2] * (n - 1) + [-1.0]
+            assert list(gap_lower) == [(3 * n + 1) / 2] * (n - 1) + [n + 1.0]
+            assert list(C.c7_bounds(n)) == list(gap_lower)
 
 
 class TestLogVsDirect:

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used in its module, and
-every private top-level definition is read somewhere in the package.
+"""Every module-level import of the package is used in its module, every
+private top-level definition is read somewhere in the package, and every
+attribute an exception stores is read outside ``errors.py``.
 
 ``__init__.py`` is left out of the import scan: its imports are the public
 re-exports.
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "conetube"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "conetube"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -85,3 +87,28 @@ def test_no_dead_private_definitions():
     dead = [name for source in sources for name in private_definitions(source)
             if name not in read]
     assert dead == []
+
+
+def stored_attributes(source: str) -> list[str]:
+    """The attributes that the methods of ``source``'s classes assign on
+    ``self``."""
+    return [t.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+            and t.value.id == "self"]
+
+
+def test_scan_flags_an_unread_exception_attribute():
+    errors = ("class E(Exception):\n    def __init__(self, a, b):\n"
+              "        self.kept = a\n        self.dropped = b\n")
+    read = read_names("try:\n    f()\nexcept E as exc:\n    g(exc.kept)\n")
+    assert [a for a in stored_attributes(errors) if a not in read] == ["dropped"]
+
+
+def test_no_unread_exception_attributes():
+    readers = [p for p in (*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "perfbench").rglob("*.py"))
+               if p.name != "errors.py"]
+    read = set().union(*(read_names(p.read_text()) for p in readers))
+    stored = stored_attributes((SRC / "errors.py").read_text())
+    assert [a for a in stored if a not in read] == []

@@ -144,7 +144,7 @@ class TestApplyT:
 
     def test_image_range_check(self, worked_params):
         tf = tf_for(worked_params, [2, 2], [2.0, 2.0])  # eta role too small
-        with pytest.raises(ConvergenceDomainError, match=r"eta\[1\] > n"):
+        with pytest.raises(ConvergenceDomainError, match=r"eta\[1\] > 2 "):
             check_params("L26", 2, _image_params(worked_params, tf))
 
     def test_closed_matches_numeric_n1(self):
