@@ -20,13 +20,13 @@ Every convergence range is a list of ``_bounds(label, values, lower)``
 checks values_j > lower_j, ``lower`` an n-vector with one bound on the
 first n - 1 entries and one on the n-th; composites form r + eta - l, r - l
 or eta + lower first.  A violation names its entry and numeric bound, as in
-``eta[1] > 2 (got 2.0)``.  ``c7_bounds`` and ``c8_bounds`` hand the stated
-L26 and L27 bounds to the Schur witness and the random draws.
+``eta[1] > 2 (got 2.0)``.  The ``*_bounds`` accessors own the stated bound
+vectors that the range checks, the Schur witness and the random draws read.
 
 Several composite constants are known to disagree with independent numeric
 evaluation of their identities (the compositions inherit a 2pi/4pi rescale
-slip); the package therefore treats these values as the stated constants
-and pairs them with oracle-calibrated ones at the identity layer.  The
+slip); they are kept as the stated constants, and each audit record
+carries its fitted constant (LHS / structure) beside the stated one.  The
 tests check C1-C4 against direct Gamma-function evaluation, and C5-C8
 against products of those direct references.
 """
@@ -61,6 +61,16 @@ def _bounds(label: str, values, lower) -> list:
     """The checks values[j] > lower[j], each naming its entry and bound."""
     return [(x > lo, f"{label}[{j + 1}] > {lo:g} (got {x})")
             for j, (x, lo) in enumerate(zip(values, lower))]
+
+
+def border_offset(n: int, shifted: bool) -> float:
+    """The transform pair's border offset: 3/2, or (n+1)/2 where shifted."""
+    return (n + 1.0) / 2.0 if shifted else 1.5
+
+
+def laplace_bounds(n: int, shifted: bool) -> np.ndarray:
+    """C1's lower bound on s, or C3's if ``shifted`` (L24's on eta, L26/L27's on l)."""
+    return _lower(n, -border_offset(n, shifted), -1.0)
 
 
 def _poch_ratio(x: float, k: int) -> float:
@@ -103,7 +113,7 @@ def _inf_past_range(formula):
 def _laplace_normalizer(n: int, v: np.ndarray, shifted: bool) -> float:
     """C1, or C3 where ``shifted``, at plain values v without its range
     check; h is their border offset."""
-    h = (n + 1.0) / 2.0 if shifted else 1.5
+    h = border_offset(n, shifted)
     logval = log_gamma(v[-1] + 1.0) + sum(log_gamma(x + h) for x in v[:-1])
     if logval == math.inf:  # log-gamma outgrows the linear terms below
         return math.inf
@@ -118,7 +128,7 @@ def _kernel_ratio(n: int, v: np.ndarray, shifted: bool) -> float:
     without its range check; defined for every v.  Its power of 2 is
     sum v + (n - 1)(h - 1/2) at the border offset h, rounded as each
     constant has always rounded it (the two differ in the last bit at n = 2)."""
-    h = (n + 1.0) / 2.0 if shifted else 1.5
+    h = border_offset(n, shifted)
     log2 = (np.sum(v) + n * (n - 1.0) / 2.0 if shifted
             else np.sum(v) + n - 1.0)
     logval = log2 * LOG2 + (1.0 - 2.0 * n) * LOGPI
@@ -129,7 +139,7 @@ def _kernel_ratio(n: int, v: np.ndarray, shifted: bool) -> float:
 
 
 def c1_range(n: int, s) -> list:
-    return _bounds("s", plain_values(s, n), _lower(n, -1.5, -1.0))
+    return _bounds("s", plain_values(s, n), laplace_bounds(n, False))
 
 
 def c1(n: int, s) -> float:
@@ -149,7 +159,7 @@ def c2(n: int, s) -> float:
 
 
 def c3_range(n: int, s) -> list:
-    return _bounds("s", plain_values(s, n), _lower(n, -(n + 1.0) / 2.0, -1.0))
+    return _bounds("s", plain_values(s, n), laplace_bounds(n, True))
 
 
 def c3(n: int, s) -> float:
@@ -173,11 +183,17 @@ def c4(n: int, s) -> float:
 # composites
 # ---------------------------------------------------------------------------
 
+def c5_bounds(n: int) -> tuple:
+    """L24's stated lower bounds on r - eta and on r (eta's is C3's)."""
+    return _lower(n, n, (n + 1.0) / 2.0), _lower(n, (1.0 - n) / 2.0, 0.0)
+
+
 def c5_range(n: int, r, eta) -> list:
     rv, ev = plain_values(r, n), plain_values(eta, n)
-    return (_bounds("r", rv, ev + _lower(n, n, (n + 1.0) / 2.0))
-            + _bounds("eta", ev, _lower(n, -(n + 1.0) / 2.0, -1.0))
-            + _bounds("r", rv, _lower(n, (1.0 - n) / 2.0, 0.0)))
+    gap_lower, r_lower = c5_bounds(n)
+    return (_bounds("r", rv, ev + gap_lower)
+            + _bounds("eta", ev, laplace_bounds(n, True))
+            + _bounds("r", rv, r_lower))
 
 
 def c5(n: int, r, eta) -> float:
@@ -199,8 +215,7 @@ def c6(n: int, r) -> float:
 
 def c8_bounds(n: int) -> tuple:
     """L27's stated lower bounds on l and on r - l (plain values)."""
-    return (_lower(n, -(n + 1.0) / 2.0, -1.0),
-            _lower(n, (3.0 * n + 1.0) / 2.0, n + 1.0))
+    return laplace_bounds(n, True), _lower(n, (3.0 * n + 1.0) / 2.0, n + 1.0)
 
 
 def c7_bounds(n: int) -> np.ndarray:
@@ -208,11 +223,16 @@ def c7_bounds(n: int) -> np.ndarray:
     return c8_bounds(n)[1]
 
 
+def c7_index_bounds(n: int) -> tuple:
+    """L26's stated lower bounds on l, r and eta: eta's is L24's on r - eta."""
+    return laplace_bounds(n, True), _lower(n, (n - 1.0) / 2.0, 0.0), c5_bounds(n)[0]
+
+
 def c7_range(n: int, l, r, eta) -> list:
     lv, rv, ev = plain_values(l, n), plain_values(r, n), plain_values(eta, n)
-    return (_bounds("l", lv, c8_bounds(n)[0])
-            + _bounds("r", rv, _lower(n, (n - 1.0) / 2.0, 0.0))
-            + _bounds("eta", ev, _lower(n, n, (n + 1.0) / 2.0))
+    l_lower, r_lower, eta_lower = c7_index_bounds(n)
+    return (_bounds("l", lv, l_lower) + _bounds("r", rv, r_lower)
+            + _bounds("eta", ev, eta_lower)
             + _bounds("(r + eta - l)", rv + ev - lv, c7_bounds(n)))
 
 

@@ -39,7 +39,6 @@ class BranchCutError(ConetubeError, ArithmeticError):
 
     def __init__(self, minor_index, value=None):
         self.minor_index = int(minor_index)
-        self.value = value
         super().__init__(
             f"minor {self.minor_index} lies on the closed negative real axis"
             + (f" (value {value})" if value is not None else ""))
@@ -77,5 +76,4 @@ class ConfigError(ConetubeError, ValueError):
     """Invalid run configuration; names the offending field."""
 
     def __init__(self, field, message):
-        self.field = field
         super().__init__(f"config field '{field}': {message}")

@@ -16,13 +16,13 @@ Each corollary is its lemma at the shifted index: every border offset 3/2
 becomes (n+1)/2 = 3/2 + (n-2)/2, C1 and C2 become C3 and C4, and COR1_2
 also drops the next-to-top minor factor; one builder per transform makes both.
 
-Each identity is split into a constant and a constant-free *structure*
-(the product of powers the closed form predicts); closed = constant x
-structure.  The structure carries the scientifically forced content (the
-homogeneity exponents) and is what the lambda-scaling oracle checks; the
-stated composite constants are kept as given and may be overridden by an
-oracle-calibrated value where the composition is wrong.  Each registered identity also knows how to build its own
-left-hand-side integrand and a matched importance-sampling law, so the
+Each identity is split into a constant and a constant-free *structure* (the
+product of powers the closed form predicts); closed = constant x structure.
+The structure carries the forced content (the homogeneity exponents) and is
+what the lambda-scaling oracle checks; the stated composite constants are
+kept as given, and each audit record carries its fitted constant (LHS /
+structure) beside the stated one.  Each registered identity also builds its
+own left-hand-side integrand and a matched importance-sampling law, so the
 numeric oracle can audit it without identity-specific code.
 """
 
@@ -63,11 +63,6 @@ def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return np.exp(np.sum(e * np.log(np.abs(mins)), axis=-1))
 
 
-def _border(n, shifted) -> float:
-    """Border offset of the transform identities: 3/2, or (n+1)/2 shifted."""
-    return (n + 1.0) / 2.0 if shifted else 1.5
-
-
 # ---------------------------------------------------------------------------
 # structures (constant-free closed-form factors)
 # ---------------------------------------------------------------------------
@@ -75,7 +70,7 @@ def _border(n, shifted) -> float:
 def _structure_laplace(n, s, t, shifted: bool):
     q, tn = delta_transform_parts(np.asarray(t, dtype=float))
     logval = (-s[-1] - (n + 1.0) / 2.0) * np.log(tn)
-    return np.exp(logval + np.sum((-s[: n - 1] - _border(n, shifted))
+    return np.exp(logval + np.sum((-s[: n - 1] - C.border_offset(n, shifted))
                                   * np.log(q), axis=-1))
 
 
@@ -337,10 +332,8 @@ class IdentityDef:
 
 
 def _low_index(n, rng, hi, shifted=True) -> np.ndarray:
-    """Random index just inside its lower range bounds, entries below hi."""
-    lo = 0.4 - _border(n, shifted)
-    return np.concatenate([rng.uniform(lo, hi, size=n - 1),
-                           rng.uniform(-0.6, hi, size=1)])
+    """Random index just above C3's lower bounds (C1's unless ``shifted``), below hi."""
+    return rng.uniform(C.laplace_bounds(n, shifted) + 0.4, hi)
 
 
 # -- L23 / COR1: one builder per transform; C.c* is looked up when called --
@@ -362,9 +355,8 @@ def _laplace_decay(n, t, zero_indices, c):
 
 
 def _laplace_identity(id, label, shifted) -> IdentityDef:
-    def decay(n, p, pt):  # zero indices s_j + border, s_n + 1
-        return _laplace_decay(n, pt, [*(p["s"][:-1] + _border(n, shifted)),
-                                      p["s"][-1] + 1.0], FOUR_PI)
+    def decay(n, p, pt):  # zero indices s_j + border, s_n + 1: s above its bounds
+        return _laplace_decay(n, pt, p["s"] - C.laplace_bounds(n, shifted), FOUR_PI)
     return IdentityDef(
         id=id, label=label, domain="cone", param_names=("s",),
         convention=Convention.PLAIN, complex_valued=False,
@@ -393,7 +385,7 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     On the doubled cone q = 4 t_1 - (2u)^2 / t_n cancels where t_1 is large
     and D small; exactly, it is 4 t_1 D / t_n, computed from D.
     """
-    border_exp = s[: n - 1] + _border(n, shifted)
+    border_exp = s[: n - 1] + C.border_offset(n, shifted)
     top_exp = s[-1] + (n + 1.0) / 2.0
     inv_const = 1.0 / (C.c3(n, s) if shifted else C.c1(n, s))
     jac = 2.0 ** (n - 1) if dual else 1.0
@@ -424,7 +416,7 @@ def _kernel_decay(n, s, y, shifted):
     over small v has index a + (n+1)/2 (at n = 1, t_n = D); at n >= 2 the
     integrand does not vanish on the cone, so 1 if less.  On the dual cone
     (n = 2), q = 4 t_1 D / t_n adds b_1 + 1.  Every tail is exponential."""
-    border = _border(n, shifted)
+    border = C.border_offset(n, shifted)
     d_zero = [s[-1] + (n + 1.0)] + ([1.0] if n >= 2 else [])
     if n == 2:  # the dual cone
         d_zero.append(s[0] + (border + 1.0))
@@ -523,9 +515,10 @@ def _L24_decay(n, r, eta, b):
 
 def _random_L24(n, rng):
     eta = _low_index(n, rng, 1.0)
-    r = eta.copy()
-    r[:-1] += n + rng.uniform(0.4, 1.6, size=n - 1)
-    r[-1] = max(eta[-1] + (n + 1) / 2.0, 0.0, 0.75) + rng.uniform(0.4, 1.6)
+    gap_lower, r_lower = C.c5_bounds(n)
+    u = rng.uniform(0.4, 1.6, size=n)
+    r = eta + (gap_lower + u)
+    r[-1] = max(eta[-1] + gap_lower[-1], r_lower[-1], 0.75) + u[-1]
     return {"r": r, "eta": eta}
 
 
@@ -787,11 +780,9 @@ def tube_proposal(n, zero_exp, decays, y, centers) -> SamplerSpec:
 
 def _random_L26(n, rng):
     l = _low_index(n, rng, 0.8)
-    eta = np.concatenate([rng.uniform(n + 0.4, n + 2.0, size=n - 1),
-                          rng.uniform((n + 1) / 2.0 + 0.4, (n + 1) / 2.0 + 2.0,
-                                      size=1)])
-    r = np.concatenate([rng.uniform((n - 1) / 2.0 + 0.4, n + 2.0, size=n - 1),
-                        rng.uniform(0.4, n + 2.0, size=1)])
+    _, r_lower, eta_lower = C.c7_index_bounds(n)
+    eta = rng.uniform(eta_lower + 0.4, eta_lower + 2.0)
+    r = rng.uniform(r_lower + 0.4, n + 2.0)
     r += np.maximum(C.c7_bounds(n) - (r + eta - l) + 0.4, 0.0)
     return {"l": l, "r": r, "eta": eta}
 

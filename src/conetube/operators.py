@@ -45,9 +45,7 @@ from .errors import (AccuracyError, InfeasibleError, InvalidInputError,
 from .identities import L25_constant, check_params
 from .indices import (Convention, MultiIndex, bold_values, plain_values,
                       read_index, shift_index)
-from .oracle import oracle_estimate, quad_supported
-
-NORM_REL_TOL = 1e-8  # the relative tolerance of a norm by quadrature
+from .oracle import QUAD_REL_TOL, oracle_estimate, quad_supported
 
 
 @dataclass(frozen=True)
@@ -202,15 +200,14 @@ def _reduced_norm(n, weight_bold, kernel_bold, R, power, budget, seed, method):
     closed-form constant ``L25_constant`` times delta^{-kernel + (n+1)/2}
     (v+R), its exact structure at n <= 2; what is left is the translate
     identity's (L24) left-hand side at b = R, by ``oracle_estimate`` with
-    ``method`` ("quad" at rel_tol NORM_REL_TOL, or "mc" with ``budget``
+    ``method`` ("quad" at rel_tol QUAD_REL_TOL, or "mc" with ``budget``
     draws from ``seed``).  Returns (norm, error): a one-sigma error by
     Monte Carlo, a bound by quadrature.
     """
     cst = L25_constant(n, kernel_bold)
     p = {"r": read_index(kernel_bold - (n + 1.0) / 2.0, Convention.SHIFTED),
          "eta": read_index(weight_bold, Convention.SHIFTED)}
-    est = oracle_estimate("L24", p, embed_R(R, n), budget, seed, method=method,
-                          quad_tol=NORM_REL_TOL)
+    est = oracle_estimate("L24", p, embed_R(R, n), budget, seed, method=method)
     value = cst * est.value
     if not value > 0:
         raise OracleRejectedError(est.nonfinite / est.samples,
@@ -310,7 +307,7 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
     One coordinate is varied at a time with the others pinned at the test
     function's base R.  Requires two distinct grid points.  The norms are
     taken by quadrature where it reaches L24 (n <= 2) and by Monte Carlo
-    elsewhere.  A norm whose quadrature cannot certify NORM_REL_TOL (a
+    elsewhere.  A norm whose quadrature cannot certify QUAD_REL_TOL (a
     tail too slow for its window) is drawn instead, and ``report.method``
     counts it; ``budget`` and ``seed`` are read only by Monte Carlo.
     """
@@ -335,7 +332,7 @@ def scaling_experiment(params: ParameterSet, tf: TestFunctionFR, R_grid,
     e_f = f_R_norm_exponents(params, tf)
     e_Tf = Tf_R_norm_exponents(params, tf)
     report = ScalingReport(method=(
-        {"name": "QUAD_ITERATED", "rel_tol": NORM_REL_TOL} if method == "quad"
+        {"name": "QUAD_ITERATED", "rel_tol": QUAD_REL_TOL} if method == "quad"
         else {"name": "MC_CONE", "budget": int(budget)}))
     base_R = np.asarray(tf.R, dtype=float)
     for ci, j in enumerate(coords):

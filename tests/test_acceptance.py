@@ -137,8 +137,7 @@ def test_criterion_3_two_kernel_adjudication_n1():
                                     TubePoint.make([-0.1], [0.9])))]
         for (l, r, eta), point in cases:
             params = {"l": [l], "r": [r], "eta": [eta]}
-            rec = verify_identity("L26", params, point, method="quad",
-                                  always_scaling=True)
+            rec = verify_identity("L26", params, point, method="quad")
             # definitive verdict: quadrature precision beats 1e-6 and the
             # status is a verdict, not INCONCLUSIVE
             assert rec.lhs.std_error <= 1e-6 * abs(rec.lhs.value)

@@ -771,6 +771,17 @@ class TestVerifyIdentity:
                               method="quad")
         assert rec.status == CONFIRMED and rec.z_score == 0.0
 
+    def test_zero_lhs_against_zero_closed_form_confirms(self, monkeypatch):
+        # both sides exactly 0: z = 0 confirms, and no lambda-test runs
+        ident_id, params, point = L24_CM
+        monkeypatch.setitem(identities.IDENTITIES, ident_id, dataclasses.replace(
+            get_identity(ident_id), stated_constant=lambda n, p: 0.0,
+            integrand=lambda n, p, pt: lambda y: np.zeros(y.shape[:-1])))
+        rec = verify_identity(ident_id, params, point, method="quad")
+        assert rec.lhs.value == 0.0 and rec.rhs_stated == 0.0
+        assert rec.status == CONFIRMED and rec.z_score == 0.0
+        assert rec.scaling == [] and rec.scaling_pass is None
+
     def test_inconclusive_at_tiny_budget(self):
         # tiny budgets give dominating error bars; note the matched cone
         # samplers are near-exact for some identities, so the demonstration
@@ -1028,6 +1039,14 @@ class TestCalibration:
     def test_slice_constant(self):
         val = calibrated_constant("L25", 1, {"r": [2.0]})
         assert val == pytest.approx(math.pi, rel=1e-9)
+
+    def test_monte_carlo_stream_is_pinned(self, monkeypatch):
+        # past quadrature's reach the constant is drawn from a fixed seed;
+        # an empty cache keeps another budget's entry out
+        monkeypatch.setattr(oracle, "_CALIBRATION_CACHE", {})
+        val = calibrated_constant("L26", 2, {"l": [2, 2], "r": [3, 3],
+                                             "eta": [4, 4]}, budget=20_000)
+        assert val == 0.10847001243326816 + 0.0007518111694327548j
 
     def test_cache_hit_returns_same_object(self):
         a = calibrated_constant("L25", 1, {"r": [2.0]})
