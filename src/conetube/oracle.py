@@ -466,19 +466,14 @@ def oracle_estimate(identity_id: str, params: dict, point, budget: int,
 
 
 _CALIBRATION_CACHE: dict = {}
-_CALIBRATION_SEED = 20_260_809
 
 
-def calibrated_constant(identity_id: str, n: int, params: dict,
-                        budget: int = 2_000_000):
-    """Oracle-fitted constant: LHS / structure at the unit reference point.
-
-    Quadrature-backed wherever quadrature reaches, to the relative
-    tolerance it asks (1e-9 at n = 1, 1e-6 at n = 2); elsewhere MC of
-    ``budget`` draws from the fixed seed 20,260,809, with MC noise of the
-    recorded relative size.  Cached per (identity, n, params); a key
-    outside the convergence range raises and is not cached.
-    """
+def calibrated_constant(identity_id: str, n: int, params: dict):
+    """LHS / structure at the unit reference point by quadrature, to 1e-9
+    (n = 1) or 1e-6 (n = 2); past its reach (the tube at n = 2, every domain
+    at n = 3) InvalidInputError.  The Monte Carlo fit, with its record's
+    bar, is ``verify_identity(..., method="mc").fitted_constant``.  Cached
+    per (identity, n, params); a key that raises is not cached."""
     ident = get_identity(identity_id)
     p = read_params(identity_id, n, params)
     key = (identity_id, n, tuple(sorted((k, tuple(v.tolist()))
@@ -487,10 +482,7 @@ def calibrated_constant(identity_id: str, n: int, params: dict,
         return _CALIBRATION_CACHE[key]
     check_params(identity_id, n, p)  # a divergent integral has no constant
     ref = ident.point.reference(n)
-    est = (quad_iterated(identity_id, p, ref, rel_tol=1e-9 if n == 1 else 1e-6)
-           if quad_supported(identity_id, n) else
-           oracle_estimate(identity_id, p, ref, budget, _CALIBRATION_SEED,
-                           method="mc"))
+    est = quad_iterated(identity_id, p, ref, rel_tol=1e-9 if n == 1 else 1e-6)
     struct = ident.structure(n, p, ref)
     value = est.value / struct
     if isinstance(value, complex) and abs(value.imag) < 1e-9 * abs(value):

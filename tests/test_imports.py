@@ -1,6 +1,7 @@
 """Every module-level import of the package is used in its module, every
-private top-level definition is read somewhere in the package, and every
-attribute an exception stores is read as an attribute outside ``errors.py``.
+private top-level definition is read somewhere in the package, every
+attribute an exception stores is read as an attribute outside ``errors.py``,
+and every default of a public function is set by some call.
 
 ``__init__.py`` is left out of the import scan: its imports are the public
 re-exports.
@@ -122,3 +123,74 @@ def test_no_unread_exception_attributes():
     read = set().union(*(attribute_reads(p.read_text()) for p in readers))
     stored = stored_attributes((SRC / "errors.py").read_text())
     assert [a for a in stored if a not in read] == []
+
+
+def defaulted_parameters(source: str) -> dict[str, list]:
+    """The public top-level functions of ``source`` that have defaults, each
+    with its defaulted parameters as (name, position); a keyword-only one
+    has position None."""
+    out = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        params = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+        params += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        if params:
+            out[node.name] = params
+    return out
+
+
+def _name(node) -> str | None:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def unset_defaults(library: str, callers: list[str]) -> list[str]:
+    """``function(parameter)`` for each default of ``library``'s public
+    functions that no call in ``callers`` to a callee of that name passes,
+    by keyword, by position or through ``*``/``**``.  A function whose name
+    is itself passed as a call argument is skipped: its caller is unseen."""
+    calls, passed = {}, set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node.func), []).append(node)
+                passed |= {_name(v) for v in
+                           (*node.args, *(k.value for k in node.keywords))}
+
+    def sets(call, name, pos):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return pos is not None and (
+            pos < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return [f"{fn}({name})"
+            for fn, params in defaulted_parameters(library).items()
+            if fn not in passed for name, pos in params
+            if not any(sets(c, name, pos) for c in calls.get(fn, []))]
+
+
+def test_scan_flags_a_default_nothing_sets():
+    library = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+               "def g(x=0):\n    pass\n"
+               "def h(y=0, z=0):\n    pass\n"
+               "def k(w=0):\n    pass\n"
+               "def q(u=0):\n    pass\n"
+               "def _private(v=0):\n    pass\n")
+    callers = ("f(0, 5)\nmod.f(0, d=4)\n"  # b by position, d by keyword
+               "g()\nh(0, *rest)\nq(**opts)\n"
+               "run(norm=k)\n")  # k's caller is unseen
+    assert unset_defaults(library, [library, callers]) == ["f(c)", "g(x)"]
+
+
+def test_every_default_has_a_setter():
+    callers = [p.read_text() for p in (*SRC.glob("*.py"),
+                                       *(ROOT / "tests").glob("*.py"),
+                                       *(ROOT / "perfbench").rglob("*.py"))]
+    assert [f for p in sorted(SRC.glob("*.py"))
+            for f in unset_defaults(p.read_text(), callers)] == []

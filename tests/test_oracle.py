@@ -1040,13 +1040,21 @@ class TestCalibration:
         val = calibrated_constant("L25", 1, {"r": [2.0]})
         assert val == pytest.approx(math.pi, rel=1e-9)
 
-    def test_monte_carlo_stream_is_pinned(self, monkeypatch):
-        # past quadrature's reach the constant is drawn from a fixed seed;
-        # an empty cache keeps another budget's entry out
-        monkeypatch.setattr(oracle, "_CALIBRATION_CACHE", {})
-        val = calibrated_constant("L26", 2, {"l": [2, 2], "r": [3, 3],
-                                             "eta": [4, 4]}, budget=20_000)
-        assert val == 0.10847001243326816 + 0.0007518111694327548j
+    def test_monte_carlo_stream_is_pinned(self):
+        # past quadrature's reach the Monte Carlo fit is the record's
+        # fitted constant, drawn from the stream of its seed
+        rec = verify_identity("L26", {"l": [2, 2], "r": [3, 3], "eta": [4, 4]},
+                              get_identity("L26").point.reference(2),
+                              budget=20_000, seed=20_260_809, method="mc")
+        assert rec.fitted_constant == (0.10847001243326816
+                                       + 0.0007518111694327548j)
+
+    def test_past_quadratures_reach_raises_and_is_not_cached(self):
+        # the tube at n = 2 is in range but out of quadrature's reach
+        before = dict(_CALIBRATION_CACHE)
+        with pytest.raises(InvalidInputError, match="out of reach"):
+            calibrated_constant("L27", 2, {"l": [0.5, 0.5], "r": [5.0, 4.0]})
+        assert _CALIBRATION_CACHE == before
 
     def test_cache_hit_returns_same_object(self):
         a = calibrated_constant("L25", 1, {"r": [2.0]})
@@ -1055,9 +1063,9 @@ class TestCalibration:
 
     def test_out_of_range_refused_on_the_monte_carlo_path(self):
         # n = 3 is past quadrature's reach; r fails every c6_range bound,
-        # where Monte Carlo would return a finite number for a divergent
-        # integral
+        # and the range check comes first, so a divergent integral is
+        # refused as divergent
         before = dict(_CALIBRATION_CACHE)
         with pytest.raises(ConvergenceDomainError):
-            calibrated_constant("L25", 3, {"r": [1.0, 1.0, 1.0]}, budget=20_000)
+            calibrated_constant("L25", 3, {"r": [1.0, 1.0, 1.0]})
         assert _CALIBRATION_CACHE == before
