@@ -39,8 +39,8 @@ from .errors import InvalidInputError
 from .geometry import (TubePoint, border_reversed, canonical_to_coords,
                        complex_minors, complex_power_from_minors,
                        delta_transform_parts, log_delta_power, minor_exponents,
-                       order_from_dim, require_cone, schur_complement,
-                       schur_real_part)
+                       order_from_dim, require_cone, row_sum,
+                       schur_complement, schur_real_part)
 from .indices import Convention, bold_values, plain_values, read_index
 from .sampling import (BorderLaw, CauchyLaw, ConditionalCauchyLaw,
                        RadialLaw, SamplerSpec, VCauchyLaw)
@@ -53,14 +53,14 @@ REAL_PAD = 0.3  # floor added to every tube real-part Cauchy scale (not the slic
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+    return row_sum(a * b)
 
 
 def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """|minor power| at z/i coordinates; moduli only, branch-free."""
     mins = complex_minors(zeta)
     e = minor_exponents(entries)
-    return np.exp(np.sum(e * np.log(np.abs(mins)), axis=-1))
+    return np.exp(row_sum(e * np.log(np.abs(mins))))
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,8 @@ def _abs_complex_power(zeta: np.ndarray, entries: np.ndarray) -> np.ndarray:
 def _structure_laplace(n, s, t, shifted: bool):
     q, tn = delta_transform_parts(np.asarray(t, dtype=float))
     logval = (-s[-1] - (n + 1.0) / 2.0) * np.log(tn)
-    return np.exp(logval + np.sum((-s[: n - 1] - C.border_offset(n, shifted))
-                                  * np.log(q), axis=-1))
+    return np.exp(logval + row_sum((-s[: n - 1] - C.border_offset(n, shifted))
+                                   * np.log(q)))
 
 
 def _structure_kernel(n, s, z: TubePoint, shifted: bool):
@@ -394,7 +394,7 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
     def f(tcoords, d=None):
         t = tcoords
         if dual:
-            t = tcoords.copy()
+            t = tcoords.copy(order="K")
             t[..., n:] *= 2.0
             tn = t[..., n - 1]
             d = schur_complement(tcoords) if d is None else d
@@ -402,7 +402,7 @@ def _kernel_integrand(n, s, z: TubePoint, shifted, dual=False):
         else:
             q, tn = delta_transform_parts(t)
         logmag = (top_exp * np.log(tn) - TWO_PI * _dot(t, y)
-                  + np.sum(border_exp * np.log(q), axis=-1))
+                  + row_sum(border_exp * np.log(q)))
         phase = TWO_PI * _dot(t, x)
         return jac * inv_const * np.exp(logmag) * np.exp(1j * phase)
     return f
@@ -459,7 +459,7 @@ def _L24_integrand(n, r, eta, b):
         if d is not None:
             y = ycoords[..., : n - 1]
             t = border_reversed(ycoords) / y - b_slope
-            d_yb = d + d_b + np.sum(y * bd / (y + bd) * t * t, axis=-1)
+            d_yb = d + d_b + row_sum(y * bd / (y + bd) * t * t)
         return np.exp(log_delta_power(ycoords + b, -rb, d_yb)
                       + log_delta_power(ycoords, eb, d))
     return f
@@ -600,7 +600,7 @@ def _log_L25_reduced(n, r):
         out = _log_slice_fact(rho, schur_real_part(v, u))
         if n > 1:
             log_mod = np.log(np.hypot(v[..., : n - 1], u[..., : n - 1]))
-            out = out + np.sum(weight * log_mod, axis=-1)
+            out = out + row_sum(weight * log_mod)
         return out
     return log_f
 

@@ -14,6 +14,10 @@ loc and scale read from the context and in ``CauchyLaw``'s df.  A spec may
 mark the law of x_n integrated (a ``None`` entry): where an identity
 integrates x_n in closed form, nothing is drawn for it.
 
+Batches are coordinate-major: every (count, k) array of draws is Fortran-
+ordered, so each coordinate is one contiguous column, which is how the
+integrands read them; the coordinate axis is summed by ``row_sum``.
+
 Dominance is the preset designer's responsibility: the chosen law must have
 tails at least as heavy as the integrand along every coordinate, which the
 cone and tube presets read off the registry's ``Decay`` on every radial
@@ -227,14 +231,14 @@ def sample_cone(spec: SamplerSpec, count: int, rng: np.random.Generator):
     coordinates cancels catastrophically when a border draw is huge).
     """
     n = spec.n
-    y = np.empty((count, n - 1))
+    y = np.empty((count, n - 1), order="F")
     logpdf = np.zeros(count)
     for j in range(n - 1):
         y[:, j] = spec.radial[j].sample(rng, count)
         logpdf += spec.radial[j].logpdf(y[:, j])
     d = spec.radial[n - 1].sample(rng, count)
     logpdf += spec.radial[n - 1].logpdf(d)
-    u = np.empty((count, n - 1))
+    u = np.empty((count, n - 1), order="F")
     for j in range(n - 1):
         u[:, j] = spec.border[j].sample(rng, y[:, j], d)
         logpdf += spec.border[j].logpdf(u[:, j], y[:, j], d)
@@ -249,7 +253,7 @@ def _sample_real(spec: SamplerSpec, count: int, rng: np.random.Generator,
     if spec.real is None:
         raise InvalidInputError("sampler spec has no real-part laws")
     laws = [law for law in spec.real if law is not None]
-    x = np.empty((count, len(laws)))
+    x = np.empty((count, len(laws)), order="F")
     logpdf = np.zeros(count)
     for k, law in enumerate(laws):  # diagonals precede their borders
         x[:, k] = law.sample(rng, x, vcoords)

@@ -19,12 +19,13 @@ def worked_params():
                         a=(0.0, 0.0), b=(0.0, 0.0), c=(3.0, 3.0))
 
 
-def importance_weights(identity_id, params, point, count, seed):
+def importance_weights(identity_id, params, point, count, seed, region=None):
     """The importance weights of ``oracle_estimate(..., count, seed,
-    method="mc")``'s first chunk, exactly as ``oracle._mc_run`` forms them
-    (reduction and ``integrating_last_real`` included), non-finite values
-    kept.  ``count`` is at most one chunk, so the first chunk is all of it;
-    at ``oracle.CHUNK`` it is the first chunk of any larger budget."""
+    method="mc", region=region)``'s first chunk, exactly as
+    ``oracle._mc_run`` forms them (reduction and ``integrating_last_real``
+    included), non-finite values kept.  ``count`` is at most one chunk, so
+    the first chunk is all of it; at ``oracle.CHUNK`` it is the first chunk
+    of any larger budget."""
     if count > oracle.CHUNK:
         raise ValueError(f"count {count} exceeds one chunk ({oracle.CHUNK})")
     kept = []
@@ -36,7 +37,7 @@ def importance_weights(identity_id, params, point, count, seed):
 
     with mock.patch.object(oracle, "_in_blocks", keep):
         oracle.oracle_estimate(identity_id, params, point, count, seed,
-                               method="mc")
+                               method="mc", region=region)
     return kept[0]
 
 

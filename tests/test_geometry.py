@@ -9,7 +9,7 @@ from conetube.geometry import (ConePoint, TubePoint, assemble_arrowhead,
                                coords_to_canonical, delta_power,
                                delta_transform_parts, is_in_cone,
                                leading_minors, leading_minors_dense, minors,
-                               schur_complement, schur_real_part)
+                               row_sum, schur_complement, schur_real_part)
 from conetube.identities import random_cone_vector
 from conetube.indices import MultiIndex, bold_values
 
@@ -219,6 +219,31 @@ class TestCanonical:
         coords = canonical_to_coords(y, u, d)
         assert np.all(is_in_cone(coords))
         assert np.allclose(schur_complement(coords), d, rtol=1e-9)
+
+
+class TestRowSum:
+    """row_sum is np.sum(a, axis=-1) on a C-ordered copy, bit for bit, in
+    either layout: left to right below numpy's pairwise block (8 reals, 4
+    complexes), the C-ordered sum above it."""
+
+    @pytest.mark.parametrize("dtype, widths", [(float, range(10)),
+                                               (complex, range(1, 6))])
+    @pytest.mark.parametrize("batch", [(), (40,), (5, 6)], ids=len)
+    def test_matches_c_ordered_sum(self, rng, dtype, widths, batch):
+        for k in widths:
+            shape = batch + (k,)
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(shape)
+            rows = a.reshape(-1, k) if k else a  # a view of a
+            if len(rows) > 3 and k:
+                rows[0] = complex(-0.0, -0.0) if dtype is complex else -0.0
+                rows[1, 0], rows[2, -1], rows[3, 0] = np.inf, np.nan, -0.0
+            want = np.sum(np.ascontiguousarray(a), axis=-1)
+            for layout in (np.ascontiguousarray(a), np.asfortranarray(a)):
+                got = row_sum(layout)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
 
 
 class TestTranslateInequalities:

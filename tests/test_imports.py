@@ -1,7 +1,8 @@
 """Every module-level import of the package is used in its module, every
 private top-level definition is read somewhere in the package, every
 attribute an exception stores is read as an attribute outside ``errors.py``,
-and every default of a public function is set by some call.
+every default of a public function is set by some call, and only
+``geometry.row_sum`` reduces over the last axis.
 
 ``__init__.py`` is left out of the import scan: its imports are the public
 re-exports.
@@ -194,3 +195,45 @@ def test_every_default_has_a_setter():
                                        *(ROOT / "perfbench").rglob("*.py"))]
     assert [f for p in sorted(SRC.glob("*.py"))
             for f in unset_defaults(p.read_text(), callers)] == []
+
+
+REDUCTIONS = ("sum", "prod", "mean")
+
+
+def last_axis_reductions(source: str) -> list[int]:
+    """Lines of the ``sum``, ``prod`` and ``mean`` calls of ``source``,
+    functions or methods, that pass axis -1 by keyword or by position,
+    outside a function named ``row_sum``."""
+    tree = ast.parse(source)
+    exempt = {id(n) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and node.name == "row_sum" for n in ast.walk(node)}
+
+    def minus_one(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant)
+                and node.operand.value == 1)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and _name(node.func) in REDUCTIONS
+                  and any(minus_one(v) for v in (
+                      *node.args, *(k.value for k in node.keywords
+                                    if k.arg == "axis"))))
+
+
+def test_scan_flags_a_last_axis_reduction():
+    source = ("import numpy as np\n"
+              "def row_sum(a):\n    return np.sum(a, axis=-1)\n"
+              "def f(a):\n"
+              "    b = np.cumprod(a, axis=-1) + np.all(a > 0, axis=-1)\n"
+              "    c = np.sum(a) + a.sum(axis=0) + np.mean(a, axis=1) - 1\n"
+              "    return (np.sum(a, axis=-1), a.prod(-1), np.mean(a, -1),\n"
+              "            a.mean(axis=-1), sum(a), b, c)\n")
+    assert last_axis_reductions(source) == [7, 7, 7, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_row_sum_reduces_the_last_axis(path):
+    # a last-axis np.sum strides along each short row of a coordinate-major
+    # batch, and from 8 reals on its rounding follows the layout
+    assert last_axis_reductions(path.read_text()) == []

@@ -31,7 +31,7 @@ from conetube.oracle import (CHUNK, CONFIRMED, CONSTANT_MISMATCH, INCONCLUSIVE,
                              quad_supported, verify_identity)
 from conetube.sampling import (CauchyLaw, ConditionalCauchyLaw, RadialLaw,
                                SamplerSpec, VCauchyLaw, sample_cone,
-                               sample_tube)
+                               sample_slice, sample_tube)
 
 from conftest import ess_fraction, importance_weights
 from test_identities import slice_modulus_constant_n2
@@ -680,6 +680,43 @@ class TestBlocks:
         assert 1 <= len(passes) <= 3 and max(calls) <= block
         assert len(calls) <= 3 * math.ceil(max(passes) / block)
         assert sum(calls) == sum(passes)
+
+
+def _c_ordered(sample):
+    """``sample`` with every draw it returns copied C-ordered."""
+    return lambda *args: tuple(np.ascontiguousarray(a) for a in sample(*args))
+
+
+class TestLayout:
+    """Draws are coordinate-major, and the layout is a pure performance
+    property: a C-ordered copy of one chunk's draws gives every integrand
+    and every reduction the same values."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_draws_keep_each_coordinate_contiguous(self, rng, n):
+        for ident, sample in (("L23_1", sample_cone), ("L27", sample_tube),
+                              ("L25", sample_slice)):
+            spec = get_identity(ident).sampler(
+                n, read_params(ident, n, random_params(ident, n, rng)),
+                random_point(ident, n, rng))
+            batches = [a for a in sample(spec, 1000, rng) if a.ndim == 2]
+            assert batches
+            assert all(a.strides[0] == a.itemsize for a in batches)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ident", IDENTITY_IDS)
+    def test_c_ordered_draws_give_the_same_values(self, monkeypatch, ident, n):
+        rng = np.random.default_rng(12)
+        params, point = random_params(ident, n, rng), random_point(ident, n, rng)
+        for region in get_identity(ident).regions(n):
+            coordinate_major = importance_weights(ident, params, point, 4096,
+                                                  5, region)
+            with monkeypatch.context() as m:
+                for name in ("sample_cone", "sample_tube", "sample_slice"):
+                    m.setattr(oracle, name, _c_ordered(getattr(oracle, name)))
+                row_major = importance_weights(ident, params, point, 4096, 5,
+                                               region)
+            assert np.array_equal(coordinate_major, row_major, equal_nan=True)
 
 
 class TestQuadpackReference:
