@@ -235,7 +235,7 @@ class TestRowSum:
             a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
             if dtype is complex:
                 a = a + 1j * rng.standard_normal(shape)
-            rows = a.reshape(-1, k) if k else a  # a view of a
+            rows = a.reshape(-1, k) if k else a  # a view: edits reach a
             if len(rows) > 3 and k:
                 rows[0] = complex(-0.0, -0.0) if dtype is complex else -0.0
                 rows[1, 0], rows[2, -1], rows[3, 0] = np.inf, np.nan, -0.0
